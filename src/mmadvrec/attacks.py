@@ -89,8 +89,10 @@ def resolve_budget(features, i, eps_pct):
 def promoted_user_set(table, i):
     """Default target audience: every user with no training interaction
     with the item (promotion to existing consumers is pointless)."""
-    return np.array([u for u in range(table.num_users) if not table.has(u, i)],
-                    dtype=np.int64)
+    rows, cols = table.pairs()
+    keep = np.ones(table.num_users, dtype=bool)
+    keep[rows[cols == i]] = False
+    return np.nonzero(keep)[0].astype(np.int64)
 
 
 def promotion_loss(params, enc, i, users, deltas, k=50, cache=None,

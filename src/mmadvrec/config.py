@@ -86,6 +86,16 @@ SCHEMA = {
     "report.wall_clock": (_bool, False),
 }
 
+# least value of each count key; zero is meaningful only where listed as 0
+MINIMUM = {key: 1 for key in (
+    "synth.users", "synth.items", "synth.latent_dim", "synth.feat_dim_v",
+    "synth.feat_dim_t", "synth.interactions_per_user", "synth.n_unpop",
+    "model.dim", "model.fuse_dim", "train.batch_size", "train.max_epochs",
+    "train.eval_every", "defense.max_epochs", "attack.pgd_steps", "attack.k",
+    "attack.targets", "attack.popularity_threshold", "eval.k_hit", "eval.k_rank",
+    "diagnose.targets", "bench.batches", "bench.batch_size")}
+MINIMUM.update({"synth.unpopular_count": 0, "train.patience": 0, "diagnose.k_users": 0})
+
 
 class Config:
     def __init__(self, values=None):
@@ -98,9 +108,12 @@ class Config:
             raise ConfigError(f"unknown config key {key!r}")
         ctor, _ = SCHEMA[key]
         try:
-            self.values[key] = ctor(raw) if isinstance(raw, str) else ctor(raw)
+            value = ctor(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+        if key in MINIMUM and value < MINIMUM[key]:
+            raise ConfigError(f"{key!r} must be >= {MINIMUM[key]}, got {value}")
+        self.values[key] = value
 
     def __getitem__(self, key):
         if key not in SCHEMA:

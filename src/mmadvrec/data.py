@@ -9,6 +9,7 @@ File formats:
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -73,6 +74,7 @@ class InteractionTable:
         self.holdout = np.asarray(holdout, dtype=np.int64)
         self.holdout.flags.writeable = False
         self._user_sets = None
+        self._pairs = None
 
     @property
     def num_interactions(self):
@@ -88,6 +90,18 @@ class InteractionTable:
 
     def has(self, u, i):
         return i in self.user_set(u)
+
+    def pairs(self):
+        """(rows, cols): the user and item id of every training interaction,
+        user-major, as read-only int64 arrays built once."""
+        if self._pairs is None:
+            sizes = [a.size for a in self.user_items]
+            rows = np.repeat(np.arange(self.num_users, dtype=np.int64), sizes)
+            cols = np.concatenate(self.user_items)
+            rows.flags.writeable = False
+            cols.flags.writeable = False
+            self._pairs = (rows, cols)
+        return self._pairs
 
     def item_counts(self):
         counts = np.zeros(self.num_items, dtype=np.int64)
@@ -217,19 +231,35 @@ def write_features(features, path):
         fh.write(features.values.astype("<f8").tobytes(order="C"))
 
 
+def read_struct(fh, fmt, path, what):
+    """Unpack one little-endian header field; a short read is a DataError."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DataError(f"{path}: truncated {what}")
+    return struct.unpack(fmt, raw)
+
+
+def read_matrix(fh, path, what):
+    """Read a ``rows cols`` u64 shape and that many float64s, row-major; a
+    shape claiming more bytes than the file holds is a DataError."""
+    rows, cols = read_struct(fh, "<QQ", path, f"{what} shape")
+    size = rows * cols * 8
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise DataError(f"{path}: truncated {what}")
+    return np.frombuffer(fh.read(size), dtype="<f8").reshape(rows, cols)
+
+
 def load_features(path, modality, expected_items=None):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", path, "version")
         if version != FEATURE_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        payload = fh.read(rows * cols * 8)
-        if len(payload) != rows * cols * 8:
-            raise DataError(f"{path}: truncated payload")
-        values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+        values = read_matrix(fh, path, "feature matrix")
+        rows = values.shape[0]
     if expected_items is not None and rows != expected_items:
         raise DataError(f"{path}: {rows} feature rows but dataset has {expected_items} items")
     return FeatureMatrix(modality, values.copy())

@@ -5,6 +5,12 @@ Ranking convention everywhere: higher score wins, exact ties broken by
 ascending item id, and a user's training items are excluded from their
 candidate pool when ``exclude_seen`` is set (the default, matching how
 recommendation lists are produced).
+
+Top-K thresholds and hit tests read a per-``k`` table that ``RankCache``
+builds on the first query for that ``k``: each user's k+1 best masked clean
+scores in descending order. A threshold is then one lookup per user, and a
+hit test after a perturbation counts only the moved columns; a user's whole
+row is scanned only for exact ties and for ranks deeper than the table.
 """
 
 from __future__ import annotations
@@ -15,77 +21,116 @@ from .data import DataError
 from .models import Scorer
 
 UNDEFINED_GAIN = float("nan")
+TOP_BLOCK_ROWS = 256  # partitioned per block, so no U x I copy is made
 
 
 class RankCache:
-    """Clean score matrix with seen-items masked, shared across attack and
-    metric calls on one checkpoint."""
+    """Clean score matrix with seen items masked, shared across attack and
+    metric calls on one checkpoint.
+
+    ``masked`` is built at construction. Each user's k+1 best masked scores
+    are built on the first threshold or hit query for that ``k`` and kept,
+    so ``masked`` must not be mutated after the first such query.
+    """
 
     def __init__(self, params, enc, scorer=None, exclude_seen=True):
         self.params = params
         self.enc = enc
         self.scorer = scorer if scorer is not None else Scorer(params, enc)
         self.exclude_seen = exclude_seen
-        sc = self.scorer.scores().copy()
+        masked = self.scorer.user_matrix @ self.scorer.item_matrix.T
         if exclude_seen:
-            for u in range(enc.table.num_users):
-                sc[u, enc.table.user_items[u]] = -np.inf
-        self.masked = sc
-        self._item_ids = np.arange(enc.table.num_items)
+            masked[enc.table.pairs()] = -np.inf
+        self.masked = masked
+        self._tops = {}
+
+    def _top(self, k):
+        """Per user, the k+1 best masked scores in descending order."""
+        top = self._tops.get(k)
+        if top is None:
+            n = self.masked.shape[1]
+            top = np.empty((self.masked.shape[0], k + 1))
+            for start in range(0, top.shape[0], TOP_BLOCK_ROWS):
+                block = self.masked[start:start + TOP_BLOCK_ROWS]
+                best = np.partition(block, n - k - 1, axis=1)[:, n - k - 1:]
+                top[start:start + TOP_BLOCK_ROWS] = np.sort(best, axis=1)[:, ::-1]
+            self._tops[k] = top
+        return top
+
+    def _kth_without_own(self, top, rows, r, i):
+        """Per row, the r-th best (0-based) clean score once one copy of the
+        item's own clean score is removed; needs r + 1 < top.shape[1]."""
+        at = top[rows, r]
+        return np.where(self.masked[rows, i] < at, at, top[rows, r + 1])
 
     def thresholds_excluding(self, i, k, users=None, include_target=False):
         """Per-user score of the k-th ranked candidate, with the target item
         removed from the pool unless include_target is set."""
-        sc = self.masked if users is None else self.masked[users]
-        if sc.shape[1] <= k:
+        if self.masked.shape[1] <= k:
             raise DataError(f"k={k} must be smaller than the item catalog")
+        if k < 1:
+            raise DataError(f"k={k} must be >= 1")
+        top = self._top(k)
+        rows = np.arange(top.shape[0]) if users is None else np.asarray(users)
         if include_target:
-            part = np.partition(sc, sc.shape[1] - k, axis=1)
-            return part[:, sc.shape[1] - k]
-        drop = np.delete(sc, i, axis=1)
-        part = np.partition(drop, drop.shape[1] - k, axis=1)
-        return part[:, drop.shape[1] - k]
+            return top[rows, k - 1]
+        return self._kth_without_own(top, rows, k - 1, i)
 
-    def hit_mask(self, i, k, column_updates=None):
+    def hit_mask(self, i, k, moved=None, moved_scores=None):
         """Boolean per user: does item i rank within the top k candidates?
 
-        ``column_updates`` maps item id -> replacement score column (len U),
-        used to apply a perturbation without copying the whole matrix.
+        ``moved`` lists the item ids whose score columns a perturbation
+        changed and ``moved_scores`` holds their new columns (U x len(moved));
+        the target's column is among them when its own score moved.
         """
         sc = self.masked
-        updates = column_updates or {}
+        moved = np.asarray([] if moved is None else moved, dtype=np.int64)
+        old = sc[:, moved]
+        new = np.empty_like(old) if moved_scores is None else moved_scores
+        if self.exclude_seen:
+            new = np.where(np.isinf(old), -np.inf, new)
+        own = moved == i
+        target = new[:, own][:, 0] if own.any() else sc[:, i]
+        lower = moved[~own] < i
 
-        def col(j):
-            if j in updates:
-                c = updates[j]
-                if self.exclude_seen:
-                    c = np.where(np.isinf(sc[:, j]), -np.inf, c)
-                return c
-            return sc[:, j]
+        def beat(cols):
+            t = target[:, None]
+            return ((cols > t) | ((cols == t) & lower)).sum(axis=1)
 
-        target = col(i)
-        base_gt = (sc > target[:, None]).sum(axis=1)
-        base_eq_lower = ((sc == target[:, None]) & (self._item_ids[None, :] < i)).sum(axis=1)
-        higher = base_gt + base_eq_lower
-        # patch the columns whose scores changed (and the target's own column)
-        for j in set(updates) | {i}:
-            old = sc[:, j]
-            higher -= (old > target).astype(np.int64)
-            higher -= ((old == target) & (j < i)).astype(np.int64)
-            if j != i:
-                new = col(j)
-                higher += (new > target).astype(np.int64)
-                higher += ((new == target) & (j < i)).astype(np.int64)
-        finite = np.isfinite(target)
-        return finite & (higher <= k - 1)
+        # the target is a hit iff at most r clean columns j != i beat it
+        r = k - 1 + beat(old[:, ~own]) - beat(new[:, ~own])
+        hit = np.zeros(sc.shape[0], dtype=bool)
+        live = np.isfinite(target) & (r >= 0)
+        if 1 <= k < sc.shape[1]:
+            rows = np.nonzero(live)[0]
+            # within the table, compare with the r-th best other clean score;
+            # a row deeper than the table is a hit if it already passes at k-1
+            depth = np.minimum(r[rows], k - 1)
+            bound = self._kth_without_own(self._top(k), rows, depth, i)
+            t = target[rows]
+            hit[rows] = t > bound
+            unsure = (t == bound) | ((t < bound) & (depth < r[rows]))
+            scan = rows[unsure]
+        else:
+            scan = np.nonzero(live)[0]
+        if scan.size:
+            hit[scan] = self._clean_beaters(scan, i, target[scan]) <= r[scan]
+        return hit
+
+    def _clean_beaters(self, rows, i, target):
+        """Per row, how many clean columns j != i beat the target score."""
+        sub = self.masked[rows]
+        t = target[:, None]
+        return ((sub > t).sum(axis=1) + (sub[:, :i] == t).sum(axis=1)
+                - (sub[:, i] > target))
 
 
 def hit_count(params, enc, i, k, delta=None, cache=None):
     """Number of users whose top-k list contains item i (perturbed when
     delta=(delta_v, delta_t) is given)."""
     cache = cache if cache is not None else RankCache(params, enc)
-    updates = _column_updates(cache, i, delta)
-    return int(cache.hit_mask(i, k, updates).sum())
+    moved, moved_scores = _moved_columns(cache, i, delta)
+    return int(cache.hit_mask(i, k, moved, moved_scores).sum())
 
 
 def hit_at_k(params, enc, i, k, delta=None, cache=None):
@@ -95,13 +140,13 @@ def hit_at_k(params, enc, i, k, delta=None, cache=None):
     return 100.0 * n / enc.table.num_users
 
 
-def _column_updates(cache, i, delta):
+def _moved_columns(cache, i, delta):
+    """(item ids, new score columns) that perturbing item i moves."""
     if delta is None:
-        return None
+        return None, None
     dv, dt = (np.asarray(d, dtype=np.float64) for d in delta)
     rows, repl = cache.scorer.perturbed_rows(i, dv, dt)
-    new_cols = cache.scorer.user_matrix @ repl.T
-    return {int(j): new_cols[:, c] for c, j in enumerate(rows)}
+    return rows, cache.scorer.user_matrix @ repl.T
 
 
 def gain_hit(hit_before, hit_after):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import attacks
 from . import autodiff as ad
 from .data import DataError
 from .metrics import RankCache
@@ -146,8 +147,7 @@ def mismatch_survey(params, enc, targets, k_users=None, k=50, bin_width=0.05,
     for i in targets:
         i = int(i)
         try:
-            users = np.array([u for u in range(enc.table.num_users)
-                              if not enc.table.has(u, i)], dtype=np.int64)
+            users = attacks.promoted_user_set(enc.table, i)
             contribs = user_contributions(params, enc, i, users, k=k, cache=cache)
             ku = k_users if k_users is not None else default_k_users(users.size)
             users_v, users_t = top_user_sets(contribs, ku)

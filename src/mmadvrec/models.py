@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataError
+from .data import DataError, read_matrix, read_struct
 
 CHECKPOINT_MAGIC = b"UATM"
 CHECKPOINT_VERSION = 1
@@ -442,22 +442,19 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", path, "version")
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
-        (kind_code,) = struct.unpack("<B", fh.read(1))
+        (kind_code,) = read_struct(fh, "<B", path, "model kind")
         blocks = {}
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<H", head)
-            name = fh.read(name_len).decode()
-            rows, cols = struct.unpack("<QQ", fh.read(16))
-            payload = fh.read(rows * cols * 8)
-            if len(payload) != rows * cols * 8:
-                raise DataError(f"{path}: truncated block {name!r}")
-            blocks[name] = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        while fh.peek(1):
+            (name_len,) = read_struct(fh, "<H", path, "block name length")
+            (raw_name,) = read_struct(fh, f"<{name_len}s", path, "block name")
+            try:
+                name = raw_name.decode()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: malformed block name ({exc})") from exc
+            blocks[name] = read_matrix(fh, path, f"block {name!r}").copy()
     kinds = {v: k for k, v in _KIND_CODES.items()}
     phis = {v: k for k, v in _PHI_CODES.items()}
     users = {v: k for k, v in _USER_CODES.items()}

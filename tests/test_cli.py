@@ -217,3 +217,39 @@ def test_csv_checksum_integrity(workspace):
     out = workspace["out"]
     for name in ("attack_results.csv", "metrics.csv", "train_log.csv"):
         assert reports.verify_csv(os.path.join(out, name))
+
+
+@pytest.mark.parametrize("key", ["train.batch_size", "train.eval_every"])
+def test_non_positive_loop_size_is_config_error(workspace, key, capsys):
+    for value in ("0", "-2"):
+        assert run(workspace, "train", "--set", f"{key}={value}") == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(key in line for line in lines)
+
+
+def test_count_keys_reject_non_positive_values():
+    for key in ("attack.k", "eval.k_hit", "attack.pgd_steps", "synth.items",
+                "model.dim", "diagnose.targets", "defense.max_epochs"):
+        with pytest.raises(ConfigError):
+            Config({key: "0"})
+    cfg = Config({"train.patience": "0", "diagnose.k_users": "0",
+                  "synth.unpopular_count": "0"})
+    assert cfg["train.patience"] == 0 and cfg["diagnose.k_users"] == 0
+
+
+def test_truncated_checkpoint_is_data_error(workspace, tmp_path):
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(open(os.path.join(workspace["out"], "pretrained.ckpt"), "rb").read(30))
+    assert run(workspace, "attack", "--checkpoint", str(ckpt),
+               "--set", f"data.out_dir={tmp_path}") == cli.EXIT_DATA
+
+
+def test_feature_header_cut_is_data_error(workspace, tmp_path):
+    src = workspace["out"]
+    for name in ("interactions.tsv", "features_t.mmfe"):
+        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+    (tmp_path / "features_v.mmfe").write_bytes(
+        open(os.path.join(src, "features_v.mmfe"), "rb").read(12))
+    assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+                     "--set", f"data.out_dir={tmp_path}",
+                     "--checkpoint", os.path.join(src, "pretrained.ckpt")]) == cli.EXIT_DATA

@@ -89,6 +89,22 @@ def test_feature_header_shape(tmp_path):
     assert len(raw) == 24 + 6 * 8
 
 
+def test_feature_file_every_truncation_is_data_error(tmp_path):
+    f = FeatureMatrix("v", np.arange(6, dtype=float).reshape(3, 2))
+    path = tmp_path / "f.mmfe"
+    data.write_features(f, path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.mmfe"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(DataError):
+            data.load_features(cut, "v")
+    # a shape claiming more rows than the file holds is refused before reading
+    cut.write_bytes(raw[:8] + (1 << 50).to_bytes(8, "little") + raw[16:])
+    with pytest.raises(DataError):
+        data.load_features(cut, "v")
+
+
 def test_synth_determinism():
     cfg = SynthConfig(num_users=60, num_items=40, unpopular_count=6, n_unpop=3,
                       interactions_per_user=6)

@@ -208,6 +208,22 @@ def test_checkpoint_rejects_garbage(tmp_path):
         models.load_checkpoint(path)
 
 
+def test_checkpoint_every_truncation_is_data_error(setup, tmp_path):
+    params, _ = setup
+    path = tmp_path / "model.ckpt"
+    models.save_checkpoint(params, path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in list(range(200)) + list(range(200, len(raw), 97)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(data.DataError):
+            models.load_checkpoint(cut)
+    shape_at = raw.index(b"item_embeds") + len(b"item_embeds")
+    cut.write_bytes(raw[:shape_at] + (1 << 50).to_bytes(8, "little") + raw[shape_at + 8:])
+    with pytest.raises(data.DataError):
+        models.load_checkpoint(cut)
+
+
 def test_encode_rejects_bad_delta_shape(setup):
     params, enc = setup
     with pytest.raises(ad.ShapeError):
