@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import DataError
 from .metrics import RankCache, hit_count
-from .models import Forward, Scorer
+from .models import Forward
 
 BUDGET_SLACK = 1e-9
 
@@ -98,7 +98,7 @@ def promoted_user_set(table, i):
 def promotion_loss(params, enc, i, users, deltas, k=50, cache=None,
                    include_target=False, forward=None, thresholds=None):
     """Mean sigmoid(target score - top-K threshold) over the user set,
-    differentiable in the perturbation tensors deltas=(delta_v, delta_t)."""
+    differentiable in the (1, d) perturbation rows deltas=(delta_v, delta_t)."""
     users = np.asarray(users, dtype=np.int64)
     if users.size == 0:
         raise DataError("promotion loss needs a nonempty user set")
@@ -108,23 +108,23 @@ def promotion_loss(params, enc, i, users, deltas, k=50, cache=None,
         thresholds = cache.thresholds_excluding(i, k, users=users,
                                                 include_target=include_target)
     dv, dt = deltas
-    h_i = fw.item_embedding(i, dv, dt)
-    scores = ad.matvec(ad.constant(cache.scorer.user_matrix[users]), h_i)
-    margins = ad.sub(scores, ad.constant(thresholds))
+    h_i = fw.item_embedding_batch([i], dv, dt)
+    scores = ad.matmul(ad.constant(cache.scorer.user_matrix[users]), ad.transpose(h_i))
+    margins = ad.sub(scores, ad.constant(thresholds[:, None]))
     return ad.mul(ad.constant(1.0 / users.size), ad.sum_all(ad.sigmoid(margins)))
 
 
 def align_loss_for_attack(params, enc, i, users, deltas, k=50, cache=None,
                           forward=None, thresholds=None):
-    """Cosine between the visual and textual promotion-loss gradients,
-    built with create_graph so the result is differentiable in the deltas."""
+    """The promotion loss, its create-graph gradients (gv, gt) and their
+    cosine, the alignment term, which stays differentiable in the deltas."""
     dv, dt = deltas
     if not (dv.requires_grad and dt.requires_grad):
         raise ad.GraphError("alignment needs perturbation tensors recorded on the graph")
     loss = promotion_loss(params, enc, i, users, deltas, k=k, cache=cache,
                           forward=forward, thresholds=thresholds)
     gv, gt = ad.grad(loss, [dv, dt], create_graph=True)
-    return ad.cosine(gv, gt)
+    return loss, (gv, gt), ad.cosine(gv, gt)
 
 
 def scaled_unit(g, eps):
@@ -166,23 +166,22 @@ def _attack_setup(params, enc, feats_v, feats_t, i, config, cache):
     return cache, users, eps_v, eps_t, flags, thresholds, fw
 
 
-def _objective_grads(params, enc, i, users, dv, dt, config, cache, fw, thresholds):
-    """Gradients of the attack objective at (dv, dt); also returns the
-    promotion-gradient cosine recorded in traces."""
-    build = lambda: promotion_loss(params, enc, i, users, (dv, dt), k=config.k,
-                                   cache=cache, forward=fw, thresholds=thresholds)
+def _objective_grads(params, enc, i, users, delta_v, delta_t, config, cache, fw,
+                     thresholds):
+    """Gradients of the attack objective at (delta_v, delta_t); also returns
+    the promotion-gradient cosine recorded in traces."""
+    dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
     if config.with_align:
-        promo = build()
-        gv_p, gt_p = ad.grad(promo, [dv, dt], create_graph=True)
-        align = ad.cosine(gv_p, gt_p)
+        promo, (gv_p, gt_p), align = align_loss_for_attack(
+            params, enc, i, users, (dv, dt), k=config.k, cache=cache, forward=fw,
+            thresholds=thresholds)
         objective = ad.add(promo, ad.mul(ad.constant(config.align_weight), align))
         gv, gt = ad.grad(objective, [dv, dt])
-        grad_cos = _np_cosine(gv_p.numpy(), gt_p.numpy())
     else:
-        promo = build()
-        gv, gt = ad.grad(promo, [dv, dt])
-        grad_cos = _np_cosine(gv.numpy(), gt.numpy())
-    return gv.numpy(), gt.numpy(), grad_cos
+        promo = promotion_loss(params, enc, i, users, (dv, dt), k=config.k,
+                               cache=cache, forward=fw, thresholds=thresholds)
+        gv_p, gt_p = gv, gt = ad.grad(promo, [dv, dt])
+    return gv.numpy()[0], gt.numpy()[0], _np_cosine(gv_p.numpy()[0], gt_p.numpy()[0])
 
 
 def _np_cosine(a, b):
@@ -195,7 +194,7 @@ def _np_cosine(a, b):
 def _loss_value(params, enc, i, users, dv_val, dt_val, config, cache, fw, thresholds):
     with ad.no_grad():
         loss = promotion_loss(params, enc, i, users,
-                              (ad.constant(dv_val), ad.constant(dt_val)),
+                              (ad.constant(dv_val[None, :]), ad.constant(dt_val[None, :])),
                               k=config.k, cache=cache, forward=fw, thresholds=thresholds)
     return loss.item()
 
@@ -204,10 +203,8 @@ def fgsm_promote(params, enc, feats_v, feats_t, i, config, cache=None):
     """Single step to the budget sphere along the normalised gradient."""
     cache, users, eps_v, eps_t, flags, thr, fw = _attack_setup(
         params, enc, feats_v, feats_t, i, config, cache)
-    dv = ad.leaf(np.zeros(feats_v.dim))
-    dt = ad.leaf(np.zeros(feats_t.dim))
-    gv, gt, grad_cos = _objective_grads(params, enc, i, users, dv, dt,
-                                        config, cache, fw, thr)
+    gv, gt, grad_cos = _objective_grads(params, enc, i, users, np.zeros(feats_v.dim),
+                                        np.zeros(feats_t.dim), config, cache, fw, thr)
     delta_v, zero_v = scaled_unit(gv, eps_v)
     delta_t, zero_t = scaled_unit(gt, eps_t)
     if zero_v and "zero_budget_v" not in flags:
@@ -234,9 +231,7 @@ def pgd_promote(params, enc, feats_v, feats_t, i, config, cache=None):
     trace = AttackTrace()
     saw_zero_v = saw_zero_t = False
     for it in range(1, config.pgd_steps + 1):
-        dv = ad.leaf(delta_v)
-        dt = ad.leaf(delta_t)
-        gv, gt, grad_cos = _objective_grads(params, enc, i, users, dv, dt,
+        gv, gt, grad_cos = _objective_grads(params, enc, i, users, delta_v, delta_t,
                                             config, cache, fw, thr)
         move_v, zero_v = scaled_unit(gv, step_v)
         move_t, zero_t = scaled_unit(gt, step_t)

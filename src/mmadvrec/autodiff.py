@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 
 import numpy as np
 
@@ -210,24 +211,17 @@ def neg(a):
 
 
 def _self_linked(data, parent, vjp_of_out):
-    """Build a node whose vjp references the node itself (e.g. exp' = exp)."""
+    """Build a node whose vjp references the node itself (e.g. tanh' = 1 - tanh^2).
+
+    The vjp holds the node weakly: a strong reference would make a cycle, and
+    every graph through the node would stay in memory until the cyclic
+    garbage collector ran. ``grad`` holds each node it calls a vjp of."""
     out = Tensor(data)
     if _grad_enabled() and parent.requires_grad:
-        out._links = ((parent, lambda g: vjp_of_out(g, out)),)
+        ref = weakref.ref(out)
+        out._links = ((parent, lambda g: vjp_of_out(g, ref())),)
         out.requires_grad = True
     return out
-
-
-def exp(a):
-    a = _wrap(a)
-    return _self_linked(np.exp(a.data), a, lambda g, out: mul(g, out))
-
-
-def ln(a):
-    a = _wrap(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("ln of non-positive input")
-    return _node(np.log(a.data), [(a, lambda g: div(g, a))])
 
 
 def sqrt(a):
@@ -318,23 +312,6 @@ def matmul(a, b):
                                    (b, lambda g: matmul(transpose(a), g))])
 
 
-def matvec(w, x):
-    """Matrix-vector product (m, n) @ (n,) -> (m,)."""
-    w, x = _wrap(w), _wrap(x)
-    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec shape mismatch {w.shape} @ {x.shape}")
-    return _node(w.data @ x.data, [(w, lambda g: outer(g, x)),
-                                   (x, lambda g: matvec(transpose(w), g))])
-
-
-def outer(a, b):
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError(f"outer expects vectors, got {a.shape}, {b.shape}")
-    return _node(np.outer(a.data, b.data), [(a, lambda g: matvec(g, b)),
-                                            (b, lambda g: matvec(transpose(g), a))])
-
-
 def take_rows(m, idx):
     """Gather rows of a matrix by an integer index array."""
     m = _wrap(m)
@@ -358,35 +335,6 @@ def scatter_rows(g, idx, num_rows):
     data = np.zeros((num_rows, g.shape[1]))
     np.add.at(data, idx, g.data)
     return _node(data, [(g, lambda gg: take_rows(gg, idx))])
-
-
-def concat(parts):
-    """Concatenate vectors into one vector."""
-    parts = [_wrap(p) for p in parts]
-    for p in parts:
-        if p.ndim != 1:
-            raise ShapeError(f"concat expects vectors, got shape {p.shape}")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-    links = []
-    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        links.append((p, lambda g, lo=int(lo), hi=int(hi): slice_vec(g, lo, hi)))
-    return _node(np.concatenate([p.data for p in parts]), links)
-
-
-def slice_vec(v, lo, hi):
-    v = _wrap(v)
-    if v.ndim != 1 or not (0 <= lo <= hi <= v.shape[0]):
-        raise ShapeError(f"bad slice [{lo}:{hi}] of shape {v.shape}")
-    n = v.shape[0]
-    return _node(v.data[lo:hi], [(v, lambda g: pad_vec(g, lo, n))])
-
-
-def pad_vec(v, lo, total):
-    v = _wrap(v)
-    data = np.zeros(total)
-    data[lo:lo + v.shape[0]] = v.data
-    hi = lo + v.shape[0]
-    return _node(data, [(v, lambda g: slice_vec(g, lo, hi))])
 
 
 def hstack(parts):
@@ -430,15 +378,17 @@ def norm2(a):
 
 
 def cosine(a, b):
-    """Cosine similarity of two equal-length vectors, differentiable.
+    """Cosine similarity of two equal-shape vectors or matrices (taken as
+    flat vectors, e.g. (1, d) rows), differentiable.
 
     If either input has 2-norm below NORM_TOLERANCE the result is a constant
     zero carrying ``degenerate_input=True``; its gradient contribution is
     zero by construction.
     """
     a, b = _wrap(a), _wrap(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"cosine expects equal-length vectors, got {a.shape}, {b.shape}")
+    if a.shape != b.shape or a.ndim == 0:
+        raise ShapeError(f"cosine expects equal-shape vectors or matrices, "
+                         f"got {a.shape}, {b.shape}")
     na = float(np.linalg.norm(a.data))
     nb = float(np.linalg.norm(b.data))
     if na < NORM_TOLERANCE or nb < NORM_TOLERANCE:
@@ -448,26 +398,6 @@ def cosine(a, b):
     out = div(dot(a, b), mul(norm2(a), norm2(b)))
     out.degenerate_input = False
     return out
-
-
-_ELEMENTWISE_UNARY = {
-    "neg": neg, "exp": exp, "ln": ln, "sqrt": sqrt,
-    "sigmoid": sigmoid, "tanh": tanh, "softplus": softplus,
-}
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise(kind, a, b=None):
-    """Dispatch an elementwise operation by name."""
-    if kind in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ShapeError(f"{kind} is unary")
-        return _ELEMENTWISE_UNARY[kind](a)
-    if kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ShapeError(f"{kind} is binary")
-        return _ELEMENTWISE_BINARY[kind](a, b)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,21 +458,6 @@ class _NullCtx:
 
     def __exit__(self, *exc):
         return False
-
-
-def grad_of_grad(outer_loss_builder, wrt):
-    """Gradients of a scalar functional of first-order gradients.
-
-    The builder must construct its inner gradients with create_graph=True;
-    a builder whose output carries no graph history is a contract error.
-    """
-    outer = outer_loss_builder()
-    if not isinstance(outer, Tensor) or outer.ndim != 0:
-        raise GraphError("outer loss builder must return a scalar node")
-    if not outer._links:
-        raise GraphError("outer loss has no recorded graph; was the inner grad "
-                         "taken with create_graph=True?")
-    return grad(outer, wrt)
 
 
 # ---------------------------------------------------------------------------

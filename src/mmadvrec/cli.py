@@ -14,11 +14,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import attacks, data, metrics, mismatch, models, reports, training
-from .config import (Config, ConfigError, RunManifest, load_config, seed_for)
+from .config import ConfigError, RunManifest, load_config, seed_for
 from .data import DataError
 from .training import DefenseConfig, NumericalError
 
@@ -312,7 +313,30 @@ def cmd_diagnose(cfg, args):
     return EXIT_OK
 
 
+def _sweep_points(cfg, key, base, field):
+    """(value, config) per grid value of ``key``; a value the config rejects
+    is a config error, raised before any point runs."""
+    points = []
+    for value in cfg.floats(key):
+        try:
+            points.append((value, replace(base, **{field: value})))
+        except DataError as exc:
+            raise ConfigError(f"{key}: bad grid value {value!r} ({exc})") from exc
+    return points
+
+
 def cmd_sweep(cfg, args):
+    kind = cfg["sweep.kind"]
+    dcfg = _train_config(cfg, defend=True, seed_label="sweep-defend")
+    acfg = _attack_config(cfg)
+    if kind == "eps":
+        defends = _sweep_points(cfg, "sweep.eps_d", dcfg, "eps_d_pct")
+        attack_points = _sweep_points(cfg, "sweep.eps_a", acfg, "eps_pct")
+    elif kind in ("lambda", "alpha"):
+        defends = _sweep_points(cfg, "sweep.lambdas" if kind == "lambda" else "sweep.alphas",
+                                dcfg, "lambda_" if kind == "lambda" else "alpha")
+    else:
+        raise ConfigError(f"unknown sweep.kind {kind!r}")
     out = _out_dir(cfg)
     table, fv, ft = _load_dataset(cfg)
     split = _split(cfg, table)
@@ -320,41 +344,24 @@ def cmd_sweep(cfg, args):
     source = args.checkpoint or os.path.join(out, "pretrained.ckpt")
     pretrained = models.load_checkpoint(source)
     targets = _select_targets(cfg, split)
-    kind = cfg["sweep.kind"]
     sweep_path = os.path.join(out, "sweep.csv")
 
-    def defend_with(**overrides):
-        dcfg = _train_config(cfg, defend=True, seed_label="sweep-defend")
-        for key, value in overrides.items():
-            dcfg = training.replace_config(dcfg, key, value)
-        best, _ = training.uat_mc_train(pretrained, enc, fv, ft, dcfg)
-        return best
-
-    def gain_for(params, eps_a):
-        acfg = _attack_config(cfg)
-        acfg.eps_pct = eps_a
+    def gain_for(params, point):
         cache = metrics.RankCache(params, enc)
-        _, _, (_, _, gain) = run_campaign(params, enc, fv, ft, targets, acfg,
+        _, _, (_, _, gain) = run_campaign(params, enc, fv, ft, targets, point,
                                           cfg["eval.k_hit"], cache=cache)
         return gain
 
     rows = []
-    if kind == "eps":
-        for eps_d in cfg.floats("sweep.eps_d"):
-            defended = defend_with(eps_d_pct=eps_d)
-            for eps_a in cfg.floats("sweep.eps_a"):
-                rows.append([eps_d, eps_a, gain_for(defended, eps_a)])
-        header = ["eps_d", "eps_a", "gain"]
-    elif kind in ("lambda", "alpha"):
-        values = cfg.floats("sweep.lambdas" if kind == "lambda" else "sweep.alphas")
-        for value in values:
-            defended = defend_with(**{("lambda_" if kind == "lambda" else "alpha"): value})
-            gain = gain_for(defended, cfg["attack.eps_a_pct"])
+    for value, point in defends:
+        defended, _ = training.uat_mc_train(pretrained, enc, fv, ft, point)
+        if kind == "eps":
+            rows.extend([value, eps_a, gain_for(defended, apoint)]
+                        for eps_a, apoint in attack_points)
+        else:
             _, ndcg = metrics.recall_ndcg(defended, enc, k=cfg["eval.k_rank"])
-            rows.append([value, ndcg, gain])
-        header = [kind, "ndcg10", "gain"]
-    else:
-        raise ConfigError(f"unknown sweep.kind {kind!r}")
+            rows.append([value, ndcg, gain_for(defended, acfg)])
+    header = ["eps_d", "eps_a", "gain"] if kind == "eps" else [kind, "ndcg10", "gain"]
     reports.write_csv(sweep_path, header, rows)
     _manifest(cfg, "sweep", list(_dataset_paths(cfg)) + [source], [sweep_path],
               out, "manifest_sweep.json")

@@ -97,6 +97,10 @@ MINIMUM = {key: 1 for key in (
 MINIMUM.update({"synth.unpopular_count": 0, "train.patience": 0, "diagnose.k_users": 0})
 
 
+# where files live, not what a run computes; left out of the run id
+PATH_KEYS = ("data.path", "data.out_dir")
+
+
 class Config:
     def __init__(self, values=None):
         self.values = {k: default for k, (_, default) in SCHEMA.items()}
@@ -156,10 +160,6 @@ def load_config(path, overrides=()):
     return cfg
 
 
-def default_config():
-    return Config()
-
-
 def seed_for(root_seed, label):
     """Deterministically split one root seed per component."""
     digest = hashlib.sha256(f"{root_seed}/{label}".encode()).digest()
@@ -185,9 +185,13 @@ class RunManifest:
 
     @staticmethod
     def create(command, cfg, input_paths=()):
+        """The run id hashes the command, the config without its path keys
+        and the inputs' contents in input order, so the same run on the same
+        bytes gets the same id wherever its files live."""
         checksums = {str(p): file_checksum(p) for p in input_paths}
-        body = json.dumps({"command": command, "config": cfg.snapshot(),
-                           "inputs": checksums}, sort_keys=True)
+        config = {k: v for k, v in cfg.snapshot().items() if k not in PATH_KEYS}
+        body = json.dumps({"command": command, "config": config,
+                           "inputs": list(checksums.values())}, sort_keys=True)
         run_id = hashlib.sha256(body.encode()).hexdigest()[:12]
         return RunManifest(run_id, command, f"mmadvrec-{__version__}",
                            cfg.snapshot(), checksums)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class InteractionTable:
     def num_interactions(self):
         return int(sum(a.size for a in self.user_items))
 
-    def training_items(self, u):
-        return self.user_items[u]
-
     def user_set(self, u):
         if self._user_sets is None:
             self._user_sets = [set(a.tolist()) for a in self.user_items]
@@ -111,13 +108,6 @@ class InteractionTable:
 
     def stats(self):
         return DatasetStats.compute(self.num_users, self.num_items, self.num_interactions)
-
-    def full_item_set(self, u):
-        """Training items plus the holdout, i.e. the pre-split interactions."""
-        s = set(self.user_items[u].tolist())
-        if self.holdout[u] >= 0:
-            s.add(int(self.holdout[u]))
-        return s
 
 
 @dataclass(frozen=True)
@@ -444,7 +434,3 @@ class TripleSampler:
                     negs[b] = j
                     break
         return users, pos, negs
-
-
-def sample_triples(table, batch_size, seed):
-    return TripleSampler(table, seed).sample(batch_size)

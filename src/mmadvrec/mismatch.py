@@ -59,27 +59,22 @@ class SurveyResult:
     skipped: list = field(default_factory=list)
 
 
-def per_user_gradients(params, enc, i, users, k=50, cache=None, deltas=None):
+def per_user_gradients(params, enc, i, users, k=50, cache=None):
     """Per-user gradients of sigmoid(y_ui - y_uK) w.r.t. the two modality
-    deltas, evaluated at zero perturbation unless ``deltas`` overrides it."""
+    deltas at zero perturbation."""
     users = np.asarray(users, dtype=np.int64)
     if users.size == 0:
         raise DataError("per-user gradients need a nonempty user set")
     cache = cache if cache is not None else RankCache(params, enc)
-    fw = Forward(params, enc)
-    if deltas is None:
-        dv = ad.leaf(np.zeros(enc.raw_v.shape[1]))
-        dt = ad.leaf(np.zeros(enc.raw_t.shape[1]))
-    else:
-        dv, dt = deltas
-    h_i = fw.item_embedding(i, dv, dt)  # shared subgraph across users
+    dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
+    dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
+    h_i = Forward(params, enc).item_embedding_batch([i], dv, dt)  # shared across users
     thresholds = cache.thresholds_excluding(i, k, users=users)
     out = []
     for u, thr in zip(users, thresholds):
-        term = ad.sigmoid(ad.sub(ad.dot(ad.constant(cache.scorer.user_matrix[u]), h_i),
-                                 ad.constant(thr)))
-        g_v, g_t = ad.grad(term, [dv, dt])
-        out.append((g_v.numpy(), g_t.numpy()))
+        score = ad.dot(ad.constant(cache.scorer.user_matrix[u:u + 1]), h_i)
+        g_v, g_t = ad.grad(ad.sigmoid(ad.sub(score, ad.constant(thr))), [dv, dt])
+        out.append((g_v.numpy()[0], g_t.numpy()[0]))
     return out
 
 

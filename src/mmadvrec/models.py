@@ -1,6 +1,6 @@
 """Recommender scorers: inner-product decoding over fused embeddings.
 
-Two encoders share one fusion recipe
+Items and users share one fusion recipe
     item:  concat(id_embed, phi(proj_v @ z_v), phi(proj_t @ z_t))
     user:  concat(id_embed, phi(proj_v @ mean_v), phi(proj_t @ mean_t))
 where z_m is the item's modality feature and mean_m averages the features of
@@ -10,6 +10,12 @@ symmetric-normalised round) and applies a trainable linear map per modality.
 Perturbations are added to an item's raw feature, so under the graph model
 they reach co-consumed items through the smoothing weights. User embeddings
 are always built from clean features.
+
+One batched, traced forward (``Forward``) computes every embedding: the
+training batches, an attacked or surveyed item as a 1-row batch, and, under
+``ad.no_grad()``, the ranking tables of ``Scorer`` and the rows a
+perturbation moves. Its operations carry traced VJPs, so the attacks and the
+coordinated defence can differentiate through its first-order gradients.
 """
 
 from __future__ import annotations
@@ -28,8 +34,6 @@ CHECKPOINT_VERSION = 1
 _KIND_CODES = {"concat": 1, "graph": 2}
 _PHI_CODES = {"identity": 0, "tanh": 1}
 _USER_CODES = {"shared": 0, "id_only": 1}
-
-NEG_INF = -np.inf
 
 
 @dataclass
@@ -192,31 +196,25 @@ def _user_means(table, feats):
 
 
 # ---------------------------------------------------------------------------
-# traced forward (differentiable)
-
-def _phi(params, x):
-    return ad.tanh(x) if params.phi == "tanh" else x
-
-
-@dataclass
-class EncodedTriple:
-    h_u: ad.Tensor
-    h_plus: ad.Tensor
-    h_minus: ad.Tensor
-
+# the forward: one batched, traced encoder
 
 class Forward:
     """One forward context: parameter nodes plus dataset constants.
 
-    With ``trainable=True`` the parameters become graph leaves and
-    ``param_leaves()`` lists them for ``ad.grad``; otherwise they are
-    constants and only perturbations are differentiable.
+    Every encoding is a batch of rows. Training moves each row by its own
+    (B, d) delta row; an attacked or surveyed item is a 1-row batch whose
+    deltas are (1, d) leaves; ranking runs the same calls under
+    ``ad.no_grad()``. With ``trainable=True`` the parameters become graph
+    leaves (copies) and ``param_leaves()`` lists them for ``ad.grad``;
+    otherwise they are constant nodes that view the parameter arrays, so the
+    parameters must not change while the forward is in use.
     """
 
     def __init__(self, params, enc, trainable=False):
+        _check_shapes(params, enc)
         self.params = params
         self.enc = enc
-        wrap = ad.leaf if trainable else ad.constant
+        wrap = ad.leaf if trainable else ad.Tensor
         self.nodes = {name: wrap(arr) for name, arr in params.arrays().items()}
 
     def param_names(self):
@@ -225,51 +223,25 @@ class Forward:
     def param_leaves(self):
         return [self.nodes[n] for n in self.param_names()]
 
-    def _modal_transform(self, x, modality):
-        """Apply (optional) propagation weights then the shared projection."""
-        if x.ndim == 1:
-            if self.params.kind == "graph":
-                x = ad.matvec(self.nodes[f"prop_{modality}"], x)
-            return ad.matvec(self.nodes[f"proj_{modality}"], x)
+    def _content(self, feats, delta, coefs, modality):
+        """phi(proj (prop) z) per row, z moved by the weighted delta."""
+        z = ad.constant(feats)
+        if delta is not None:
+            z = ad.add(z, _weighted(delta, coefs))
         if self.params.kind == "graph":
-            x = ad.matmul(x, ad.transpose(self.nodes[f"prop_{modality}"]))
-        return ad.matmul(x, ad.transpose(self.nodes[f"proj_{modality}"]))
+            z = ad.matmul(z, ad.transpose(self.nodes[f"prop_{modality}"]))
+        z = ad.matmul(z, ad.transpose(self.nodes[f"proj_{modality}"]))
+        return ad.tanh(z) if self.params.phi == "tanh" else z
 
-    # vector path -----------------------------------------------------------
-
-    def item_embedding(self, i, delta_v=None, delta_t=None):
-        e = _row(self.nodes["item_embeds"], i)
-        zv = ad.constant(self.enc.eff_v[i])
-        zt = ad.constant(self.enc.eff_t[i])
-        if delta_v is not None:
-            zv = ad.add(zv, ad.mul(ad.constant(self.enc.self_coef[i]), _as_tensor(delta_v)))
-        if delta_t is not None:
-            zt = ad.add(zt, ad.mul(ad.constant(self.enc.self_coef[i]), _as_tensor(delta_t)))
-        cv = _phi(self.params, self._modal_transform(zv, "v"))
-        ct = _phi(self.params, self._modal_transform(zt, "t"))
-        return ad.concat([e, cv, ct])
-
-    def user_embedding(self, u):
-        e = _row(self.nodes["user_embeds"], u)
-        if self.params.user_content == "id_only":
-            return e
-        cv = _phi(self.params, self._modal_transform(ad.constant(self.enc.user_mean_v[u]), "v"))
-        ct = _phi(self.params, self._modal_transform(ad.constant(self.enc.user_mean_t[u]), "t"))
-        return ad.concat([e, cv, ct])
-
-    # batched path ----------------------------------------------------------
-
-    def item_embedding_batch(self, idx, delta_v=None, delta_t=None):
+    def item_embedding_batch(self, idx, delta_v=None, delta_t=None, weights=None):
+        """Fused embeddings of items ``idx``. A delta holds one row per item,
+        or one (1, d) row that moves every item; each row's move is scaled by
+        its weight, by default the item's self coefficient."""
         idx = np.asarray(idx, dtype=np.int64)
+        coefs = self.enc.self_coef[idx] if weights is None else weights
         e = ad.take_rows(self.nodes["item_embeds"], idx)
-        zv = ad.constant(self.enc.eff_v[idx])
-        zt = ad.constant(self.enc.eff_t[idx])
-        if delta_v is not None:
-            zv = ad.add(zv, _scale_rows(delta_v, self.enc.self_coef[idx]))
-        if delta_t is not None:
-            zt = ad.add(zt, _scale_rows(delta_t, self.enc.self_coef[idx]))
-        cv = _phi(self.params, self._modal_transform(zv, "v"))
-        ct = _phi(self.params, self._modal_transform(zt, "t"))
+        cv = self._content(self.enc.eff_v[idx], delta_v, coefs, "v")
+        ct = self._content(self.enc.eff_t[idx], delta_t, coefs, "t")
         return ad.hstack([e, cv, ct])
 
     def user_embedding_batch(self, users):
@@ -277,76 +249,47 @@ class Forward:
         e = ad.take_rows(self.nodes["user_embeds"], users)
         if self.params.user_content == "id_only":
             return e
-        cv = _phi(self.params, self._modal_transform(ad.constant(self.enc.user_mean_v[users]), "v"))
-        ct = _phi(self.params, self._modal_transform(ad.constant(self.enc.user_mean_t[users]), "t"))
+        cv = self._content(self.enc.user_mean_v[users], None, None, "v")
+        ct = self._content(self.enc.user_mean_t[users], None, None, "t")
         return ad.hstack([e, cv, ct])
 
 
-def _row(mat_node, i):
-    # sum_cols of a single gathered row is that row as a vector, with the
-    # scatter-add adjoint landing on the right matrix row
-    return ad.sum_cols(ad.take_rows(mat_node, [int(i)]))
+def _weighted(delta, coefs):
+    """Per-row feature moves: coefs[b] times delta row b, or times the one
+    shared (1, d) row. Unit weights leave the delta node as it is: the same
+    values, and fewer nodes for every backward to walk."""
+    if delta.shape[0] != coefs.size:
+        return ad.matmul(ad.constant(coefs[:, None]), delta)
+    if np.all(coefs == 1.0):
+        return delta
+    return ad.mul(delta, ad.constant(np.repeat(coefs[:, None], delta.shape[1], axis=1)))
 
 
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
+def _check_shapes(params, enc):
+    """Every parameter block must fit the dataset it meets: one embedding row
+    per user and per item, and projections over the feature dimensions."""
+    dv, dt = enc.raw_v.shape[1], enc.raw_t.shape[1]
+    need = {"user_embeds": (enc.table.num_users, None),
+            "item_embeds": (enc.table.num_items, None),
+            "proj_v": (None, dv), "proj_t": (None, dt), "prop_v": (dv, dv), "prop_t": (dt, dt)}
+    for name, arr in params.arrays().items():
+        want = tuple(have if w is None else w for have, w in zip(arr.shape, need[name]))
+        if arr.shape != want:
+            raise DataError(f"parameter block {name!r} has shape {arr.shape}, "
+                            f"but the dataset needs {want}")
 
-
-def _scale_rows(delta, coefs):
-    """Multiply each row of a (B, d) tensor by the matching scalar."""
-    delta = _as_tensor(delta)
-    scale = np.repeat(np.asarray(coefs, dtype=np.float64)[:, None], delta.shape[1], axis=1)
-    return ad.mul(delta, ad.constant(scale))
-
-
-def encode(params, enc, u, i_pos, i_neg, perturb=None, forward=None):
-    """Encode one (user, positive, negative) triple; differentiable in any
-    perturbation tensors supplied as {item_id: (delta_v, delta_t)}."""
-    fw = forward if forward is not None else Forward(params, enc)
-    perturb = perturb or {}
-
-    def deltas(i):
-        if i in perturb:
-            dv, dt = perturb[i]
-            _check_delta(dv, enc.raw_v.shape[1], "v")
-            _check_delta(dt, enc.raw_t.shape[1], "t")
-            return dv, dt
-        return None, None
-
-    dvp, dtp = deltas(i_pos)
-    dvn, dtn = deltas(i_neg)
-    return EncodedTriple(
-        h_u=fw.user_embedding(u),
-        h_plus=fw.item_embedding(i_pos, dvp, dtp),
-        h_minus=fw.item_embedding(i_neg, dvn, dtn))
-
-
-def _check_delta(delta, dim, tag):
-    if delta is None:
-        return
-    shape = delta.shape if isinstance(delta, ad.Tensor) else np.asarray(delta).shape
-    if shape != (dim,):
-        raise ad.ShapeError(f"delta_{tag} has shape {shape}, feature dim is {dim}")
-
-
-def score(h_u, h_i):
-    """Inner-product decoder."""
-    if h_u.shape != h_i.shape:
-        raise ad.ShapeError(f"score dims differ: {h_u.shape} vs {h_i.shape}")
-    return ad.dot(h_u, h_i)
-
-
-# ---------------------------------------------------------------------------
-# fast numpy path (evaluation / ranking)
 
 class Scorer:
-    """Vectorised clean-embedding tables for ranking and metrics."""
+    """Clean embedding tables for ranking and metrics: the forward over every
+    user and every item under ``no_grad``."""
 
     def __init__(self, params, enc):
         self.params = params
         self.enc = enc
-        self.item_matrix = _numpy_items(params, enc)
-        self.user_matrix = _numpy_users(params, enc)
+        self._forward = fw = Forward(params, enc)  # its nodes view params: no copies
+        with ad.no_grad():
+            self.item_matrix = fw.item_embedding_batch(np.arange(enc.table.num_items)).numpy()
+            self.user_matrix = fw.user_embedding_batch(np.arange(enc.table.num_users)).numpy()
         self._scores = None
 
     def scores(self):
@@ -355,67 +298,15 @@ class Scorer:
         return self._scores
 
     def perturbed_rows(self, i, delta_v, delta_t):
-        """(row indices, replacement embedding rows) after perturbing item i."""
+        """(row indices, replacement embedding rows) after perturbing item i:
+        every row its feature delta column reaches, moved by its weight."""
         col = self.enc.delta_column(i)
         affected = np.nonzero(col)[0]
-        if affected.size == 0:
-            return affected, np.zeros((0, self.item_matrix.shape[1]))
-        zv = self.enc.eff_v[affected] + np.outer(col[affected], delta_v)
-        zt = self.enc.eff_t[affected] + np.outer(col[affected], delta_t)
-        rows = _fuse_items(self.params, self.params_arrays(), affected, zv, zt)
-        return affected, rows
-
-    def params_arrays(self):
-        return self.params.arrays()
-
-
-def _apply_phi(params, x):
-    return np.tanh(x) if params.phi == "tanh" else x
-
-
-def _modal_np(params, arrays, x, modality):
-    if params.kind == "graph":
-        x = x @ arrays[f"prop_{modality}"].T
-    return x @ arrays[f"proj_{modality}"].T
-
-
-def _fuse_items(params, arrays, idx, zv, zt):
-    e = arrays["item_embeds"][idx]
-    cv = _apply_phi(params, _modal_np(params, arrays, zv, "v"))
-    ct = _apply_phi(params, _modal_np(params, arrays, zt, "t"))
-    return np.concatenate([e, cv, ct], axis=1)
-
-
-def _numpy_items(params, enc):
-    idx = np.arange(enc.table.num_items)
-    return _fuse_items(params, params.arrays(), idx, enc.eff_v, enc.eff_t)
-
-
-def _numpy_users(params, enc):
-    arrays = params.arrays()
-    e = arrays["user_embeds"]
-    if params.user_content == "id_only":
-        return e.copy()
-    cv = _apply_phi(params, _modal_np(params, arrays, enc.user_mean_v, "v"))
-    ct = _apply_phi(params, _modal_np(params, arrays, enc.user_mean_t, "t"))
-    return np.concatenate([e, cv, ct], axis=1)
-
-
-def rank_all(params, enc, u, overrides=None, exclude_seen=True, scorer=None):
-    """Score every item for one user; seen training items get -inf when
-    exclude_seen is set. ``overrides`` maps item -> (delta_v, delta_t)."""
-    sc = scorer if scorer is not None else Scorer(params, enc)
-    item_matrix = sc.item_matrix
-    if overrides:
-        item_matrix = item_matrix.copy()
-        for i, (dv, dt) in overrides.items():
-            rows, repl = sc.perturbed_rows(i, np.asarray(dv, float), np.asarray(dt, float))
-            item_matrix[rows] = repl
-    out = item_matrix @ sc.user_matrix[u]
-    if exclude_seen:
-        out = out.copy()
-        out[enc.table.user_items[u]] = NEG_INF
-    return out
+        with ad.no_grad():
+            rows = self._forward.item_embedding_batch(
+                affected, ad.constant(np.reshape(delta_v, (1, -1))),
+                ad.constant(np.reshape(delta_t, (1, -1))), weights=col[affected])
+        return affected, rows.numpy()
 
 
 # ---------------------------------------------------------------------------

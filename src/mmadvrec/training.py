@@ -46,7 +46,6 @@ class DefenseConfig:
     eval_k: int = 10
     optimizer: str = "sgd"  # sgd | adam
     reduction: str = "sum"  # sum | mean
-    second_order: str = "tape"  # tape | fd (finite-difference cross-check route)
     seed: int = 0
     wall_clock: bool = False  # record real seconds in the log
 
@@ -63,8 +62,6 @@ class DefenseConfig:
             raise DataError(f"unknown optimizer {self.optimizer!r}")
         if self.reduction not in ("sum", "mean"):
             raise DataError(f"unknown reduction {self.reduction!r}")
-        if self.second_order not in ("tape", "fd"):
-            raise DataError(f"unknown second-order mode {self.second_order!r}")
 
     @property
     def effective_alpha(self):
@@ -150,17 +147,20 @@ def _budget_rows(feats, items, eps_pct):
 _DELTA_KEYS = ("dv_pos", "dt_pos", "dv_neg", "dt_neg")
 
 
-def _zero_delta_nodes(batch_size, feats_v, feats_t, at=None):
+def _zero_delta_nodes(batch_size, feats_v, feats_t):
     dims = {"dv_pos": feats_v.dim, "dt_pos": feats_t.dim,
             "dv_neg": feats_v.dim, "dt_neg": feats_t.dim}
-    values = at or {}
-    return {k: ad.leaf(values.get(k, np.zeros((batch_size, dims[k]))))
-            for k in _DELTA_KEYS}
+    return {k: ad.leaf(np.zeros((batch_size, dims[k]))) for k in _DELTA_KEYS}
 
 
 def _max_objective(params, enc, triples, config, fw, nodes):
     """The max-phase objective: perturbed loss plus the weighted alignment
-    term, which is built from create-graph gradients of the perturbed loss."""
+    term, which is built from create-graph gradients of the perturbed loss.
+    Returns (objective, perturbed loss, alignment node or None at alpha = 0).
+
+    With an identity nonlinearity and batch size 1 the per-triple gradients
+    share one scalar, so the alignment is invariant in the deltas and its
+    gradients vanish (the linear-fusion degeneracy)."""
     alpha = config.effective_alpha
     leaves = [nodes[k] for k in _DELTA_KEYS]
     adv = adversarial_bpr_loss(params, enc, triples, None, forward=fw,
@@ -176,71 +176,17 @@ def _max_objective(params, enc, triples, config, fw, nodes):
     return objective, adv, align
 
 
-def max_phase_gradients(params, enc, triples, config, feats_v, feats_t,
-                        forward=None, at=None):
-    """Raw gradients of the max-phase objective w.r.t. the four delta blocks.
-
-    config.second_order == "fd" replaces the tape route with central finite
-    differences of the whole objective, an independent cross-check.
-    Returns (dict key -> gradient array, alignment value).
+def max_phase_gradients(params, enc, triples, config, feats_v, feats_t, forward=None):
+    """Raw gradients of the max-phase objective w.r.t. the four delta blocks,
+    at zero perturbation. Returns (dict key -> gradient array, alignment value).
     """
     users, _, _ = triples
-    B = len(users)
     fw = forward if forward is not None else Forward(params, enc)
-    nodes = _zero_delta_nodes(B, feats_v, feats_t, at=at)
+    nodes = _zero_delta_nodes(len(users), feats_v, feats_t)
     objective, _, align = _max_objective(params, enc, triples, config, fw, nodes)
     align_value = align.item() if align is not None else 0.0
-    if config.second_order == "fd" and config.effective_alpha > 0:
-        grads = _fd_objective_gradients(params, enc, triples, config, fw, nodes)
-    else:
-        grads = {k: g.numpy() for k, g in
-                 zip(_DELTA_KEYS, ad.grad(objective, [nodes[k] for k in _DELTA_KEYS]))}
-    return grads, align_value
-
-
-def _fd_objective_gradients(params, enc, triples, config, fw, nodes, step=1e-5):
-    def value(arrays):
-        trial = {k: ad.leaf(v) for k, v in arrays.items()}
-        obj, _, _ = _max_objective(params, enc, triples, config, fw, trial)
-        return obj.item()
-
-    base = {k: nodes[k].numpy().copy() for k in _DELTA_KEYS}
-    grads = {}
-    for key in _DELTA_KEYS:
-        g = np.zeros_like(base[key])
-        flat = base[key].reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            up = value(base)
-            flat[j] = orig - step
-            down = value(base)
-            flat[j] = orig
-            gflat[j] = (up - down) / (2.0 * step)
-        grads[key] = g
-    return grads
-
-
-def alignment_gradients(params, enc, triples, feats_v, feats_t, reduction="sum",
-                        at=None, forward=None):
-    """Value and delta-gradients of the alignment term alone (both cosines).
-
-    Useful for probing the linear-fusion degeneracy: with an identity
-    nonlinearity and batch size 1 the per-triple gradients share one scalar,
-    so the cosines are invariant in the deltas and these gradients vanish.
-    """
-    users, _, _ = triples
-    fw = forward if forward is not None else Forward(params, enc)
-    nodes = _zero_delta_nodes(len(users), feats_v, feats_t, at=at)
-    leaves = [nodes[k] for k in _DELTA_KEYS]
-    adv = adversarial_bpr_loss(params, enc, triples, None, forward=fw,
-                               reduction=reduction, delta_nodes=nodes)
-    gvp, gtp, gvn, gtn = ad.grad(adv, leaves, create_graph=True)
-    align = ad.add(ad.cosine(ad.sum_cols(gvp), ad.sum_cols(gtp)),
-                   ad.cosine(ad.sum_cols(gvn), ad.sum_cols(gtn)))
-    grads = ad.grad(align, leaves)
-    return {k: g.numpy() for k, g in zip(_DELTA_KEYS, grads)}, align.item()
+    grads = ad.grad(objective, [nodes[k] for k in _DELTA_KEYS])
+    return {k: g.numpy() for k, g in zip(_DELTA_KEYS, grads)}, align_value
 
 
 def max_phase(params, enc, triples, config, feats_v, feats_t, forward=None):
@@ -343,10 +289,6 @@ def make_optimizer(config):
     return Adam(config.eta) if config.optimizer == "adam" else SGD(config.eta)
 
 
-def replace_config(config, key, value):
-    return replace(config, **{key: value})
-
-
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -361,13 +303,6 @@ def uat_mc_train(params, enc, feats_v, feats_t, config, start_epoch=1):
     """Alternating max/min adversarial training from a pretrained model;
     config.mode == 'uat' (or alpha == 0) drops the coordination term."""
     return _train(params, enc, feats_v, feats_t, config, adversarial=True,
-                  start_epoch=start_epoch)
-
-
-def uat_train(params, enc, feats_v, feats_t, config, start_epoch=1):
-    """Untargeted adversarial training without coordination (alpha = 0)."""
-    cfg = replace(config, mode="uat")
-    return _train(params, enc, feats_v, feats_t, cfg, adversarial=True,
                   start_epoch=start_epoch)
 
 

@@ -38,9 +38,9 @@ def test_promotion_loss_trivials(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[0])
     users = promoted_user_set(enc.table, i)[:2]
-    dv, dt = ad.leaf(np.zeros(fv.dim)), ad.leaf(np.zeros(ft.dim))
+    dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, ft.dim)))
     fw = models.Forward(params, enc)
-    h_i = fw.item_embedding(i).numpy()
+    h_i = fw.item_embedding_batch([i]).numpy()[0]
     base = cache.scorer.user_matrix[users] @ h_i
     # margins engineered to (0, ln 3): sigma gives (0.5, 0.75)
     thr = np.array([base[0], base[1] - np.log(3.0)])
@@ -105,12 +105,12 @@ def test_pgd_feasible_every_iterate(scene):
     delta_v = np.zeros(fv.dim)
     delta_t = np.zeros(ft.dim)
     for _ in range(cfg.pgd_steps):
-        dv, dt = ad.leaf(delta_v), ad.leaf(delta_t)
+        dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
         loss = promotion_loss(params, enc, i, users, (dv, dt), k=cfg.k,
                               cache=cache, forward=fw, thresholds=thr)
         gv, gt = ad.grad(loss, [dv, dt])
-        mv, _ = scaled_unit(gv.numpy(), 1.25 * eps_v / cfg.pgd_steps)
-        mt, _ = scaled_unit(gt.numpy(), 1.25 * eps_t / cfg.pgd_steps)
+        mv, _ = scaled_unit(gv.numpy()[0], 1.25 * eps_v / cfg.pgd_steps)
+        mt, _ = scaled_unit(gt.numpy()[0], 1.25 * eps_t / cfg.pgd_steps)
         delta_v = attacks._project(delta_v + mv, eps_v)
         delta_t = attacks._project(delta_t + mt, eps_t)
         assert np.linalg.norm(delta_v) <= eps_v + 1e-9
@@ -179,13 +179,17 @@ def test_align_loss_bounds_and_symmetry(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[0])
     users = promoted_user_set(enc.table, i)
-    dv, dt = ad.leaf(np.zeros(fv.dim)), ad.leaf(np.zeros(ft.dim))
-    val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10, cache=cache)
+    dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, ft.dim)))
+    loss, (gv, gt), val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10,
+                                                cache=cache)
     assert -1.0 - 1e-9 <= val.item() <= 1.0 + 1e-9
+    assert gv.shape == (1, fv.dim) and gt.shape == (1, ft.dim)
+    assert loss.item() == promotion_loss(params, enc, i, users, (dv, dt), k=10,
+                                         cache=cache).item()
     with pytest.raises(ad.GraphError):
         align_loss_for_attack(params, enc, i, users,
-                              (ad.constant(np.zeros(fv.dim)),
-                               ad.constant(np.zeros(ft.dim))), k=10, cache=cache)
+                              (ad.constant(np.zeros((1, fv.dim))),
+                               ad.constant(np.zeros((1, ft.dim)))), k=10, cache=cache)
 
 
 def test_align_loss_symmetric_construction(tiny_dataset):
@@ -198,8 +202,8 @@ def test_align_loss_symmetric_construction(tiny_dataset):
     params.proj_t[:] = params.proj_v
     i = 4
     users = promoted_user_set(enc.table, i)
-    dv, dt = ad.leaf(np.zeros(fv.dim)), ad.leaf(np.zeros(fv.dim))
-    val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10)
+    dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, fv.dim)))
+    _, _, val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10)
     assert val.item() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -209,17 +213,17 @@ def test_align_loss_gradient_fd(scene):
     users = promoted_user_set(enc.table, i)[:20]
     thr = cache.thresholds_excluding(i, 10, users=users)
     rng = np.random.default_rng(7)
-    dv0 = 0.05 * rng.normal(size=fv.dim)
-    dt0 = 0.05 * rng.normal(size=ft.dim)
+    dv0 = 0.05 * rng.normal(size=(1, fv.dim))
+    dt0 = 0.05 * rng.normal(size=(1, ft.dim))
     dv, dt = ad.leaf(dv0), ad.leaf(dt0)
-    val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10,
-                                cache=cache, thresholds=thr)
+    _, _, val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10,
+                                      cache=cache, thresholds=thr)
     gv, gt = ad.grad(val, [dv, dt])
 
     def f(vs):
-        node = align_loss_for_attack(params, enc, i, users,
-                                     (ad.leaf(vs[0]), ad.leaf(vs[1])), k=10,
-                                     cache=cache, thresholds=thr)
+        _, _, node = align_loss_for_attack(params, enc, i, users,
+                                           (ad.leaf(vs[0]), ad.leaf(vs[1])), k=10,
+                                           cache=cache, thresholds=thr)
         return node.item()
 
     fgv, fgt = ad.fd_gradient(f, [dv0, dt0], step=1e-5)

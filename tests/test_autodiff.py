@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,22 +19,20 @@ def test_sigmoid_values():
 def test_bpr_loss_at_tied_scores():
     # -ln sigmoid(0) = ln 2
     x = ad.constant(0.0)
-    loss = ad.neg(ad.ln(ad.sigmoid(x)))
-    assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert -math.log(ad.sigmoid(x).item()) == pytest.approx(math.log(2.0), abs=1e-12)
     # softplus(-x) is the stable form of the same expression
     assert ad.softplus(ad.neg(x)).item() == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_elementwise_dispatch_and_errors():
     a = ad.constant([1.0, 2.0])
-    assert np.allclose(ad.elementwise("add", a, a).numpy(), [2.0, 4.0])
-    assert np.allclose(ad.elementwise("exp", ad.constant(0.0)).numpy(), 1.0)
+    assert np.allclose(ad.add(a, a).numpy(), [2.0, 4.0])
     with pytest.raises(ad.ShapeError):
         ad.add(ad.constant([1.0, 2.0]), ad.constant([1.0, 2.0, 3.0]))
     with pytest.raises(ad.DomainError):
-        ad.ln(ad.constant([-1.0]))
-    with pytest.raises(ValueError):
-        ad.elementwise("nope", a)
+        ad.sqrt(ad.constant([-1.0]))
+    with pytest.raises(ad.DomainError):
+        ad.div(a, ad.constant([1.0, 0.0]))
 
 
 def test_scalar_broadcast_only():
@@ -44,15 +44,18 @@ def test_scalar_broadcast_only():
 
 
 def test_matvec():
+    """matmul on a one-column right operand."""
     eye = ad.constant(np.eye(3))
-    x = ad.constant([1.0, 2.0, 3.0])
-    assert np.allclose(ad.matvec(eye, x).numpy(), [1, 2, 3])
+    x = ad.constant([[1.0], [2.0], [3.0]])
+    assert np.allclose(ad.matmul(eye, x).numpy(), [[1], [2], [3]])
     zeros = ad.constant(np.zeros((2, 3)))
-    assert np.allclose(ad.matvec(zeros, x).numpy(), [0, 0])
+    assert np.allclose(ad.matmul(zeros, x).numpy(), [[0], [0]])
     w = ad.constant([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(ad.matvec(w, ad.constant([1.0, 1.0])).numpy(), [3, 7])
+    assert np.allclose(ad.matmul(w, ad.constant([[1.0], [1.0]])).numpy(), [[3], [7]])
     with pytest.raises(ad.ShapeError):
-        ad.matvec(w, x)
+        ad.matmul(w, x)
+    with pytest.raises(ad.ShapeError):
+        ad.matmul(w, ad.constant([1.0, 1.0]))
 
 
 def test_cosine_values_and_degenerate():
@@ -90,9 +93,9 @@ def test_grad_cosine_analytic():
 def test_grad_matvec_chain_vs_fd():
     rng = np.random.default_rng(7)
     w0 = rng.uniform(-2, 2, size=(5, 4))
-    x0 = rng.uniform(-2, 2, size=4)
+    x0 = rng.uniform(-2, 2, size=(4, 1))
     w, x = ad.leaf(w0), ad.leaf(x0)
-    loss = ad.sum_all(ad.sigmoid(ad.matvec(w, ad.tanh(x))))
+    loss = ad.sum_all(ad.sigmoid(ad.matmul(w, ad.tanh(x))))
     gw, gx = ad.grad(loss, [w, x])
 
     def f(vs):
@@ -141,9 +144,9 @@ def test_grad_determinism_bitwise():
     def run():
         rng = np.random.default_rng(11)
         w = ad.leaf(rng.normal(size=(6, 6)))
-        x = ad.leaf(rng.normal(size=6))
-        h = ad.tanh(ad.matvec(w, x))
-        loss = ad.sum_all(ad.sigmoid(ad.matvec(w, h)))
+        x = ad.leaf(rng.normal(size=(6, 1)))
+        h = ad.tanh(ad.matmul(w, x))
+        loss = ad.sum_all(ad.sigmoid(ad.matmul(w, h)))
         return [g.numpy().tobytes() for g in ad.grad(loss, [w, x])]
 
     assert run() == run()
@@ -162,31 +165,21 @@ def test_second_order_grad_norm_quadratic():
     rng = np.random.default_rng(5)
     a0 = rng.normal(size=(3, 3))
     a0 = (a0 + a0.T) / 2
-    x0 = rng.normal(size=3)
+    x0 = rng.normal(size=(3, 1))
     x = ad.leaf(x0)
-    f = ad.mul(ad.constant(0.5), ad.dot(x, ad.matvec(ad.constant(a0), x)))
+    f = ad.mul(ad.constant(0.5), ad.dot(x, ad.matmul(ad.constant(a0), x)))
     (gx,) = ad.grad(f, [x], create_graph=True)
     (g2,) = ad.grad(ad.sum_all(ad.mul(gx, gx)), [x])
     assert rel_err(g2.numpy(), 2 * a0.T @ a0 @ x0) < 1e-10
 
 
 def test_grad_of_grad_contract():
+    """Only a create_graph gradient is itself differentiable."""
     x = ad.leaf(1.0)
-
-    def bad_builder():
-        f = ad.mul(x, x)
-        (g,) = ad.grad(f, [x], create_graph=False)  # not graph-recorded
-        return ad.mul(g, g)
-
-    with pytest.raises(ad.GraphError):
-        ad.grad_of_grad(bad_builder, [x])
-
-    def good_builder():
-        f = ad.mul(ad.mul(x, x), x)
-        (g,) = ad.grad(f, [x], create_graph=True)
-        return g
-
-    (h,) = ad.grad_of_grad(good_builder, [x])
+    (g,) = ad.grad(ad.mul(x, x), [x], create_graph=False)
+    assert not g.requires_grad and not g._links
+    (g,) = ad.grad(ad.mul(ad.mul(x, x), x), [x], create_graph=True)
+    (h,) = ad.grad(g, [x])
     assert h.item() == pytest.approx(6.0, abs=1e-9)
 
 
@@ -194,21 +187,22 @@ def test_second_order_vs_fd_of_first_order():
     rng = np.random.default_rng(9)
     for trial in range(5):
         w0 = rng.uniform(-1, 1, size=(4, 3))
-        x0 = rng.uniform(-1, 1, size=3)
-        v = rng.normal(size=3)
+        x0 = rng.uniform(-1, 1, size=(3, 1))
+        v = rng.normal(size=(3, 1))
 
         def first_order(xv):
             w, x = ad.leaf(w0), ad.leaf(xv)
-            y = ad.sum_all(ad.sigmoid(ad.matvec(w, ad.tanh(x))))
+            y = ad.sum_all(ad.sigmoid(ad.matmul(w, ad.tanh(x))))
             (g,) = ad.grad(y, [x])
             return g.numpy()
 
         x = ad.leaf(x0)
         w = ad.leaf(w0)
-        y = ad.sum_all(ad.sigmoid(ad.matvec(w, ad.tanh(x))))
+        y = ad.sum_all(ad.sigmoid(ad.matmul(w, ad.tanh(x))))
         (g,) = ad.grad(y, [x], create_graph=True)
         (hvp,) = ad.grad(ad.dot(g, ad.constant(v)), [x])
-        (fd,) = ad.fd_gradient(lambda vs: float(first_order(vs[0]) @ v), [x0], step=1e-5)
+        (fd,) = ad.fd_gradient(lambda vs: float(np.sum(first_order(vs[0]) * v)), [x0],
+                               step=1e-5)
         assert rel_err(hvp.numpy(), fd) < 1e-4
 
 
@@ -238,12 +232,12 @@ def test_gather_scatter_concat_adjoints():
     (fd,) = ad.fd_gradient(lambda vs: float(np.sum(vs[0][idx] ** 2)), [m0])
     assert rel_err(g.numpy(), fd) < 1e-6
 
-    a0, b0 = rng.normal(size=3), rng.normal(size=2)
+    a0, b0 = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
     a, b = ad.leaf(a0), ad.leaf(b0)
-    loss = ad.sum_all(ad.sigmoid(ad.concat([a, b])))
+    loss = ad.sum_all(ad.sigmoid(ad.hstack([a, b])))
     ga, gb = ad.grad(loss, [a, b])
     fda, fdb = ad.fd_gradient(
-        lambda vs: float(np.sum(1 / (1 + np.exp(-np.concatenate(vs))))), [a0, b0])
+        lambda vs: float(np.sum(1 / (1 + np.exp(-np.hstack(vs))))), [a0, b0])
     assert rel_err(ga.numpy(), fda) < 1e-6
     assert rel_err(gb.numpy(), fdb) < 1e-6
 
@@ -263,3 +257,18 @@ def test_tensor_invariants():
     assert np.prod(t.shape) == t.data.size
     with pytest.raises(ad.ShapeError):
         ad.Tensor(np.zeros((2, 2, 2)))
+
+
+def test_graph_through_self_linked_ops_is_freed_without_the_cycle_collector():
+    x = ad.leaf([0.5, 1.5])
+    gc.disable()
+    try:
+        inner = ad.tanh(ad.sigmoid(ad.sqrt(x)))
+        probe = weakref.ref(inner)
+        (g,) = ad.grad(ad.sum_all(inner), [x], create_graph=True)
+        (h,) = ad.grad(ad.sum_all(g), [x])
+        del inner, g
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert np.all(np.isfinite(h.numpy()))

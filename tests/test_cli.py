@@ -1,10 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from mmadvrec import cli, reports
+from mmadvrec import cli, reports, training
 from mmadvrec.config import Config, ConfigError, load_config, seed_for
 
 BASE_CFG = """
@@ -253,3 +254,47 @@ def test_feature_header_cut_is_data_error(workspace, tmp_path):
     assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
                      "--set", f"data.out_dir={tmp_path}",
                      "--checkpoint", os.path.join(src, "pretrained.ckpt")]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("key, value, block", [("synth.feat_dim_v", "8", "proj_v"),
+                                               ("synth.users", "150", "user_embeds")])
+def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(workspace, tmp_path, capsys,
+                                                                key, value, block):
+    other = tmp_path / "other"
+    assert cli.main(["gen-data", "--config", workspace["cfg"], "--set", f"data.out_dir={other}",
+                     "--set", f"{key}={value}"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={other}",
+                     "--set", f"data.out_dir={other}",
+                     "--checkpoint", os.path.join(workspace["out"], "pretrained.ckpt")]
+                    ) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and block in lines[0]
+
+
+def test_run_id_does_not_depend_on_where_files_live(workspace, tmp_path):
+    blobs = []
+    for name in ("a", "b"):
+        where = tmp_path / name / "run"
+        where.mkdir(parents=True)
+        for f in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe", "pretrained.ckpt"):
+            shutil.copy(os.path.join(workspace["out"], f), where / f)
+        assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={where}",
+                         "--set", f"data.out_dir={where}"]) == cli.EXIT_OK
+        blobs.append((where / "metrics.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("kind, key, value", [("eps", "sweep.eps_a", "0.05,1.5"),
+                                              ("eps", "sweep.eps_d", "0.05,2"),
+                                              ("lambda", "sweep.lambdas", "1,-1"),
+                                              ("alpha", "sweep.alphas", "0.1,-2")])
+def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, capsys,
+                                                        kind, key, value):
+    trained = []
+    monkeypatch.setattr(training, "uat_mc_train", lambda *a, **k: trained.append(a))
+    assert run(workspace, "sweep", "--set", f"sweep.kind={kind}",
+               "--set", f"{key}={value}") == cli.EXIT_CONFIG
+    assert trained == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and key in lines[0]

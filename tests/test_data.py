@@ -173,7 +173,7 @@ def test_split_determinism(tiny_dataset):
 
 def test_sample_triples_contract(tiny_dataset):
     split = tiny_dataset["split"]
-    users, pos, neg = data.sample_triples(split, 10_000, seed=5)
+    users, pos, neg = data.TripleSampler(split, seed=5).sample(10_000)
     for u, p, n in zip(users, pos, neg):
         assert split.has(int(u), int(p))
         assert not split.has(int(u), int(n))
@@ -181,7 +181,7 @@ def test_sample_triples_contract(tiny_dataset):
 
 def test_sample_triples_forced_negative():
     t = InteractionTable(1, 2, [[0]])
-    _, _, neg = data.sample_triples(t, 50, seed=1)
+    _, _, neg = data.TripleSampler(t, seed=1).sample(50)
     assert set(neg.tolist()) == {1}
 
 
@@ -189,7 +189,7 @@ def test_sample_positive_uniformity():
     # chi-square over the positives of one user with 5 items
     from scipy import stats as sps
     t = InteractionTable(1, 400, [[0, 1, 2, 3, 4]])
-    _, pos, _ = data.sample_triples(t, 100_000, seed=8)
+    _, pos, _ = data.TripleSampler(t, seed=8).sample(100_000)
     observed = np.bincount(pos, minlength=5)[:5]
     _, p_value = sps.chisquare(observed)
     assert p_value > 0.01

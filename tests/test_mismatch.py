@@ -33,25 +33,25 @@ def test_sum_of_per_user_grads_matches_aggregate(scene):
     grads = per_user_gradients(params, enc, i, users, k=10, cache=cache)
     agg_v = np.sum([g for g, _ in grads], axis=0)
     agg_t = np.sum([g for _, g in grads], axis=0)
-    dv = ad.leaf(np.zeros(enc.raw_v.shape[1]))
-    dt = ad.leaf(np.zeros(enc.raw_t.shape[1]))
+    dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
+    dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
     loss = attacks.promotion_loss(params, enc, i, users, (dv, dt), k=10, cache=cache)
     gv, gt = ad.grad(loss, [dv, dt])
     # promotion loss is the mean, the aggregate is the sum
-    assert rel_err(gv.numpy() * users.size, agg_v) < 1e-10
-    assert rel_err(gt.numpy() * users.size, agg_t) < 1e-10
+    assert rel_err(gv.numpy()[0] * users.size, agg_v) < 1e-10
+    assert rel_err(gt.numpy()[0] * users.size, agg_t) < 1e-10
 
 
 def test_single_user_gradient_is_aggregate(scene):
     params, enc, cache, i, users = scene
     one = users[:1]
     grads = per_user_gradients(params, enc, i, one, k=10, cache=cache)
-    dv = ad.leaf(np.zeros(enc.raw_v.shape[1]))
-    dt = ad.leaf(np.zeros(enc.raw_t.shape[1]))
+    dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
+    dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
     loss = attacks.promotion_loss(params, enc, i, one, (dv, dt), k=10, cache=cache)
     gv, gt = ad.grad(loss, [dv, dt])
-    assert rel_err(grads[0][0], gv.numpy()) < 1e-12
-    assert rel_err(grads[0][1], gt.numpy()) < 1e-12
+    assert rel_err(grads[0][0], gv.numpy()[0]) < 1e-12
+    assert rel_err(grads[0][1], gt.numpy()[0]) < 1e-12
 
 
 def test_per_user_gradient_fd_two_user_toy(scene):
@@ -62,8 +62,9 @@ def test_per_user_gradient_fd_two_user_toy(scene):
     for idx, u in enumerate(pair):
         def f(vs, u=u, t=thr[idx]):
             fw = models.Forward(params, enc)
-            h = fw.item_embedding(i, ad.constant(vs[0]), ad.constant(vs[1]))
-            margin = float(cache.scorer.user_matrix[u] @ h.numpy() - t)
+            h = fw.item_embedding_batch([i], ad.constant(vs[0][None, :]),
+                                        ad.constant(vs[1][None, :]))
+            margin = float(cache.scorer.user_matrix[u] @ h.numpy()[0] - t)
             return float(1.0 / (1.0 + np.exp(-margin)))
 
         fgv, fgt = ad.fd_gradient(f, [np.zeros(enc.raw_v.shape[1]),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmadvrec import autodiff as ad, data, models
+from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
 
 from conftest import rel_err
@@ -32,14 +32,27 @@ def setup(tiny_dataset, kind):
     return params, enc
 
 
+def score(fw, u, i, delta_v=None, delta_t=None):
+    """Inner-product score of one (user, item) pair as two 1-row batches."""
+    return ad.dot(fw.user_embedding_batch([u]), fw.item_embedding_batch([i], delta_v, delta_t))
+
+
+def row(delta):
+    return ad.constant(np.asarray(delta, dtype=float)[None, :])
+
+
 def test_zero_delta_matches_clean(setup):
     params, enc = setup
-    clean = models.encode(params, enc, 2, 5, 9)
-    zeros = {5: (ad.leaf(np.zeros(enc.raw_v.shape[1])),
-                 ad.leaf(np.zeros(enc.raw_t.shape[1])))}
-    perturbed = models.encode(params, enc, 2, 5, 9, perturb=zeros)
-    assert np.array_equal(clean.h_plus.numpy(), perturbed.h_plus.numpy())
-    assert np.array_equal(clean.h_u.numpy(), perturbed.h_u.numpy())
+    fw = Forward(params, enc)
+    items = np.array([5, 9, 5])
+    clean = fw.item_embedding_batch(items)
+    zeros = [ad.leaf(np.zeros((3, enc.raw_v.shape[1]))),
+             ad.leaf(np.zeros((3, enc.raw_t.shape[1])))]
+    perturbed = fw.item_embedding_batch(items, *zeros)
+    assert np.array_equal(clean.numpy(), perturbed.numpy())
+    one = fw.item_embedding_batch([5], row(np.zeros(enc.raw_v.shape[1])),
+                                  row(np.zeros(enc.raw_t.shape[1])))
+    assert np.allclose(one.numpy()[0], clean.numpy()[0], rtol=0, atol=1e-15)
 
 
 def test_zero_projections_reduce_to_id_embedding(tiny_dataset):
@@ -50,8 +63,7 @@ def test_zero_projections_reduce_to_id_embedding(tiny_dataset):
                                 seed=2)
     params.proj_v[:] = 0.0
     params.proj_t[:] = 0.0
-    out = models.encode(params, enc, 0, 3, 4)
-    h = out.h_plus.numpy()
+    h = Forward(params, enc).item_embedding_batch([3]).numpy()[0]
     assert np.array_equal(h[:4], params.item_embeds[3])
     assert np.all(h[4:] == 0.0)
 
@@ -69,29 +81,39 @@ def test_graph_isolated_item_keeps_feature():
 
 
 def test_score_trivials():
-    a = ad.constant([1.0, 2.0])
-    assert models.score(a, ad.constant([0.0, 0.0])).item() == 0.0
-    assert models.score(a, ad.constant([3.0, 4.0])).item() == 11.0
-    b = ad.constant([3.0, 4.0])
-    assert models.score(a, b).item() == models.score(b, a).item()
+    a = ad.constant([[1.0, 2.0]])
+    assert ad.dot(a, ad.constant([[0.0, 0.0]])).item() == 0.0
+    assert ad.dot(a, ad.constant([[3.0, 4.0]])).item() == 11.0
+    b = ad.constant([[3.0, 4.0]])
+    assert ad.dot(a, b).item() == ad.dot(b, a).item()
     with pytest.raises(ad.ShapeError):
-        models.score(a, ad.constant([1.0, 2.0, 3.0]))
+        ad.dot(a, ad.constant([[1.0, 2.0, 3.0]]))
 
 
 def test_rank_all_matches_score_calls(setup):
+    """The ranking table is the traced forward under no_grad, pair by pair."""
     params, enc = setup
+    fw = Forward(params, enc)
+    table = Scorer(params, enc).scores()
     u = 3
-    vec = models.rank_all(params, enc, u, exclude_seen=False)
     for i in range(enc.table.num_items):
-        triple = models.encode(params, enc, u, i, 0)
-        assert models.score(triple.h_u, triple.h_plus).item() == pytest.approx(
-            vec[i], abs=1e-12)
+        assert score(fw, u, i).item() == pytest.approx(table[u, i], abs=1e-12)
+
+
+def test_scorer_tables_are_batched_forward(setup):
+    params, enc = setup
+    scorer = Scorer(params, enc)
+    fw = Forward(params, enc)
+    items = fw.item_embedding_batch(np.arange(enc.table.num_items)).numpy()
+    users = fw.user_embedding_batch(np.arange(enc.table.num_users)).numpy()
+    assert np.array_equal(scorer.item_matrix, items)
+    assert np.array_equal(scorer.user_matrix, users)
 
 
 def test_rank_all_exclude_seen(setup):
     params, enc = setup
     u = 1
-    vec = models.rank_all(params, enc, u, exclude_seen=True)
+    vec = metrics.RankCache(params, enc).masked[u]
     seen = enc.table.user_items[u]
     assert np.all(np.isneginf(vec[seen]))
     unseen = np.setdiff1d(np.arange(enc.table.num_items), seen)
@@ -105,8 +127,9 @@ def test_rank_matches_brute_force_pairwise():
     split = data.split_leave_one_out(table, seed=6)
     enc = DatasetEncoding(split, fv, ft, "concat")
     params = models.init_params(6, 10, 4, 4, kind="concat", id_dim=4, fuse_dim=3, seed=7)
+    masked = metrics.RankCache(params, enc).masked
     for u in range(6):
-        vec = models.rank_all(params, enc, u, exclude_seen=True)
+        vec = masked[u]
         pool = [i for i in range(10) if i not in enc.table.user_set(u)]
         for i in pool:
             rank = brute_force_rank(vec, i, pool)
@@ -115,15 +138,36 @@ def test_rank_matches_brute_force_pairwise():
 
 
 def test_rank_all_with_override(setup):
+    """A perturbed row of the ranking table equals the traced 1-row score."""
     params, enc = setup
     rng = np.random.default_rng(1)
     i = 7
     dv = 0.3 * rng.normal(size=enc.raw_v.shape[1])
     dt = 0.3 * rng.normal(size=enc.raw_t.shape[1])
-    vec = models.rank_all(params, enc, 2, overrides={i: (dv, dt)}, exclude_seen=False)
-    triple = models.encode(params, enc, 2, i, 0,
-                           perturb={i: (ad.constant(dv), ad.constant(dt))})
-    assert models.score(triple.h_u, triple.h_plus).item() == pytest.approx(vec[i], abs=1e-10)
+    scorer = Scorer(params, enc)
+    rows, repl = scorer.perturbed_rows(i, dv, dt)
+    assert np.array_equal(rows, np.nonzero(enc.delta_column(i))[0])
+    vec = repl @ scorer.user_matrix[2]
+    traced = score(Forward(params, enc), 2, i, row(dv), row(dt)).item()
+    assert traced == pytest.approx(vec[list(rows).index(i)], abs=1e-10)
+
+
+def test_perturbed_rows_follow_delta_column(setup):
+    """Every row a perturbation reaches moves by its delta-column weight."""
+    params, enc = setup
+    rng = np.random.default_rng(2)
+    i = int(np.argmax(enc.table.item_counts()))
+    dv = 0.3 * rng.normal(size=enc.raw_v.shape[1])
+    dt = 0.3 * rng.normal(size=enc.raw_t.shape[1])
+    col = enc.delta_column(i)
+    rows, repl = Scorer(params, enc).perturbed_rows(i, dv, dt)
+    fw = Forward(params, enc)
+    for j, got in zip(rows, repl):
+        own = fw.item_embedding_batch([j], row(col[j] * dv), row(col[j] * dt),
+                                      weights=np.ones(1)).numpy()[0]
+        assert np.allclose(got, own, rtol=0, atol=1e-12)
+    if enc.kind == "graph":
+        assert rows.size > 1
 
 
 def test_score_affine_in_delta_identity_phi(tiny_dataset):
@@ -136,11 +180,10 @@ def test_score_affine_in_delta_identity_phi(tiny_dataset):
     d1 = rng.normal(size=fv.dim)
     d2 = rng.normal(size=fv.dim)
     zt = np.zeros(ft.dim)
+    fw = Forward(params, enc)
 
     def sc(dv):
-        t = models.encode(params, enc, 0, 4, 5,
-                          perturb={4: (ad.constant(dv), ad.constant(zt))})
-        return models.score(t.h_u, t.h_plus).item()
+        return score(fw, 0, 4, row(dv), row(zt)).item()
 
     lhs = sc(d1 + d2) - sc(d2)
     rhs = sc(d1) - sc(np.zeros(fv.dim))
@@ -150,17 +193,14 @@ def test_score_affine_in_delta_identity_phi(tiny_dataset):
 def test_score_grad_wrt_delta_fd(setup):
     params, enc = setup
     rng = np.random.default_rng(12)
-    dv0 = 0.1 * rng.normal(size=enc.raw_v.shape[1])
-    dt0 = 0.1 * rng.normal(size=enc.raw_t.shape[1])
+    dv0 = 0.1 * rng.normal(size=(1, enc.raw_v.shape[1]))
+    dt0 = 0.1 * rng.normal(size=(1, enc.raw_t.shape[1]))
     dv, dt = ad.leaf(dv0), ad.leaf(dt0)
-    t = models.encode(params, enc, 1, 6, 2, perturb={6: (dv, dt)})
-    s = models.score(t.h_u, t.h_plus)
-    gv, gt = ad.grad(s, [dv, dt])
+    fw = Forward(params, enc)
+    gv, gt = ad.grad(score(fw, 1, 6, dv, dt), [dv, dt])
 
     def f(vs):
-        t2 = models.encode(params, enc, 1, 6, 2,
-                           perturb={6: (ad.constant(vs[0]), ad.constant(vs[1]))})
-        return models.score(t2.h_u, t2.h_plus).item()
+        return score(fw, 1, 6, ad.constant(vs[0]), ad.constant(vs[1])).item()
 
     fgv, fgt = ad.fd_gradient(f, [dv0, dt0], step=1e-5)
     assert rel_err(gv.numpy(), fgv) < 1e-6
@@ -168,6 +208,7 @@ def test_score_grad_wrt_delta_fd(setup):
 
 
 def test_batched_forward_matches_vector_path(setup):
+    """Each row of a batch equals the item or user encoded as a 1-row batch."""
     params, enc = setup
     fw = Forward(params, enc)
     users = np.array([0, 3, 5])
@@ -175,8 +216,8 @@ def test_batched_forward_matches_vector_path(setup):
     hu = fw.user_embedding_batch(users).numpy()
     hi = fw.item_embedding_batch(items).numpy()
     for b, (u, i) in enumerate(zip(users, items)):
-        assert np.allclose(hu[b], fw.user_embedding(int(u)).numpy(), atol=1e-12)
-        assert np.allclose(hi[b], fw.item_embedding(int(i)).numpy(), atol=1e-12)
+        assert np.allclose(hu[b], fw.user_embedding_batch([u]).numpy()[0], atol=1e-12)
+        assert np.allclose(hi[b], fw.item_embedding_batch([i]).numpy()[0], atol=1e-12)
 
 
 def test_id_only_user_embedding(tiny_dataset):
@@ -186,8 +227,8 @@ def test_id_only_user_embedding(tiny_dataset):
                                 kind="concat", user_content="id_only",
                                 id_dim=4, fuse_dim=3, seed=13)
     assert params.user_embeds.shape[1] == params.embed_dim
-    out = models.encode(params, enc, 2, 1, 0)
-    assert np.array_equal(out.h_u.numpy(), params.user_embeds[2])
+    h_u = Forward(params, enc).user_embedding_batch([2]).numpy()[0]
+    assert np.array_equal(h_u, params.user_embeds[2])
 
 
 def test_checkpoint_roundtrip(setup, tmp_path):
@@ -226,15 +267,33 @@ def test_checkpoint_every_truncation_is_data_error(setup, tmp_path):
 
 def test_encode_rejects_bad_delta_shape(setup):
     params, enc = setup
+    fw = Forward(params, enc)
     with pytest.raises(ad.ShapeError):
-        models.encode(params, enc, 0, 1, 2,
-                      perturb={1: (ad.constant(np.zeros(3)),
-                                   ad.constant(np.zeros(enc.raw_t.shape[1])))})
+        fw.item_embedding_batch([1], row(np.zeros(3)), row(np.zeros(enc.raw_t.shape[1])))
+    with pytest.raises(ad.ShapeError):  # two delta rows for three items
+        fw.item_embedding_batch([1, 2, 3], ad.constant(np.zeros((2, enc.raw_v.shape[1]))),
+                                row(np.zeros(enc.raw_t.shape[1])))
 
 
 def test_encode_deterministic(setup):
     params, enc = setup
-    a = models.encode(params, enc, 4, 8, 1)
-    b = models.encode(params, enc, 4, 8, 1)
-    assert a.h_u.numpy().tobytes() == b.h_u.numpy().tobytes()
-    assert a.h_plus.numpy().tobytes() == b.h_plus.numpy().tobytes()
+    a = Scorer(params, enc)
+    b = Scorer(params, enc)
+    assert a.user_matrix.tobytes() == b.user_matrix.tobytes()
+    assert a.item_matrix.tobytes() == b.item_matrix.tobytes()
+
+
+@pytest.mark.parametrize("block, change", [
+    ("user_embeds", lambda p: p.user_embeds[:-1]),
+    ("item_embeds", lambda p: np.vstack([p.item_embeds, p.item_embeds[:1]])),
+    ("proj_v", lambda p: p.proj_v[:, :-1]),
+    ("proj_t", lambda p: np.hstack([p.proj_t, p.proj_t[:, :1]])),
+])
+def test_forward_rejects_parameters_that_do_not_fit_the_dataset(setup, block, change):
+    params, enc = setup
+    bad = params.clone()
+    setattr(bad, block, np.ascontiguousarray(change(bad)))
+    with pytest.raises(data.DataError, match=block):
+        Forward(bad, enc)
+    with pytest.raises(data.DataError, match=block):
+        Scorer(bad, enc)

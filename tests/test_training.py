@@ -7,11 +7,22 @@ from mmadvrec import autodiff as ad, data, metrics, models, training
 from mmadvrec.data import DataError
 from mmadvrec.models import DatasetEncoding
 from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD,
-                               adversarial_bpr_loss, alignment_gradients, bpr_loss,
-                               max_phase, max_phase_gradients, min_phase, pretrain,
-                               uat_mc_train, uat_train)
+                               adversarial_bpr_loss, bpr_loss, max_phase,
+                               max_phase_gradients, min_phase, pretrain, uat_mc_train)
 
 from conftest import rel_err
+
+
+def alignment(params, enc, triples, fv, ft, at=None):
+    """Value and delta-gradients of the alignment node of the max objective."""
+    cfg = DefenseConfig(mode="uat_mc", alpha=1.0, seed=0)
+    nodes = training._zero_delta_nodes(len(triples[0]), fv, ft)
+    if at is not None:
+        nodes = {k: ad.leaf(at[k]) for k in nodes}
+    _, _, align = training._max_objective(params, enc, triples, cfg,
+                                          models.Forward(params, enc), nodes)
+    grads = ad.grad(align, list(nodes.values()))
+    return {k: g.numpy() for k, g in zip(nodes, grads)}, align.item()
 
 
 def zero_model(split, fv, ft, phi="identity"):
@@ -52,7 +63,7 @@ def test_bpr_loss_large_margin_vanishes(tiny_dataset):
 
 def test_adversarial_loss_zero_delta_equals_clean(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 8, seed=3)
+    triples = data.TripleSampler(split, seed=3).sample(8)
     clean = bpr_loss(params, enc, triples).item()
     zeros = DeltaBatch(np.zeros((8, fv.dim)), np.zeros((8, ft.dim)),
                        np.zeros((8, fv.dim)), np.zeros((8, ft.dim)))
@@ -62,7 +73,7 @@ def test_adversarial_loss_zero_delta_equals_clean(scene):
 
 def test_adversarial_loss_fd_wrt_delta(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 3, seed=4)
+    triples = data.TripleSampler(split, seed=4).sample(3)
     rng = np.random.default_rng(5)
     at = {k: 0.05 * rng.normal(size=(3, fv.dim))
           for k in ("dv_pos", "dt_pos", "dv_neg", "dt_neg")}
@@ -82,7 +93,7 @@ def test_adversarial_loss_fd_wrt_delta(scene):
 
 def test_adversarial_loss_finite_at_budget_boundary(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 4, seed=6)
+    triples = data.TripleSampler(split, seed=6).sample(4)
     _, pos, neg = triples
     eps_vp = 0.10 * np.linalg.norm(fv.values[pos], axis=1, keepdims=True)
     delta = DeltaBatch(eps_vp * np.ones((4, fv.dim)) / math.sqrt(fv.dim),
@@ -96,13 +107,13 @@ def test_min_phase_eta_zero_keeps_params(scene):
     work = params.clone()
     before = work.checksum()
     cfg = DefenseConfig(lambda_=0.0, beta=0.0, eta=1.0, seed=0)
-    min_phase(work, enc, data.sample_triples(split, 4, seed=7), None, cfg, SGD(0.0))
+    min_phase(work, enc, data.TripleSampler(split, seed=7).sample(4), None, cfg, SGD(0.0))
     assert work.checksum() == before
 
 
 def test_min_phase_lambda_beta_zero_is_plain_bpr_step(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 8, seed=8)
+    triples = data.TripleSampler(split, seed=8).sample(8)
     cfg = DefenseConfig(lambda_=0.0, beta=0.0, eta=0.05, seed=0)
     a = params.clone()
     min_phase(a, enc, triples, None, cfg, SGD(0.05))
@@ -134,7 +145,7 @@ def test_min_phase_beta_only_shrinks_params(scene):
 
 def test_min_phase_fd_on_parameter_coordinate(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 4, seed=9)
+    triples = data.TripleSampler(split, seed=9).sample(4)
     delta, _ = max_phase(params, enc, triples,
                          DefenseConfig(mode="uat", eps_d_pct=0.1, eta=0.1, seed=0),
                          fv, ft)
@@ -168,7 +179,7 @@ def test_min_phase_fd_on_parameter_coordinate(scene):
 
 def test_max_phase_alpha_zero_is_normalised_first_order(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 4, seed=11)
+    triples = data.TripleSampler(split, seed=11).sample(4)
     cfg = DefenseConfig(mode="uat", eps_d_pct=0.1, eta=0.1, seed=0)
     delta, align_value = max_phase(params, enc, triples, cfg, fv, ft)
     assert align_value == 0.0
@@ -186,7 +197,7 @@ def test_max_phase_alpha_zero_is_normalised_first_order(scene):
 def test_max_phase_never_mutates_params(scene):
     params, enc, fv, ft, split = scene
     checksum = params.checksum()
-    triples = data.sample_triples(split, 4, seed=12)
+    triples = data.TripleSampler(split, seed=12).sample(4)
     max_phase(params, enc, triples,
               DefenseConfig(mode="uat_mc", alpha=1.0, eps_d_pct=0.1, eta=0.1, seed=0),
               fv, ft)
@@ -195,21 +206,27 @@ def test_max_phase_never_mutates_params(scene):
 
 def test_max_phase_tape_matches_fd_route(scene):
     params, enc, fv, ft, split = scene
-    triples = data.sample_triples(split, 2, seed=13)
-    tape_cfg = DefenseConfig(mode="uat_mc", alpha=1.0, eps_d_pct=0.1, eta=0.1, seed=0)
-    fd_cfg = DefenseConfig(mode="uat_mc", alpha=1.0, eps_d_pct=0.1, eta=0.1, seed=0,
-                           second_order="fd")
-    g_tape, _ = max_phase_gradients(params, enc, triples, tape_cfg, fv, ft)
-    g_fd, _ = max_phase_gradients(params, enc, triples, fd_cfg, fv, ft)
-    for key in g_tape:
-        assert rel_err(g_tape[key], g_fd[key]) < 1e-4
+    triples = data.TripleSampler(split, seed=13).sample(2)
+    cfg = DefenseConfig(mode="uat_mc", alpha=1.0, eps_d_pct=0.1, eta=0.1, seed=0)
+    g_tape, _ = max_phase_gradients(params, enc, triples, cfg, fv, ft)
+    fw = models.Forward(params, enc)
+    keys = list(g_tape)
+
+    def objective(arrays):
+        nodes = {k: ad.leaf(v) for k, v in zip(keys, arrays)}
+        value, _, _ = training._max_objective(params, enc, triples, cfg, fw, nodes)
+        return value.item()
+
+    g_fd = ad.fd_gradient(objective, [np.zeros_like(g_tape[k]) for k in keys])
+    for key, g in zip(keys, g_fd):
+        assert rel_err(g_tape[key], g) < 1e-4
 
 
 def test_alignment_bounds(scene):
     params, enc, fv, ft, split = scene
     for seed in range(5):
-        triples = data.sample_triples(split, 6, seed=20 + seed)
-        _, value = alignment_gradients(params, enc, triples, fv, ft)
+        triples = data.TripleSampler(split, seed=20 + seed).sample(6)
+        _, value = alignment(params, enc, triples, fv, ft)
         assert -2.0 - 1e-9 <= value <= 2.0 + 1e-9
 
 
@@ -221,17 +238,17 @@ def test_linear_fusion_alignment_degeneracy(scene, tiny_dataset):
                                params.proj_v.copy(), params.proj_t.copy())
     rng = np.random.default_rng(30)
     for seed in range(6):
-        triples = data.sample_triples(split, 1, seed=40 + seed)
-        grads, _ = alignment_gradients(ident, enc, triples, fv, ft)
+        triples = data.TripleSampler(split, seed=40 + seed).sample(1)
+        grads, _ = alignment(ident, enc, triples, fv, ft)
         assert max(np.linalg.norm(g) for g in grads.values()) < 1e-9
         # and the value itself is invariant to the evaluation point
         at = {k: 0.05 * rng.normal(size=(1, fv.dim))
               for k in ("dv_pos", "dt_pos", "dv_neg", "dt_neg")}
-        _, v0 = alignment_gradients(ident, enc, triples, fv, ft)
-        _, v1 = alignment_gradients(ident, enc, triples, fv, ft, at=at)
+        _, v0 = alignment(ident, enc, triples, fv, ft)
+        _, v1 = alignment(ident, enc, triples, fv, ft, at=at)
         assert abs(v0 - v1) < 1e-9
         # tanh fusion is generically non-degenerate
-        grads_t, _ = alignment_gradients(params, enc, triples, fv, ft)
+        grads_t, _ = alignment(params, enc, triples, fv, ft)
         assert max(np.linalg.norm(g) for g in grads_t.values()) > 1e-6
 
 
@@ -268,7 +285,7 @@ def test_degeneracy_chain_bitwise(tiny_dataset):
         uat_mc_a0 = DefenseConfig(mode="uat_mc", alpha=0.0, lambda_=1.0, **common)
         uat_cfg = DefenseConfig(mode="uat", alpha=9.0, lambda_=1.0, **common)
         a, _ = uat_mc_train(base, enc, fv, ft, uat_mc_a0)
-        b, _ = uat_train(base, enc, fv, ft, uat_cfg)
+        b, _ = uat_mc_train(base, enc, fv, ft, uat_cfg)
         assert a.checksum() == b.checksum()
 
         lam0 = DefenseConfig(mode="uat", alpha=0.0, lambda_=0.0, **common)
@@ -286,7 +303,7 @@ def test_uat_mc_logs_alignment(tiny_dataset, trained_concat):
     assert any(r["align_mean"] != 0.0 for r in log.rows)
     cfg_uat = DefenseConfig(mode="uat", alpha=1.0, lambda_=1.0, eta=0.01, beta=1e-5,
                             batch_size=32, max_epochs=2, seed=80, optimizer="adam")
-    _, log = uat_train(params, enc, fv, ft, cfg_uat)
+    _, log = uat_mc_train(params, enc, fv, ft, cfg_uat)
     assert all(r["align_mean"] == 0.0 for r in log.rows)
 
 
