@@ -5,9 +5,11 @@ a fraction of the item's feature norm, maximising the mean sigmoid margin of
 the target score over each user's top-K threshold. Thresholds come from the
 clean model once per attack and stay fixed: only the target's embedding moves,
 and keeping the threshold from chasing the target makes the objective stable.
-Single-step (normalised gradient at the budget) and iterative projected
-ascent optimisers are provided; both can add a cross-modal gradient-alignment
-term to the objective, which requires differentiating through the first-order
+One projected ascent serves both attacks: each step moves the deltas along
+their normalised gradients and projects them back onto the budget balls.
+PGD takes several short steps; FGSM is its one-step case, a single step of
+the whole budget. Either can add a cross-modal gradient-alignment term to
+the objective, which requires differentiating through the first-order
 gradients.
 """
 
@@ -95,8 +97,8 @@ def promoted_user_set(table, i):
     return np.nonzero(keep)[0].astype(np.int64)
 
 
-def promotion_loss(params, enc, i, users, deltas, k=50, cache=None,
-                   include_target=False, forward=None, thresholds=None):
+def promotion_loss(params, enc, i, users, deltas, k=50, cache=None, forward=None,
+                   thresholds=None):
     """Mean sigmoid(target score - top-K threshold) over the user set,
     differentiable in the (1, d) perturbation rows deltas=(delta_v, delta_t)."""
     users = np.asarray(users, dtype=np.int64)
@@ -105,8 +107,7 @@ def promotion_loss(params, enc, i, users, deltas, k=50, cache=None,
     cache = cache if cache is not None else RankCache(params, enc)
     fw = forward if forward is not None else Forward(params, enc)
     if thresholds is None:
-        thresholds = cache.thresholds_excluding(i, k, users=users,
-                                                include_target=include_target)
+        thresholds = cache.thresholds_excluding(i, k, users=users)
     dv, dt = deltas
     h_i = fw.item_embedding_batch([i], dv, dt)
     scores = ad.matmul(ad.constant(cache.scorer.user_matrix[users]), ad.transpose(h_i))
@@ -144,44 +145,54 @@ def _project(delta, eps):
 
 
 def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
-    """Dispatch on the configured variant; returns (Perturbation, AttackTrace)."""
-    if config.variant == "fgsm":
-        return fgsm_promote(params, enc, feats_v, feats_t, i, config, cache=cache)
-    return pgd_promote(params, enc, feats_v, feats_t, i, config, cache=cache)
-
-
-def _attack_setup(params, enc, feats_v, feats_t, i, config, cache):
+    """Projected gradient ascent on the promotion objective; returns
+    (Perturbation, AttackTrace). PGD takes ``pgd_steps`` steps of
+    1.25 * eps / steps and FGSM one step of the whole budget, each along the
+    normalised gradient and projected back onto the budget ball."""
     cache = cache if cache is not None else RankCache(params, enc)
     users = config.target_users
     users = promoted_user_set(enc.table, i) if users is None else np.asarray(users)
     eps_v = resolve_budget(feats_v, i, config.eps_pct)
     eps_t = resolve_budget(feats_t, i, config.eps_pct)
-    flags = []
-    if eps_v == 0.0:
-        flags.append("zero_budget_v")
-    if eps_t == 0.0:
-        flags.append("zero_budget_t")
     thresholds = cache.thresholds_excluding(i, config.k, users=users)
     fw = Forward(params, enc)
-    return cache, users, eps_v, eps_t, flags, thresholds, fw
 
+    def promotion(dv, dt):
+        return promotion_loss(params, enc, i, users, (dv, dt), k=config.k, cache=cache,
+                              forward=fw, thresholds=thresholds)
 
-def _objective_grads(params, enc, i, users, delta_v, delta_t, config, cache, fw,
-                     thresholds):
-    """Gradients of the attack objective at (delta_v, delta_t); also returns
-    the promotion-gradient cosine recorded in traces."""
-    dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
-    if config.with_align:
-        promo, (gv_p, gt_p), align = align_loss_for_attack(
-            params, enc, i, users, (dv, dt), k=config.k, cache=cache, forward=fw,
-            thresholds=thresholds)
-        objective = ad.add(promo, ad.mul(ad.constant(config.align_weight), align))
-        gv, gt = ad.grad(objective, [dv, dt])
-    else:
-        promo = promotion_loss(params, enc, i, users, (dv, dt), k=config.k,
-                               cache=cache, forward=fw, thresholds=thresholds)
-        gv_p, gt_p = gv, gt = ad.grad(promo, [dv, dt])
-    return gv.numpy()[0], gt.numpy()[0], _np_cosine(gv_p.numpy()[0], gt_p.numpy()[0])
+    scale, steps = (1.0, 1) if config.variant == "fgsm" else (1.25, config.pgd_steps)
+    step_v = scale * eps_v / steps
+    step_t = scale * eps_t / steps
+    delta_v = np.zeros(feats_v.dim)
+    delta_t = np.zeros(feats_t.dim)
+    trace = AttackTrace()
+    saw_zero_v = saw_zero_t = False
+    for it in range(1, steps + 1):
+        dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
+        if config.with_align:
+            promo, (gv_p, gt_p), align = align_loss_for_attack(
+                params, enc, i, users, (dv, dt), k=config.k, cache=cache, forward=fw,
+                thresholds=thresholds)
+            objective = ad.add(promo, ad.mul(ad.constant(config.align_weight), align))
+            gv, gt = ad.grad(objective, [dv, dt])
+        else:
+            gv_p, gt_p = gv, gt = ad.grad(promotion(dv, dt), [dv, dt])
+        move_v, zero_v = scaled_unit(gv.numpy()[0], step_v)
+        move_t, zero_t = scaled_unit(gt.numpy()[0], step_t)
+        saw_zero_v |= zero_v
+        saw_zero_t |= zero_t
+        delta_v = _project(delta_v + move_v, eps_v)
+        delta_t = _project(delta_t + move_t, eps_t)
+        with ad.no_grad():
+            loss = promotion(ad.constant(delta_v[None, :]), ad.constant(delta_t[None, :]))
+        n_rec = hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache)
+        trace.add(it, loss.item(), n_rec, _np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
+    flags = [name for name, on in (
+        ("zero_budget_v", eps_v == 0.0), ("zero_budget_t", eps_t == 0.0),
+        ("zero_grad_v", saw_zero_v and eps_v != 0.0),
+        ("zero_grad_t", saw_zero_t and eps_t != 0.0)) if on]
+    return Perturbation(i, delta_v, delta_t, eps_v, eps_t, tuple(flags)), trace
 
 
 def _np_cosine(a, b):
@@ -189,62 +200,3 @@ def _np_cosine(a, b):
     if na < ad.NORM_TOLERANCE or nb < ad.NORM_TOLERANCE:
         return 0.0
     return float(a @ b / (na * nb))
-
-
-def _loss_value(params, enc, i, users, dv_val, dt_val, config, cache, fw, thresholds):
-    with ad.no_grad():
-        loss = promotion_loss(params, enc, i, users,
-                              (ad.constant(dv_val[None, :]), ad.constant(dt_val[None, :])),
-                              k=config.k, cache=cache, forward=fw, thresholds=thresholds)
-    return loss.item()
-
-
-def fgsm_promote(params, enc, feats_v, feats_t, i, config, cache=None):
-    """Single step to the budget sphere along the normalised gradient."""
-    cache, users, eps_v, eps_t, flags, thr, fw = _attack_setup(
-        params, enc, feats_v, feats_t, i, config, cache)
-    gv, gt, grad_cos = _objective_grads(params, enc, i, users, np.zeros(feats_v.dim),
-                                        np.zeros(feats_t.dim), config, cache, fw, thr)
-    delta_v, zero_v = scaled_unit(gv, eps_v)
-    delta_t, zero_t = scaled_unit(gt, eps_t)
-    if zero_v and "zero_budget_v" not in flags:
-        flags.append("zero_grad_v")
-    if zero_t and "zero_budget_t" not in flags:
-        flags.append("zero_grad_t")
-    pert = Perturbation(i, delta_v, delta_t, eps_v, eps_t, tuple(flags))
-    trace = AttackTrace()
-    loss = _loss_value(params, enc, i, users, delta_v, delta_t, config, cache, fw, thr)
-    n_rec = hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache)
-    trace.add(1, loss, n_rec, grad_cos)
-    return pert, trace
-
-
-def pgd_promote(params, enc, feats_v, feats_t, i, config, cache=None):
-    """Projected gradient ascent: step 1.25*eps/steps along the normalised
-    gradient, projected back onto the budget ball after every step."""
-    cache, users, eps_v, eps_t, flags, thr, fw = _attack_setup(
-        params, enc, feats_v, feats_t, i, config, cache)
-    step_v = 1.25 * eps_v / config.pgd_steps
-    step_t = 1.25 * eps_t / config.pgd_steps
-    delta_v = np.zeros(feats_v.dim)
-    delta_t = np.zeros(feats_t.dim)
-    trace = AttackTrace()
-    saw_zero_v = saw_zero_t = False
-    for it in range(1, config.pgd_steps + 1):
-        gv, gt, grad_cos = _objective_grads(params, enc, i, users, delta_v, delta_t,
-                                            config, cache, fw, thr)
-        move_v, zero_v = scaled_unit(gv, step_v)
-        move_t, zero_t = scaled_unit(gt, step_t)
-        saw_zero_v |= zero_v
-        saw_zero_t |= zero_t
-        delta_v = _project(delta_v + move_v, eps_v)
-        delta_t = _project(delta_t + move_t, eps_t)
-        loss = _loss_value(params, enc, i, users, delta_v, delta_t, config, cache, fw, thr)
-        n_rec = hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache)
-        trace.add(it, loss, n_rec, grad_cos)
-    if saw_zero_v and "zero_budget_v" not in flags:
-        flags.append("zero_grad_v")
-    if saw_zero_t and "zero_budget_t" not in flags:
-        flags.append("zero_grad_t")
-    pert = Perturbation(i, delta_v, delta_t, eps_v, eps_t, tuple(flags))
-    return pert, trace

@@ -12,6 +12,7 @@ exact-shape or scalar-only.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import weakref
@@ -88,9 +89,6 @@ class Tensor:
 
     def numpy(self):
         return self.data
-
-    def detach(self):
-        return Tensor(self.data)
 
     def __repr__(self):
         grad_tag = ", grad" if self.requires_grad else ""
@@ -433,8 +431,7 @@ def grad(loss, wrt, create_graph=False):
 
     wanted = {w._id for w in wrt}
     grads = {loss._id: constant(1.0)}
-    ctx = no_grad() if not create_graph else _NullCtx()
-    with ctx:
+    with no_grad() if not create_graph else contextlib.nullcontext():
         for node in sorted(nodes.values(), key=lambda n: -n._id):
             g = grads.pop(node._id, None)
             if g is None:
@@ -450,14 +447,6 @@ def grad(loss, wrt, create_graph=False):
         g = grads.get(w._id)
         out.append(g if g is not None else zeros(w.shape))
     return out
-
-
-class _NullCtx:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
 
 # ---------------------------------------------------------------------------

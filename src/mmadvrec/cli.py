@@ -38,29 +38,22 @@ def _out_dir(cfg):
     return path
 
 
-def _dataset_paths(cfg):
+def _workspace(cfg):
+    """(out dir, input paths, split table, visual and textual features,
+    encoding) for a command that reads the dataset. The feature files fix
+    the catalog size, so an item no user touched still has its row."""
+    out = _out_dir(cfg)
     base = cfg["data.path"]
     if not base:
         raise DataError("data.path is not set; run gen-data first or point at a dataset")
-    return (os.path.join(base, "interactions.tsv"),
-            os.path.join(base, "features_v.mmfe"),
-            os.path.join(base, "features_t.mmfe"))
-
-
-def _load_dataset(cfg):
-    inter, fv_path, ft_path = _dataset_paths(cfg)
-    table = data.load_interactions(inter)
-    fv = data.load_features(fv_path, "v", expected_items=table.num_items)
-    ft = data.load_features(ft_path, "t", expected_items=table.num_items)
-    return table, fv, ft
-
-
-def _split(cfg, table):
-    return data.split_leave_one_out(table, seed_for(cfg["seed"], "split"))
-
-
-def _encoding(cfg, split, fv, ft):
-    return models.DatasetEncoding(split, fv, ft, cfg["model.kind"])
+    inputs = [os.path.join(base, name)
+              for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe")]
+    fv = data.load_features(inputs[1], "v")
+    table = data.load_interactions(inputs[0], num_items=fv.num_items)
+    ft = data.load_features(inputs[2], "t", expected_items=table.num_items)
+    split = data.split_leave_one_out(table, seed_for(cfg["seed"], "split"))
+    enc = models.DatasetEncoding(split, fv, ft, cfg["model.kind"])
+    return out, inputs, split, fv, ft, enc
 
 
 def _init_params(cfg, table, fv, ft):
@@ -71,8 +64,18 @@ def _init_params(cfg, table, fv, ft):
         fuse_dim=cfg["model.fuse_dim"], seed=seed_for(cfg["seed"], "init"))
 
 
+def _checked(what, build, *args, **fields):
+    """build(*args, **fields) for a config object; a value it rejects is a
+    config error (exit 2) that names ``what``."""
+    try:
+        return build(*args, **fields)
+    except DataError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _train_config(cfg, *, defend, seed_label):
-    return DefenseConfig(
+    return _checked(
+        "train/defense keys", DefenseConfig,
         mode=cfg["defense.mode"] if defend else "uat_mc",
         lambda_=cfg["defense.lambda"] if defend else 0.0,
         alpha=cfg["defense.alpha"] if defend else 0.0,
@@ -91,7 +94,8 @@ def _train_config(cfg, *, defend, seed_label):
 
 
 def _attack_config(cfg):
-    return attacks.AttackConfig(
+    return _checked(
+        "attack keys", attacks.AttackConfig,
         variant=cfg["attack.variant"], eps_pct=cfg["attack.eps_a_pct"],
         pgd_steps=cfg["attack.pgd_steps"], with_align=cfg["attack.with_align"],
         align_weight=cfg["attack.align_weight"], k=cfg["attack.k"])
@@ -154,57 +158,48 @@ def cmd_gen_data(cfg, args):
     return EXIT_OK
 
 
-def cmd_train(cfg, args):
-    out = _out_dir(cfg)
-    table, fv, ft = _load_dataset(cfg)
-    split = _split(cfg, table)
-    enc = _encoding(cfg, split, fv, ft)
-    ckpt = os.path.join(out, "pretrained.ckpt")
-    log_path = os.path.join(out, "train_log.csv")
+def _fit(cfg, args, defend):
+    """The body of ``train`` (BPR from a fresh initialisation) and ``defend``
+    (adversarial training from a checkpoint). ``--resume`` reloads the
+    command's saved (best) checkpoint, keeps its log rows, numbers the new
+    epochs after them and seeds the sampler by the first new epoch; the
+    optimiser and early-stopping state start afresh."""
+    out, inputs, split, fv, ft, enc = _workspace(cfg)
+    command = "defend" if defend else "train"
+    ckpt = os.path.join(out, "defended.ckpt" if defend else "pretrained.ckpt")
+    log_path = os.path.join(out, f"{command}_log.csv")
+    if defend:
+        inputs.append(args.checkpoint or os.path.join(out, "pretrained.ckpt"))
     start_epoch, old_rows = 1, []
     if args.resume and os.path.exists(ckpt) and os.path.exists(log_path):
         params = models.load_checkpoint(ckpt)
         last, old_rows = _read_last_epoch(log_path)
         start_epoch = last + 1
+    elif defend:
+        params = models.load_checkpoint(inputs[-1])
     else:
-        params = _init_params(cfg, table, fv, ft)
-    tcfg = _train_config(cfg, defend=False, seed_label=f"pretrain-{start_epoch}")
-    best, log = training.pretrain(params, enc, fv, ft, tcfg, start_epoch=start_epoch)
+        params = _init_params(cfg, split, fv, ft)
+    label = "defend" if defend else "pretrain"
+    tcfg = _train_config(cfg, defend=defend, seed_label=f"{label}-{start_epoch}")
+    fit = training.uat_mc_train if defend else training.pretrain
+    best, log = fit(params, enc, fv, ft, tcfg, start_epoch=start_epoch)
     models.save_checkpoint(best, ckpt)
     _write_train_log(log_path, log, extra_rows=old_rows)
-    _manifest(cfg, "train", list(_dataset_paths(cfg)), [ckpt, log_path], out,
-              "manifest_train.json")
+    _manifest(cfg, command, inputs, [ckpt, log_path], out, f"manifest_{command}.json")
     recall, ndcg = metrics.recall_ndcg(best, enc, k=cfg["eval.k_rank"])
-    print(f"pretrained {log.epochs} epochs; recall@{cfg['eval.k_rank']} {recall:.4f} "
+    what = (f"defended ({tcfg.mode}, lambda={tcfg.lambda_}, alpha={tcfg.effective_alpha})"
+            if defend else "pretrained")
+    print(f"{what} {log.epochs} epochs; recall@{cfg['eval.k_rank']} {recall:.4f} "
           f"ndcg {ndcg:.4f}; checkpoint {ckpt}")
     return EXIT_OK
 
 
+def cmd_train(cfg, args):
+    return _fit(cfg, args, defend=False)
+
+
 def cmd_defend(cfg, args):
-    out = _out_dir(cfg)
-    table, fv, ft = _load_dataset(cfg)
-    split = _split(cfg, table)
-    enc = _encoding(cfg, split, fv, ft)
-    source = args.checkpoint or os.path.join(out, "pretrained.ckpt")
-    ckpt = os.path.join(out, "defended.ckpt")
-    log_path = os.path.join(out, "defend_log.csv")
-    start_epoch, old_rows = 1, []
-    if args.resume and os.path.exists(ckpt) and os.path.exists(log_path):
-        params = models.load_checkpoint(ckpt)
-        last, old_rows = _read_last_epoch(log_path)
-        start_epoch = last + 1
-    else:
-        params = models.load_checkpoint(source)
-    dcfg = _train_config(cfg, defend=True, seed_label=f"defend-{start_epoch}")
-    best, log = training.uat_mc_train(params, enc, fv, ft, dcfg, start_epoch=start_epoch)
-    models.save_checkpoint(best, ckpt)
-    _write_train_log(log_path, log, extra_rows=old_rows)
-    _manifest(cfg, "defend", list(_dataset_paths(cfg)) + [source], [ckpt, log_path],
-              out, "manifest_defend.json")
-    recall, ndcg = metrics.recall_ndcg(best, enc, k=cfg["eval.k_rank"])
-    print(f"defended ({dcfg.mode}, lambda={dcfg.lambda_}, alpha={dcfg.effective_alpha}) "
-          f"{log.epochs} epochs; recall@{cfg['eval.k_rank']} {recall:.4f}; checkpoint {ckpt}")
-    return EXIT_OK
+    return _fit(cfg, args, defend=True)
 
 
 def run_campaign(params, enc, fv, ft, targets, acfg, k_hit, cache=None):
@@ -241,14 +236,11 @@ def _select_targets(cfg, split, count=None):
 
 
 def cmd_attack(cfg, args):
-    out = _out_dir(cfg)
-    table, fv, ft = _load_dataset(cfg)
-    split = _split(cfg, table)
-    enc = _encoding(cfg, split, fv, ft)
+    acfg = _attack_config(cfg)
+    out, inputs, split, fv, ft, enc = _workspace(cfg)
     ckpt = args.checkpoint or os.path.join(out, "pretrained.ckpt")
     params = models.load_checkpoint(ckpt)
     targets = _select_targets(cfg, split)
-    acfg = _attack_config(cfg)
     cache = metrics.RankCache(params, enc)
     rows, trace_rows, (mb, ma, gain) = run_campaign(
         params, enc, fv, ft, targets, acfg, cfg["eval.k_hit"], cache=cache)
@@ -261,8 +253,8 @@ def cmd_attack(cfg, args):
     reports.write_csv(trace_path,
                       ["target_item", "iteration", "promotion_loss", "n_rec",
                        "grad_cosine"], trace_rows)
-    recall, ndcg = metrics.recall_ndcg(params, enc, k=cfg["eval.k_rank"])
-    man = RunManifest.create("attack", cfg, list(_dataset_paths(cfg)) + [ckpt])
+    recall, ndcg = metrics.recall_ndcg(params, enc, k=cfg["eval.k_rank"], cache=cache)
+    man = RunManifest.create("attack", cfg, inputs + [ckpt])
     reports.write_csv(metrics_path,
                       ["run_id", "defense", "attack", "eps_d", "eps_a", "lambda",
                        "alpha", "hit_before", "hit_after", "gain", "recall10",
@@ -280,10 +272,7 @@ def cmd_attack(cfg, args):
 
 
 def cmd_diagnose(cfg, args):
-    out = _out_dir(cfg)
-    table, fv, ft = _load_dataset(cfg)
-    split = _split(cfg, table)
-    enc = _encoding(cfg, split, fv, ft)
+    out, inputs, split, _, _, enc = _workspace(cfg)
     ckpt = args.checkpoint or os.path.join(out, "pretrained.ckpt")
     params = models.load_checkpoint(ckpt)
     targets = _select_targets(cfg, split, count=cfg["diagnose.targets"])
@@ -306,7 +295,7 @@ def cmd_diagnose(cfg, args):
     reports.write_csv(users_path, ["item", "user", "c_v", "c_t"],
                       [[r.item, c.user, c.c_v, c.c_t]
                        for r in result.reports for c in r.contributions])
-    _manifest(cfg, "diagnose", list(_dataset_paths(cfg)) + [ckpt],
+    _manifest(cfg, "diagnose", inputs + [ckpt],
               [items_path, hist_path, users_path], out, "manifest_diagnose.json")
     print(f"surveyed {len(result.reports)} items (skipped {len(result.skipped)}); "
           f"mean jaccard {hist.mean:.4f}")
@@ -316,13 +305,9 @@ def cmd_diagnose(cfg, args):
 def _sweep_points(cfg, key, base, field):
     """(value, config) per grid value of ``key``; a value the config rejects
     is a config error, raised before any point runs."""
-    points = []
-    for value in cfg.floats(key):
-        try:
-            points.append((value, replace(base, **{field: value})))
-        except DataError as exc:
-            raise ConfigError(f"{key}: bad grid value {value!r} ({exc})") from exc
-    return points
+    return [(value, _checked(f"{key}: bad grid value {value!r}", replace, base,
+                             **{field: value}))
+            for value in cfg.floats(key)]
 
 
 def cmd_sweep(cfg, args):
@@ -332,63 +317,50 @@ def cmd_sweep(cfg, args):
     if kind == "eps":
         defends = _sweep_points(cfg, "sweep.eps_d", dcfg, "eps_d_pct")
         attack_points = _sweep_points(cfg, "sweep.eps_a", acfg, "eps_pct")
-    elif kind in ("lambda", "alpha"):
-        defends = _sweep_points(cfg, "sweep.lambdas" if kind == "lambda" else "sweep.alphas",
-                                dcfg, "lambda_" if kind == "lambda" else "alpha")
     else:
-        raise ConfigError(f"unknown sweep.kind {kind!r}")
-    out = _out_dir(cfg)
-    table, fv, ft = _load_dataset(cfg)
-    split = _split(cfg, table)
-    enc = _encoding(cfg, split, fv, ft)
+        defends = _sweep_points(cfg, f"sweep.{kind}s", dcfg,
+                                "lambda_" if kind == "lambda" else "alpha")
+    out, inputs, split, fv, ft, enc = _workspace(cfg)
     source = args.checkpoint or os.path.join(out, "pretrained.ckpt")
     pretrained = models.load_checkpoint(source)
     targets = _select_targets(cfg, split)
     sweep_path = os.path.join(out, "sweep.csv")
-
-    def gain_for(params, point):
-        cache = metrics.RankCache(params, enc)
-        _, _, (_, _, gain) = run_campaign(params, enc, fv, ft, targets, point,
-                                          cfg["eval.k_hit"], cache=cache)
-        return gain
-
     rows = []
     for value, point in defends:
         defended, _ = training.uat_mc_train(pretrained, enc, fv, ft, point)
+        cache = metrics.RankCache(defended, enc)
+
+        def gain(attack):
+            _, _, (_, _, g) = run_campaign(defended, enc, fv, ft, targets, attack,
+                                           cfg["eval.k_hit"], cache=cache)
+            return g
+
         if kind == "eps":
-            rows.extend([value, eps_a, gain_for(defended, apoint)]
-                        for eps_a, apoint in attack_points)
+            rows.extend([value, eps_a, gain(apoint)] for eps_a, apoint in attack_points)
         else:
-            _, ndcg = metrics.recall_ndcg(defended, enc, k=cfg["eval.k_rank"])
-            rows.append([value, ndcg, gain_for(defended, acfg)])
+            _, ndcg = metrics.recall_ndcg(defended, enc, k=cfg["eval.k_rank"], cache=cache)
+            rows.append([value, ndcg, gain(acfg)])
     header = ["eps_d", "eps_a", "gain"] if kind == "eps" else [kind, "ndcg10", "gain"]
     reports.write_csv(sweep_path, header, rows)
-    _manifest(cfg, "sweep", list(_dataset_paths(cfg)) + [source], [sweep_path],
+    _manifest(cfg, "sweep", inputs + [source], [sweep_path],
               out, "manifest_sweep.json")
     print(f"sweep {kind}: {len(rows)} rows -> {sweep_path}")
     return EXIT_OK
 
 
 def cmd_bench(cfg, args):
-    out = _out_dir(cfg)
-    table, fv, ft = _load_dataset(cfg)
-    split = _split(cfg, table)
-    enc = _encoding(cfg, split, fv, ft)
-    params = _init_params(cfg, table, fv, ft)
+    out, _, split, fv, ft, enc = _workspace(cfg)
+    params = _init_params(cfg, split, fv, ft)
     batch = cfg["bench.batch_size"]
     n = cfg["bench.batches"]
-    modes = {
-        "pretrain": dict(lambda_=0.0, alpha=0.0, adversarial=False),
-        "uat": dict(lambda_=1.0, alpha=0.0, adversarial=True),
-        "uat_mc": dict(lambda_=1.0, alpha=1.0, adversarial=True),
-    }
+    modes = {"pretrain": (0.0, 0.0), "uat": (1.0, 0.0), "uat_mc": (1.0, 1.0)}  # (lambda, alpha)
     rows = []
     medians = {}
-    for mode, spec in modes.items():
-        dcfg = DefenseConfig(mode="uat_mc", lambda_=spec["lambda_"], alpha=spec["alpha"],
-                             beta=cfg["defense.beta"], eta=cfg["train.eta"],
-                             eps_d_pct=cfg["defense.eps_d_pct"], batch_size=batch,
-                             seed=seed_for(cfg["seed"], "bench"), wall_clock=True)
+    for mode, (lambda_, alpha) in modes.items():
+        dcfg = _checked("bench keys", DefenseConfig, mode="uat_mc", lambda_=lambda_,
+                        alpha=alpha, beta=cfg["defense.beta"], eta=cfg["train.eta"],
+                        eps_d_pct=cfg["defense.eps_d_pct"], batch_size=batch,
+                        seed=seed_for(cfg["seed"], "bench"), wall_clock=True)
         work = params.clone()
         sampler = data.TripleSampler(enc.table, seed=dcfg.seed)
         optimizer = training.make_optimizer(dcfg)
@@ -397,7 +369,7 @@ def cmd_bench(cfg, args):
             triples = sampler.sample(batch)
             t0 = time.perf_counter()
             delta_batch = None
-            if spec["adversarial"]:
+            if lambda_ > 0:
                 delta_batch, _ = training.max_phase(work, enc, triples, dcfg, fv, ft)
             training.min_phase(work, enc, triples, delta_batch, dcfg, optimizer)
             dt = time.perf_counter() - t0

@@ -96,6 +96,19 @@ MINIMUM = {key: 1 for key in (
     "diagnose.targets", "bench.batches", "bench.batch_size")}
 MINIMUM.update({"synth.unpopular_count": 0, "train.patience": 0, "diagnose.k_users": 0})
 
+# allowed values of each enum key
+CHOICES = {
+    "model.kind": ("concat", "graph"),
+    "model.nonlinearity": ("identity", "tanh"),
+    "model.user_content": ("shared", "id_only"),
+    "train.optimizer": ("sgd", "adam"),
+    "train.reduction": ("sum", "mean"),
+    "defense.mode": ("uat", "uat_mc"),
+    "attack.variant": ("fgsm", "pgd"),
+    "attack.threshold_mode": ("exact", "at_most"),
+    "sweep.kind": ("eps", "lambda", "alpha"),
+}
+
 
 # where files live, not what a run computes; left out of the run id
 PATH_KEYS = ("data.path", "data.out_dir")
@@ -117,6 +130,9 @@ class Config:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
         if key in MINIMUM and value < MINIMUM[key]:
             raise ConfigError(f"{key!r} must be >= {MINIMUM[key]}, got {value}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{key!r} must be one of {', '.join(CHOICES[key])}, "
+                              f"got {value!r}")
         self.values[key] = value
 
     def __getitem__(self, key):

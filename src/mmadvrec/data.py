@@ -140,14 +140,17 @@ class FeatureMatrix:
 # ---------------------------------------------------------------------------
 # interaction TSV
 
-def load_interactions(path):
+def load_interactions(path, num_items=None):
     """Parse a user<TAB>item TSV into an InteractionTable.
+
+    The catalog has ``num_items`` items when given (an id at or above it is
+    a DataError), else as many as the largest item id read implies, which
+    drops trailing items that no user touched.
 
     Duplicate pairs collapse to one interaction. Non-integer ids are densely
     remapped in first-appearance order and the mapping is persisted next to
     the input as ``<path>.users.idmap`` / ``<path>.items.idmap``.
     """
-    pairs = []
     raw_users, raw_items = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -170,7 +173,7 @@ def load_interactions(path):
         _write_idmap(str(path) + ".items.idmap", item_map)
 
     num_users = int(max(users)) + 1
-    num_items = int(max(items)) + 1
+    num_items = int(max(items)) + 1 if num_items is None else num_items
     per_user = [[] for _ in range(num_users)]
     for u, i in zip(users, items):
         per_user[u].append(i)

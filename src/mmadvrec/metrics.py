@@ -3,8 +3,7 @@ plus unpopular-target selection.
 
 Ranking convention everywhere: higher score wins, exact ties broken by
 ascending item id, and a user's training items are excluded from their
-candidate pool when ``exclude_seen`` is set (the default, matching how
-recommendation lists are produced).
+candidate pool, matching how recommendation lists are produced.
 
 Top-K thresholds and hit tests read a per-``k`` table that ``RankCache``
 builds on the first query for that ``k``: each user's k+1 best masked clean
@@ -33,15 +32,12 @@ class RankCache:
     so ``masked`` must not be mutated after the first such query.
     """
 
-    def __init__(self, params, enc, scorer=None, exclude_seen=True):
+    def __init__(self, params, enc):
         self.params = params
         self.enc = enc
-        self.scorer = scorer if scorer is not None else Scorer(params, enc)
-        self.exclude_seen = exclude_seen
-        masked = self.scorer.user_matrix @ self.scorer.item_matrix.T
-        if exclude_seen:
-            masked[enc.table.pairs()] = -np.inf
-        self.masked = masked
+        self.scorer = Scorer(params, enc)
+        self.masked = self.scorer.user_matrix @ self.scorer.item_matrix.T
+        self.masked[enc.table.pairs()] = -np.inf
         self._tops = {}
 
     def _top(self, k):
@@ -63,17 +59,15 @@ class RankCache:
         at = top[rows, r]
         return np.where(self.masked[rows, i] < at, at, top[rows, r + 1])
 
-    def thresholds_excluding(self, i, k, users=None, include_target=False):
+    def thresholds_excluding(self, i, k, users=None):
         """Per-user score of the k-th ranked candidate, with the target item
-        removed from the pool unless include_target is set."""
+        removed from the pool."""
         if self.masked.shape[1] <= k:
             raise DataError(f"k={k} must be smaller than the item catalog")
         if k < 1:
             raise DataError(f"k={k} must be >= 1")
         top = self._top(k)
         rows = np.arange(top.shape[0]) if users is None else np.asarray(users)
-        if include_target:
-            return top[rows, k - 1]
         return self._kth_without_own(top, rows, k - 1, i)
 
     def hit_mask(self, i, k, moved=None, moved_scores=None):
@@ -87,8 +81,7 @@ class RankCache:
         moved = np.asarray([] if moved is None else moved, dtype=np.int64)
         old = sc[:, moved]
         new = np.empty_like(old) if moved_scores is None else moved_scores
-        if self.exclude_seen:
-            new = np.where(np.isinf(old), -np.inf, new)
+        new = np.where(np.isinf(old), -np.inf, new)
         own = moved == i
         target = new[:, own][:, 0] if own.any() else sc[:, i]
         lower = moved[~own] < i

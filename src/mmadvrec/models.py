@@ -135,6 +135,8 @@ class DatasetEncoding:
     """
 
     def __init__(self, table, feats_v, feats_t, kind):
+        if kind not in _KIND_CODES:
+            raise DataError(f"unknown model kind {kind!r}")
         if feats_v.num_items != table.num_items or feats_t.num_items != table.num_items:
             raise DataError("feature row count does not match the item catalog")
         self.table = table
@@ -266,8 +268,12 @@ def _weighted(delta, coefs):
 
 
 def _check_shapes(params, enc):
-    """Every parameter block must fit the dataset it meets: one embedding row
-    per user and per item, and projections over the feature dimensions."""
+    """Parameters must fit the dataset they meet: the model kind the
+    encoding was built for, one embedding row per user and per item, and
+    projections over the feature dimensions."""
+    if params.kind != enc.kind:
+        raise DataError(f"a {params.kind} checkpoint cannot score a dataset "
+                        f"encoded for the {enc.kind} model (model.kind)")
     dv, dt = enc.raw_v.shape[1], enc.raw_t.shape[1]
     need = {"user_embeds": (enc.table.num_users, None),
             "item_embeds": (enc.table.num_items, None),

@@ -94,32 +94,19 @@ class DeltaBatch:
 # ---------------------------------------------------------------------------
 # losses
 
-def bpr_loss(params, enc, triples, forward=None, reduction="sum"):
-    """Pairwise ranking loss sum(-ln sigmoid(pos - neg)) over the batch."""
-    return adversarial_bpr_loss(params, enc, triples, None,
-                                forward=forward, reduction=reduction)
+def bpr_loss(params, enc, triples, forward=None, reduction="sum", deltas=None):
+    """Pairwise ranking loss sum(-ln sigmoid(pos - neg)) over the batch.
 
-
-def adversarial_bpr_loss(params, enc, triples, deltas, forward=None,
-                         reduction="sum", delta_nodes=None):
-    """Ranking loss over perturbation-aware encodings.
-
-    ``deltas`` is a DeltaBatch of arrays (or None for the clean loss);
-    ``delta_nodes`` overrides them with graph leaves when the caller needs
-    gradients with respect to the perturbations.
+    ``deltas`` maps dv_pos, dt_pos, dv_neg and dt_neg to perturbation nodes
+    that move the positive and negative items' features; without it the
+    loss is clean.
     """
     users, pos, neg = triples
     fw = forward if forward is not None else Forward(params, enc)
-    nodes = delta_nodes
-    if nodes is None and deltas is not None:
-        nodes = {k: ad.constant(v) for k, v in vars(deltas).items()}
+    d = deltas or {}
     h_u = fw.user_embedding_batch(users)
-    if nodes is None:
-        h_p = fw.item_embedding_batch(pos)
-        h_n = fw.item_embedding_batch(neg)
-    else:
-        h_p = fw.item_embedding_batch(pos, nodes["dv_pos"], nodes["dt_pos"])
-        h_n = fw.item_embedding_batch(neg, nodes["dv_neg"], nodes["dt_neg"])
+    h_p = fw.item_embedding_batch(pos, d.get("dv_pos"), d.get("dt_pos"))
+    h_n = fw.item_embedding_batch(neg, d.get("dv_neg"), d.get("dt_neg"))
     margins = ad.sub(ad.sum_rows(ad.mul(h_u, h_p)), ad.sum_rows(ad.mul(h_u, h_n)))
     loss = ad.sum_all(ad.softplus(ad.neg(margins)))
     if reduction == "mean":
@@ -163,8 +150,8 @@ def _max_objective(params, enc, triples, config, fw, nodes):
     gradients vanish (the linear-fusion degeneracy)."""
     alpha = config.effective_alpha
     leaves = [nodes[k] for k in _DELTA_KEYS]
-    adv = adversarial_bpr_loss(params, enc, triples, None, forward=fw,
-                               reduction=config.reduction, delta_nodes=nodes)
+    adv = bpr_loss(params, enc, triples, forward=fw, reduction=config.reduction,
+                   deltas=nodes)
     if alpha == 0:
         return adv, adv, None
     if nodes["dv_pos"].shape[1] != nodes["dt_pos"].shape[1]:
@@ -176,12 +163,12 @@ def _max_objective(params, enc, triples, config, fw, nodes):
     return objective, adv, align
 
 
-def max_phase_gradients(params, enc, triples, config, feats_v, feats_t, forward=None):
+def max_phase_gradients(params, enc, triples, config, feats_v, feats_t):
     """Raw gradients of the max-phase objective w.r.t. the four delta blocks,
     at zero perturbation. Returns (dict key -> gradient array, alignment value).
     """
     users, _, _ = triples
-    fw = forward if forward is not None else Forward(params, enc)
+    fw = Forward(params, enc)
     nodes = _zero_delta_nodes(len(users), feats_v, feats_t)
     objective, _, align = _max_objective(params, enc, triples, config, fw, nodes)
     align_value = align.item() if align is not None else 0.0
@@ -189,12 +176,12 @@ def max_phase_gradients(params, enc, triples, config, feats_v, feats_t, forward=
     return {k: g.numpy() for k, g in zip(_DELTA_KEYS, grads)}, align_value
 
 
-def max_phase(params, enc, triples, config, feats_v, feats_t, forward=None):
+def max_phase(params, enc, triples, config, feats_v, feats_t):
     """Generate budget-sphere perturbations for the batch; returns
     (DeltaBatch, alignment value). Parameters stay frozen."""
     _, pos, neg = triples
     grads, align_value = max_phase_gradients(params, enc, triples, config,
-                                             feats_v, feats_t, forward=forward)
+                                             feats_v, feats_t)
     eps = {
         "dv_pos": _budget_rows(feats_v, pos, config.eps_d_pct),
         "dt_pos": _budget_rows(feats_t, pos, config.eps_d_pct),
@@ -224,8 +211,9 @@ def min_phase(params, enc, triples, delta_batch, config, optimizer):
     if config.lambda_ > 0:
         if delta_batch is None:
             raise DataError("lambda > 0 requires perturbations from the max phase")
-        adv = adversarial_bpr_loss(params, enc, triples, delta_batch,
-                                   forward=fw, reduction=config.reduction)
+        deltas = {k: ad.constant(v) for k, v in vars(delta_batch).items()}
+        adv = bpr_loss(params, enc, triples, forward=fw, reduction=config.reduction,
+                       deltas=deltas)
         loss = ad.add(loss, ad.mul(ad.constant(config.lambda_), adv))
         adv_value = adv.item()
     if config.beta > 0:
@@ -260,11 +248,12 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, eta, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, eta):
         self.eta = eta
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {}
         self.v = {}
         self.t = 0
@@ -275,13 +264,13 @@ class Adam:
         for name, g in grads.items():
             m = self.m.setdefault(name, np.zeros_like(g))
             v = self.v.setdefault(name, np.zeros_like(g))
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            arrays[name] -= self.eta * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.BETA1
+            m += (1 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1 - self.BETA2) * g * g
+            m_hat = m / (1 - self.BETA1 ** self.t)
+            v_hat = v / (1 - self.BETA2 ** self.t)
+            arrays[name] -= self.eta * m_hat / (np.sqrt(v_hat) + self.EPS)
             _check_finite(name, g, arrays[name])
 
 

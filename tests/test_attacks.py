@@ -3,8 +3,8 @@ import pytest
 
 from mmadvrec import attacks, autodiff as ad, data, metrics, models
 from mmadvrec.attacks import (AttackConfig, Perturbation, align_loss_for_attack,
-                              fgsm_promote, pgd_promote, promoted_user_set,
-                              promotion_loss, resolve_budget, run_attack, scaled_unit)
+                              promoted_user_set, promotion_loss, resolve_budget,
+                              run_attack, scaled_unit)
 from mmadvrec.metrics import RankCache, hit_at_k
 from mmadvrec.models import DatasetEncoding
 
@@ -69,7 +69,7 @@ def test_fgsm_budget_exact(scene):
     params, enc, fv, ft, cache, targets = scene
     cfg = AttackConfig(variant="fgsm", eps_pct=0.10, k=10)
     for i in targets[:4]:
-        pert, trace = fgsm_promote(params, enc, fv, ft, int(i), cfg, cache=cache)
+        pert, trace = run_attack(params, enc, fv, ft, int(i), cfg, cache=cache)
         if "zero_grad_v" not in pert.flags and "zero_budget_v" not in pert.flags:
             assert abs(np.linalg.norm(pert.delta_v) - pert.eps_v) < 1e-9
         if "zero_grad_t" not in pert.flags and "zero_budget_t" not in pert.flags:
@@ -83,7 +83,7 @@ def test_fgsm_improves_hit_on_trained_model(scene):
     before_sum = after_sum = 0.0
     for i in targets:
         i = int(i)
-        pert, _ = fgsm_promote(params, enc, fv, ft, i, cfg, cache=cache)
+        pert, _ = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
         before_sum += hit_at_k(params, enc, i, 10, cache=cache)
         after_sum += hit_at_k(params, enc, i, 10,
                               delta=(pert.delta_v, pert.delta_t), cache=cache)
@@ -121,7 +121,7 @@ def test_pgd_single_step_hits_sphere(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[2])
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=1, k=10)
-    pert, trace = pgd_promote(params, enc, fv, ft, i, cfg, cache=cache)
+    pert, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
     # step size 1.25*eps exceeds the ball, so projection lands on the boundary
     if not pert.flags:
         assert abs(np.linalg.norm(pert.delta_v) - pert.eps_v) < 1e-9
@@ -139,7 +139,7 @@ def test_pgd_trace_monotone_single_user_identity(tiny_dataset):
     users = promoted_user_set(enc.table, i)[:1]
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=8, k=10,
                        target_users=users)
-    pert, trace = pgd_promote(params, enc, fv, ft, i, cfg)
+    pert, trace = run_attack(params, enc, fv, ft, i, cfg)
     losses = [r.promotion_loss for r in trace.records]
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -151,8 +151,8 @@ def test_pgd_beats_fgsm_on_average(scene):
         i = int(i)
         f_cfg = AttackConfig(variant="fgsm", eps_pct=0.10, k=10)
         p_cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=10, k=10)
-        _, f_trace = fgsm_promote(params, enc, fv, ft, i, f_cfg, cache=cache)
-        _, p_trace = pgd_promote(params, enc, fv, ft, i, p_cfg, cache=cache)
+        _, f_trace = run_attack(params, enc, fv, ft, i, f_cfg, cache=cache)
+        _, p_trace = run_attack(params, enc, fv, ft, i, p_cfg, cache=cache)
         wins.append(p_trace.records[-1].promotion_loss
                     - f_trace.records[-1].promotion_loss)
     assert np.mean(wins) >= 0
@@ -238,7 +238,7 @@ def test_zero_budget_flags():
     enc = DatasetEncoding(table, fv, ft, "concat")
     params = models.init_params(3, 4, 3, 3, kind="concat", id_dim=4, fuse_dim=3, seed=1)
     cfg = AttackConfig(variant="fgsm", eps_pct=0.10, k=2)
-    pert, _ = fgsm_promote(params, enc, fv, ft, 3, cfg)
+    pert, _ = run_attack(params, enc, fv, ft, 3, cfg)
     assert "zero_budget_v" in pert.flags
     assert np.all(pert.delta_v == 0.0)
     assert np.linalg.norm(pert.delta_t) <= pert.eps_t + 1e-9

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mmadvrec import cli, reports, training
+from mmadvrec import cli, config, data, reports, training
 from mmadvrec.config import Config, ConfigError, load_config, seed_for
 
 BASE_CFG = """
@@ -298,3 +298,48 @@ def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, 
     assert trained == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and key in lines[0]
+
+
+@pytest.mark.parametrize("command, key, value", [("attack", "model.kind", "xyz"),
+                                                 ("attack", "train.optimizer", "xyz"),
+                                                 ("attack", "attack.variant", "xyz"),
+                                                 ("attack", "attack.eps_a_pct", "2"),
+                                                 ("attack", "attack.threshold_mode", "xyz"),
+                                                 ("train", "train.optimizer", "xyz")])
+def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
+                                                 command, key, value):
+    checkpoint = os.path.join(workspace["out"], "pretrained.ckpt")
+    extra = ["--checkpoint", checkpoint] if command == "attack" else []
+    assert run(workspace, command, "--set", f"data.out_dir={tmp_path}",
+               "--set", f"{key}={value}", *extra) == cli.EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error")
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_enum_key_checks_its_choices():
+    for key, allowed in config.CHOICES.items():
+        assert config.SCHEMA[key][1] in allowed
+        for value in allowed:
+            assert Config({key: value})[key] == value
+        with pytest.raises(ConfigError, match=key):
+            Config({key: "xyz"})
+
+
+def test_checkpoint_of_another_model_kind_is_data_error(workspace, tmp_path, capsys):
+    assert run(workspace, "attack", "--set", "model.kind=graph",
+               "--set", f"data.out_dir={tmp_path}",
+               "--checkpoint", os.path.join(workspace["out"], "pretrained.ckpt")) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "model.kind" in lines[0]
+
+
+def test_generated_data_with_a_cold_last_item_reloads(workspace, tmp_path):
+    out = tmp_path / "cold"
+    sets = ["--set", f"data.out_dir={out}", "--set", f"data.path={out}",
+            "--set", "synth.users=40", "--set", "synth.items=200",
+            "--set", "synth.interactions_per_user=5"]
+    assert cli.main(["gen-data", "--config", workspace["cfg"], *sets]) == cli.EXIT_OK
+    table = data.load_interactions(out / "interactions.tsv")
+    assert table.num_items < 200  # the precondition: the last item has no interaction
+    assert cli.main(["train", "--config", workspace["cfg"], *sets]) == cli.EXIT_OK

@@ -17,6 +17,15 @@ def test_load_basic_and_dedup(tmp_path):
     assert t.num_interactions == 3  # duplicate collapses
 
 
+def test_load_takes_the_catalog_size_when_given(tmp_path):
+    p = tmp_path / "inter.tsv"
+    p.write_text("0\t1\n1\t0\n", encoding="utf-8")
+    t = data.load_interactions(p, num_items=5)
+    assert (t.num_items, t.item_counts().tolist()) == (5, [1, 1, 0, 0, 0])
+    with pytest.raises(DataError):
+        data.load_interactions(p, num_items=1)
+
+
 def test_load_errors(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("0\t1\nthis is broken\n", encoding="utf-8")

@@ -297,3 +297,20 @@ def test_forward_rejects_parameters_that_do_not_fit_the_dataset(setup, block, ch
         Forward(bad, enc)
     with pytest.raises(data.DataError, match=block):
         Scorer(bad, enc)
+
+
+def test_forward_rejects_a_checkpoint_of_the_other_model_kind(tiny_dataset):
+    split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
+    for params_kind, enc_kind in (("concat", "graph"), ("graph", "concat")):
+        params = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
+                                    kind=params_kind, id_dim=4, fuse_dim=3, seed=0)
+        enc = DatasetEncoding(split, fv, ft, enc_kind)
+        with pytest.raises(data.DataError, match="model.kind"):
+            Forward(params, enc)
+        with pytest.raises(data.DataError, match="model.kind"):
+            Scorer(params, enc)
+
+
+def test_encoding_rejects_an_unknown_kind(tiny_dataset):
+    with pytest.raises(data.DataError, match="xyz"):
+        DatasetEncoding(tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"], "xyz")

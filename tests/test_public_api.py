@@ -1,6 +1,7 @@
 """Every public top-level function or class of the package is used by the
-program itself (``src/``) or by the benchmark (``perfbench/``), so no API
-stays alive only for its own tests."""
+program itself (``src/``) or by the benchmark (``perfbench/``), and so is
+every optional parameter of a public function or method, so no API or
+option stays alive only for its own tests."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,12 @@ ALLOWED = {
     "cli.main": "the console entry point named in pyproject.toml",
     "autodiff.fd_gradient": "the finite-difference oracle the gradient tests compare against",
     "reports.verify_csv": "checks the sha256 line every CSV ends with, for readers of the outputs",
+}
+
+# module.function.parameter -> why no call site in src/ or perfbench/ sets it
+ALLOWED_PARAMETERS = {
+    "autodiff.fd_gradient.step": "fd_gradient serves only the gradient tests, which set its step",
+    "cli.main.argv": "the console entry point reads sys.argv; the CLI tests pass a list",
 }
 
 
@@ -69,3 +76,96 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_allow_list_names_exist():
     defined = {f"{mod}.{name}" for mod, name in _public_definitions()}
     assert set(ALLOWED) <= defined
+
+
+def _public_functions():
+    """(module.qualified name, name callers use, definition, number of
+    leading parameters a call does not pass) for every public top-level
+    function and every public method or constructor of a public class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                yield f"{path.stem}.{stmt.name}", stmt.name, stmt, 0
+            if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+                continue
+            for fn in stmt.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                        fn.name.startswith("_") and fn.name != "__init__"):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                called_as = stmt.name if fn.name == "__init__" else fn.name
+                yield f"{path.stem}.{stmt.name}.{fn.name}", called_as, fn, 0 if static else 1
+
+
+def _callees(expr):
+    """Names of the functions an expression may evaluate to: ``f``,
+    ``module.f`` and either branch of a conditional."""
+    if isinstance(expr, ast.Name):
+        return {expr.id}
+    if isinstance(expr, ast.Attribute):
+        return {expr.attr}
+    if isinstance(expr, ast.IfExp):
+        return _callees(expr.body) | _callees(expr.orelse)
+    return set()
+
+
+def _passed_arguments():
+    """name -> (keywords passed, most positional arguments passed) over
+    every call in src/ and perfbench/; a call through a local alias
+    (``fit = a.f if c else a.g``) counts for each function it may be.
+    Starred arguments are not counted: they pass nothing by name."""
+    passed = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                pairs = [(t, node.value) for t in node.targets]
+                if (isinstance(node.value, ast.Tuple) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Tuple)):
+                    pairs = zip(node.targets[0].elts, node.value.elts)
+                for target, value in pairs:
+                    if isinstance(target, ast.Name) and _callees(value):
+                        aliases.setdefault(target.id, set()).update(_callees(value))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            positional = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional += 1
+            keywords = {kw.arg for kw in node.keywords if kw.arg is not None}
+            names = _callees(node.func)
+            for name in set(names):
+                names |= aliases.get(name, set())
+            for name in names:
+                kws, most = passed.get(name, (set(), 0))
+                passed[name] = (kws | keywords, max(most, positional))
+    return passed
+
+
+def test_every_optional_parameter_is_set_by_some_caller():
+    passed = _passed_arguments()
+    unset = []
+    for qualname, called_as, fn, skip in _public_functions():
+        kws, most = passed.get(called_as, (set(), 0))
+        args = fn.args.posonlyargs + fn.args.args
+        optional = [(index, a.arg) for index, a in enumerate(args)
+                    if index >= len(args) - len(fn.args.defaults)]
+        optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if d is not None]
+        for index, name in optional:
+            by_position = index is not None and most > index - skip
+            if name not in kws and not by_position:
+                unset.append(f"{qualname}.{name}")
+    unset = sorted(set(unset) - set(ALLOWED_PARAMETERS))
+    assert unset == []
+
+
+def test_parameter_allow_list_names_exist():
+    params = set()
+    for qualname, _, fn, _ in _public_functions():
+        a = fn.args
+        params |= {f"{qualname}.{x.arg}" for x in a.posonlyargs + a.args + a.kwonlyargs}
+    assert set(ALLOWED_PARAMETERS) <= params

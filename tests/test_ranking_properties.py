@@ -76,11 +76,9 @@ def brute_hits(masked, i, k, moved, new):
     return np.array(out)
 
 
-def seed_thresholds(masked, i, k, users, include_target):
+def seed_thresholds(masked, i, k, users):
     """The np.delete + partition formula the cache replaced."""
     sc = masked if users is None else masked[users]
-    if include_target:
-        return np.partition(sc, sc.shape[1] - k, axis=1)[:, sc.shape[1] - k]
     drop = np.delete(sc, i, axis=1)
     return np.partition(drop, drop.shape[1] - k, axis=1)[:, drop.shape[1] - k]
 
@@ -115,11 +113,8 @@ def test_thresholds_match_seed_formula(masked, draw):
                                                      max_size=num_users, unique=True)))
     users = None if subset is None else np.array(subset, dtype=np.int64)
     for k in ks + ks[:1]:
-        for include_target in (False, True):
-            got = cache.thresholds_excluding(i, k, users=users,
-                                             include_target=include_target)
-            want = seed_thresholds(masked, i, k, users, include_target)
-            assert np.array_equal(got, want)
+        got = cache.thresholds_excluding(i, k, users=users)
+        assert np.array_equal(got, seed_thresholds(masked, i, k, users))
 
 
 def test_thresholds_reject_k_outside_catalog():

@@ -6,8 +6,7 @@ import pytest
 from mmadvrec import autodiff as ad, data, metrics, models, training
 from mmadvrec.data import DataError
 from mmadvrec.models import DatasetEncoding
-from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD,
-                               adversarial_bpr_loss, bpr_loss, max_phase,
+from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, max_phase,
                                max_phase_gradients, min_phase, pretrain, uat_mc_train)
 
 from conftest import rel_err
@@ -23,6 +22,11 @@ def alignment(params, enc, triples, fv, ft, at=None):
                                           models.Forward(params, enc), nodes)
     grads = ad.grad(align, list(nodes.values()))
     return {k: g.numpy() for k, g in zip(nodes, grads)}, align.item()
+
+
+def constants(delta_batch):
+    """A DeltaBatch as the constant perturbation nodes ``bpr_loss`` takes."""
+    return {k: ad.constant(v) for k, v in vars(delta_batch).items()}
 
 
 def zero_model(split, fv, ft, phi="identity"):
@@ -67,7 +71,7 @@ def test_adversarial_loss_zero_delta_equals_clean(scene):
     clean = bpr_loss(params, enc, triples).item()
     zeros = DeltaBatch(np.zeros((8, fv.dim)), np.zeros((8, ft.dim)),
                        np.zeros((8, fv.dim)), np.zeros((8, ft.dim)))
-    adv = adversarial_bpr_loss(params, enc, triples, zeros).item()
+    adv = bpr_loss(params, enc, triples, deltas=constants(zeros)).item()
     assert adv == clean
 
 
@@ -78,13 +82,12 @@ def test_adversarial_loss_fd_wrt_delta(scene):
     at = {k: 0.05 * rng.normal(size=(3, fv.dim))
           for k in ("dv_pos", "dt_pos", "dv_neg", "dt_neg")}
     nodes = {k: ad.leaf(v) for k, v in at.items()}
-    loss = adversarial_bpr_loss(params, enc, triples, None, delta_nodes=nodes)
+    loss = bpr_loss(params, enc, triples, deltas=nodes)
     grads = ad.grad(loss, list(nodes.values()))
 
     def f(vs):
         trial = dict(zip(nodes.keys(), (ad.constant(v) for v in vs)))
-        return adversarial_bpr_loss(params, enc, triples, None,
-                                    delta_nodes=trial).item()
+        return bpr_loss(params, enc, triples, deltas=trial).item()
 
     fd = ad.fd_gradient(f, [at[k] for k in nodes], step=1e-5)
     for g, fg in zip(grads, fd):
@@ -99,7 +102,7 @@ def test_adversarial_loss_finite_at_budget_boundary(scene):
     delta = DeltaBatch(eps_vp * np.ones((4, fv.dim)) / math.sqrt(fv.dim),
                        np.zeros((4, ft.dim)),
                        np.zeros((4, fv.dim)), np.zeros((4, ft.dim)))
-    assert np.isfinite(adversarial_bpr_loss(params, enc, triples, delta).item())
+    assert np.isfinite(bpr_loss(params, enc, triples, deltas=constants(delta)).item())
 
 
 def test_min_phase_eta_zero_keeps_params(scene):
@@ -152,7 +155,7 @@ def test_min_phase_fd_on_parameter_coordinate(scene):
     cfg = DefenseConfig(lambda_=0.7, beta=0.01, eta=1.0, seed=0)
     fw = models.Forward(params, enc, trainable=True)
     loss = bpr_loss(params, enc, triples, forward=fw)
-    adv = adversarial_bpr_loss(params, enc, triples, delta, forward=fw)
+    adv = bpr_loss(params, enc, triples, forward=fw, deltas=constants(delta))
     reg = training._reg_loss(fw)
     total = ad.add(ad.add(loss, ad.mul(ad.constant(0.7), adv)),
                    ad.mul(ad.constant(0.01), reg))
@@ -163,7 +166,7 @@ def test_min_phase_fd_on_parameter_coordinate(scene):
         work.arrays()[name].reshape(-1)[index] = v
         fw2 = models.Forward(work, enc, trainable=False)
         l2 = bpr_loss(work, enc, triples, forward=fw2)
-        a2 = adversarial_bpr_loss(work, enc, triples, delta, forward=fw2)
+        a2 = bpr_loss(work, enc, triples, forward=fw2, deltas=constants(delta))
         r2 = sum(float(np.sum(arr * arr)) for arr in work.arrays().values())
         return l2.item() + 0.7 * a2.item() + 0.01 * r2
 
