@@ -55,7 +55,6 @@ class AttackConfig:
     with_align: bool = False
     align_weight: float = 1.0
     k: int = 50
-    target_users: np.ndarray | None = None  # None = all
 
     def __post_init__(self):
         if self.variant not in ("fgsm", "pgd"):
@@ -91,9 +90,8 @@ def resolve_budget(features, i, eps_pct):
 def promoted_user_set(table, i):
     """Default target audience: every user with no training interaction
     with the item (promotion to existing consumers is pointless)."""
-    rows, cols = table.pairs()
     keep = np.ones(table.num_users, dtype=bool)
-    keep[rows[cols == i]] = False
+    keep[table.users[table.items == i]] = False
     return np.nonzero(keep)[0].astype(np.int64)
 
 
@@ -150,8 +148,7 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     1.25 * eps / steps and FGSM one step of the whole budget, each along the
     normalised gradient and projected back onto the budget ball."""
     cache = cache if cache is not None else RankCache(params, enc)
-    users = config.target_users
-    users = promoted_user_set(enc.table, i) if users is None else np.asarray(users)
+    users = promoted_user_set(enc.table, i)
     eps_v = resolve_budget(feats_v, i, config.eps_pct)
     eps_t = resolve_budget(feats_t, i, config.eps_pct)
     thresholds = cache.thresholds_excluding(i, config.k, users=users)

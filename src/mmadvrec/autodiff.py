@@ -94,34 +94,6 @@ class Tensor:
         grad_tag = ", grad" if self.requires_grad else ""
         return f"Tensor({self.data!r}{grad_tag})"
 
-    # operator sugar; scalars auto-wrap as constants
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def tensor(data, requires_grad=False):
     """Wrap external data in a tensor; the data is copied, so later caller
@@ -380,8 +352,7 @@ def cosine(a, b):
     flat vectors, e.g. (1, d) rows), differentiable.
 
     If either input has 2-norm below NORM_TOLERANCE the result is a constant
-    zero carrying ``degenerate_input=True``; its gradient contribution is
-    zero by construction.
+    zero, so its gradient contribution is zero.
     """
     a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape or a.ndim == 0:
@@ -390,12 +361,8 @@ def cosine(a, b):
     na = float(np.linalg.norm(a.data))
     nb = float(np.linalg.norm(b.data))
     if na < NORM_TOLERANCE or nb < NORM_TOLERANCE:
-        out = constant(0.0)
-        out.degenerate_input = True
-        return out
-    out = div(dot(a, b), mul(norm2(a), norm2(b)))
-    out.degenerate_input = False
-    return out
+        return constant(0.0)
+    return div(dot(a, b), mul(norm2(a), norm2(b)))
 
 
 # ---------------------------------------------------------------------------

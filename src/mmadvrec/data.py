@@ -1,5 +1,13 @@
 """Interaction tables, per-item modality feature matrices, synthetic data.
 
+An ``InteractionTable`` stores the user-item graph in one layout, compressed
+sparse rows: ``indptr``, ``items`` (sorted within each user) and ``users``
+(the user of each entry). Counts, degrees, masks and the graph model's
+smoothing are whole-array reads of them. Only two per-user structures remain:
+the loop of ``split_leave_one_out``, whose draw order defines the split, and
+the table's lazy membership sets, which give the triple sampler an O(1) test
+per rejection draw without changing its random stream.
+
 File formats:
   interactions  UTF-8 TSV, one ``user<TAB>item`` per line, '#' lines ignored
   features      binary little-endian: magic "MMFE", version u32=1,
@@ -9,8 +17,10 @@ File formats:
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +58,17 @@ class DatasetStats:
 
 
 class InteractionTable:
-    """Sparse implicit-feedback matrix as per-user sorted item-id arrays.
+    """Sparse implicit-feedback matrix in compressed sparse row layout.
+
+    ``items`` lists every interaction's item id, user-major and sorted within
+    each user; user u's items are ``items[indptr[u]:indptr[u + 1]]``, which
+    ``user_items[u]`` returns as a read-only view, and ``users`` holds the
+    user of each entry. The three read-only int64 arrays are the only stored
+    layout, so consumers read the whole graph as arrays: counts are a
+    ``bincount``, degrees an ``np.diff(indptr)``. The one per-user structure
+    kept is the lazy ``user_set`` membership sets, built on first use: the
+    triple sampler tests one negative per rejection draw, and a set answers
+    that in O(1) without changing the draws.
 
     Immutable after construction; ``split_leave_one_out`` returns a new table
     with one held-out item per eligible user recorded in ``holdout`` (-1 for
@@ -58,29 +78,38 @@ class InteractionTable:
     def __init__(self, num_users, num_items, user_items, holdout=None):
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-        items = []
-        for u, arr in enumerate(user_items):
-            a = np.asarray(arr, dtype=np.int64)
-            a = np.unique(a)
-            if a.size and (a[0] < 0 or a[-1] >= self.num_items):
-                raise DataError(f"user {u} holds an item id outside [0, {self.num_items})")
-            a.flags.writeable = False
-            items.append(a)
-        if len(items) != self.num_users:
+        if len(user_items) != self.num_users:
             raise DataError("user list count does not match num_users")
-        self.user_items = tuple(items)
+        sizes = np.fromiter(map(len, user_items), np.int64, count=self.num_users)
+        users = np.repeat(np.arange(self.num_users, dtype=np.int64), sizes)
+        items = np.fromiter(itertools.chain.from_iterable(user_items), np.int64,
+                            count=users.size)
+        outside = (items < 0) | (items >= self.num_items)
+        if outside.any():
+            raise DataError(f"user {users[np.argmax(outside)]} holds an item id "
+                            f"outside [0, {self.num_items})")
+        order = np.lexsort((items, users))
+        users, items = users[order], items[order]
+        first = np.ones(items.size, dtype=bool)
+        first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+        self.users, self.items = users[first], items[first]
+        self.indptr = np.zeros(self.num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.users, minlength=self.num_users), out=self.indptr[1:])
         if holdout is None:
             holdout = np.full(self.num_users, -1, dtype=np.int64)
         self.holdout = np.asarray(holdout, dtype=np.int64)
-        self.holdout.flags.writeable = False
+        for a in (self.users, self.items, self.indptr, self.holdout):
+            a.flags.writeable = False
+        self.user_items = _UserItems(self.indptr, self.items)
         self._user_sets = None
-        self._pairs = None
 
     @property
     def num_interactions(self):
-        return int(sum(a.size for a in self.user_items))
+        return int(self.items.size)
 
     def user_set(self, u):
+        # per-user sets, unlike the arrays: the sampler's rejection loop needs
+        # an O(1) membership test per draw
         if self._user_sets is None:
             self._user_sets = [set(a.tolist()) for a in self.user_items]
         return self._user_sets[u]
@@ -88,26 +117,27 @@ class InteractionTable:
     def has(self, u, i):
         return i in self.user_set(u)
 
-    def pairs(self):
-        """(rows, cols): the user and item id of every training interaction,
-        user-major, as read-only int64 arrays built once."""
-        if self._pairs is None:
-            sizes = [a.size for a in self.user_items]
-            rows = np.repeat(np.arange(self.num_users, dtype=np.int64), sizes)
-            cols = np.concatenate(self.user_items)
-            rows.flags.writeable = False
-            cols.flags.writeable = False
-            self._pairs = (rows, cols)
-        return self._pairs
-
     def item_counts(self):
-        counts = np.zeros(self.num_items, dtype=np.int64)
-        for a in self.user_items:
-            np.add.at(counts, a, 1)
-        return counts
+        return np.bincount(self.items, minlength=self.num_items)
 
     def stats(self):
         return DatasetStats.compute(self.num_users, self.num_items, self.num_interactions)
+
+
+class _UserItems(Sequence):
+    """``user_items[u]``: user u's sorted item ids, a read-only view of the
+    table's ``items``."""
+
+    def __init__(self, indptr, items):
+        self._indptr = indptr
+        self._items = items
+
+    def __len__(self):
+        return self._indptr.size - 1
+
+    def __getitem__(self, u):
+        u = range(len(self))[u]
+        return self._items[self._indptr[u]:self._indptr[u + 1]]
 
 
 @dataclass(frozen=True)
@@ -207,9 +237,7 @@ def _write_idmap(path, mapping):
 def save_interactions(table, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# user\titem\n")
-        for u in range(table.num_users):
-            for i in table.user_items[u]:
-                fh.write(f"{u}\t{i}\n")
+        fh.writelines(f"{u}\t{i}\n" for u, i in zip(table.users.tolist(), table.items.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +401,7 @@ def synth_generate(config, seed):
                         c += 1
                 counts[i] = c
 
-    table = InteractionTable(U, I, [sorted(s) for s in per_user])
+    table = InteractionTable(U, I, per_user)
     return (table,
             FeatureMatrix("v", feats_v),
             FeatureMatrix("t", feats_t))
@@ -383,18 +411,18 @@ def synth_generate(config, seed):
 # splitting and sampling
 
 def split_leave_one_out(table, seed):
-    """Hold out one uniformly chosen item per user with >= 2 interactions."""
+    """Hold out one uniformly chosen item per user with >= 2 interactions.
+
+    The loop over users stays: one draw per eligible user, in user order, is
+    what defines the split for a seed."""
     rng = np.random.default_rng(seed)
     holdout = np.full(table.num_users, -1, dtype=np.int64)
     new_lists = []
-    for u in range(table.num_users):
-        items = table.user_items[u]
+    for u, items in enumerate(table.user_items):
         if items.size >= 2:
-            pick = int(items[rng.integers(items.size)])
-            holdout[u] = pick
-            new_lists.append(items[items != pick])
-        else:
-            new_lists.append(items)
+            holdout[u] = pick = items[rng.integers(items.size)]
+            items = items[items != pick]
+        new_lists.append(items)
     return InteractionTable(table.num_users, table.num_items, new_lists, holdout=holdout)
 
 
@@ -409,9 +437,7 @@ class TripleSampler:
     def __init__(self, table, seed):
         self.table = table
         self.rng = np.random.default_rng(seed)
-        self.eligible = np.array(
-            [u for u in range(table.num_users) if table.user_items[u].size > 0],
-            dtype=np.int64)
+        self.eligible = np.nonzero(np.diff(table.indptr))[0]
         if self.eligible.size == 0:
             raise EmptyDatasetError("no user has training interactions")
 
@@ -425,11 +451,11 @@ class TripleSampler:
         for b in range(batch_size):
             while True:
                 u = int(self.eligible[self.rng.integers(self.eligible.size)])
-                items = t.user_items[u]
-                if items.size < t.num_items:
+                start, stop = t.indptr[u], t.indptr[u + 1]
+                if stop - start < t.num_items:
                     break
             users[b] = u
-            pos[b] = int(items[self.rng.integers(items.size)])
+            pos[b] = t.items[start + self.rng.integers(stop - start)]
             uset = t.user_set(u)
             while True:
                 j = int(self.rng.integers(t.num_items))

@@ -37,7 +37,7 @@ class RankCache:
         self.enc = enc
         self.scorer = Scorer(params, enc)
         self.masked = self.scorer.user_matrix @ self.scorer.item_matrix.T
-        self.masked[enc.table.pairs()] = -np.inf
+        self.masked[enc.table.users, enc.table.items] = -np.inf
         self._tops = {}
 
     def _top(self, k):

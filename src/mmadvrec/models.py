@@ -177,24 +177,22 @@ class DatasetEncoding:
 
 
 def _smoothing_matrix(table):
-    U, I = table.num_users, table.num_items
-    a_hat = np.zeros((U, I))
+    """Â^T Â for the symmetric-normalised interaction matrix
+    Â[u, i] = 1 / sqrt(deg(u) deg(i)) over every interaction (u, i)."""
+    a_hat = np.zeros((table.num_users, table.num_items))
+    deg_u = np.diff(table.indptr)
     deg_i = table.item_counts().astype(np.float64)
-    for u in range(U):
-        items = table.user_items[u]
-        if items.size == 0:
-            continue
-        a_hat[u, items] = 1.0 / np.sqrt(items.size * deg_i[items])
+    a_hat[table.users, table.items] = 1.0 / np.sqrt(deg_u[table.users] * deg_i[table.items])
     return a_hat.T @ a_hat
 
 
 def _user_means(table, feats):
-    out = np.zeros((table.num_users, feats.shape[1]))
-    for u in range(table.num_users):
-        items = table.user_items[u]
-        if items.size:
-            out[u] = feats[items].mean(axis=0)
-    return out
+    """Per user, the mean feature row of their items (zeros without any)."""
+    rows = feats[table.items]
+    sums = np.column_stack([np.bincount(table.users, weights=rows[:, c],
+                                        minlength=table.num_users)
+                            for c in range(feats.shape[1])])
+    return sums / np.maximum(np.diff(table.indptr), 1)[:, None]
 
 
 # ---------------------------------------------------------------------------

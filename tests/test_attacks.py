@@ -129,19 +129,23 @@ def test_pgd_single_step_hits_sphere(scene):
     assert len(trace.records) == 1
 
 
-def test_pgd_trace_monotone_single_user_identity(tiny_dataset):
-    split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
-    enc = DatasetEncoding(split, fv, ft, "concat")
-    params = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
-                                kind="concat", phi="identity", id_dim=10, fuse_dim=6,
-                                seed=31)
+def test_pgd_trace_monotone_single_user_identity():
+    # item 5 is new to user 5 alone, so the attack promotes it to one user;
+    # with identity phi that user's score is linear in the deltas
+    table = data.InteractionTable(6, 8, [[0, 5], [1, 5], [2, 5], [3, 5], [4, 5], [6, 7]])
+    rng = np.random.default_rng(31)
+    fv = data.FeatureMatrix("v", rng.normal(size=(8, 4)))
+    ft = data.FeatureMatrix("t", rng.normal(size=(8, 4)))
+    enc = DatasetEncoding(table, fv, ft, "concat")
+    params = models.init_params(6, 8, fv.dim, ft.dim, kind="concat", phi="identity",
+                                id_dim=4, fuse_dim=3, seed=31)
     i = 5
-    users = promoted_user_set(enc.table, i)[:1]
-    cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=8, k=10,
-                       target_users=users)
+    assert promoted_user_set(table, i).tolist() == [5]
+    cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=8, k=2)
     pert, trace = run_attack(params, enc, fv, ft, i, cfg)
     losses = [r.promotion_loss for r in trace.records]
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
+    assert losses[-1] > losses[0]
 
 
 def test_pgd_beats_fgsm_on_average(scene):

@@ -1,9 +1,66 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmadvrec import data
 from mmadvrec.data import (DataError, DatasetStats, EmptyDatasetError, FeatureMatrix,
                            InteractionTable, ParseError, SynthConfig)
+
+
+@st.composite
+def per_user_lists(draw):
+    """(num_items, per-user item lists): unsorted, with duplicates and with
+    users who hold nothing."""
+    num_items = draw(st.integers(1, 7))
+    lists = draw(st.lists(st.lists(st.integers(0, num_items - 1), max_size=9), max_size=6))
+    return num_items, lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_user_lists())
+def test_csr_layout_matches_per_user_unique(case):
+    num_items, lists = case
+    t = InteractionTable(len(lists), num_items, lists)
+    want = [np.unique(np.asarray(a, dtype=np.int64)) for a in lists]
+    sizes = [w.size for w in want]
+    assert t.indptr.tolist() == [0] + np.cumsum(sizes, dtype=np.int64).tolist()
+    assert t.items.tolist() == [i for w in want for i in w.tolist()]
+    assert t.users.tolist() == [u for u, n in enumerate(sizes) for _ in range(n)]
+    assert t.num_interactions == sum(sizes)
+    assert t.item_counts().tolist() == [sum(i in set(a) for a in lists)
+                                        for i in range(num_items)]
+    assert len(t.user_items) == len(lists)
+    for u, w in enumerate(want):
+        row = t.user_items[u]
+        assert row.dtype == np.int64 and np.array_equal(row, w)
+        assert row.base is t.items and not row.flags.writeable
+    if lists:
+        assert np.array_equal(t.user_items[-1], want[-1])
+    for a in (t.indptr, t.items, t.users):
+        assert not a.flags.writeable
+    with pytest.raises(IndexError):
+        t.user_items[len(lists)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_user_lists(), st.data())
+def test_out_of_range_item_id_is_a_data_error(case, picks):
+    num_items, lists = case
+    lists = lists or [[]]
+    bad = picks.draw(st.integers(-2 ** 62, -1) | st.integers(num_items, 2 ** 62))
+    lists[picks.draw(st.integers(0, len(lists) - 1))].append(bad)
+    with pytest.raises(DataError):
+        InteractionTable(len(lists), num_items, lists)
+
+
+def test_duplicates_drop_without_overflow_at_large_ids():
+    # user * num_items + item would overflow int64 here
+    big = 2 ** 62
+    t = InteractionTable(3, big, [[], [big - 1], [big - 1, 0, big - 1]])
+    assert t.items.tolist() == [big - 1, 0, big - 1]
+    assert t.users.tolist() == [1, 2, 2]
+    assert t.indptr.tolist() == [0, 0, 1, 3]
 
 
 def test_load_basic_and_dedup(tmp_path):

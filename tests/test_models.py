@@ -68,6 +68,39 @@ def test_zero_projections_reduce_to_id_embedding(tiny_dataset):
     assert np.all(h[4:] == 0.0)
 
 
+def _loop_user_means(table, feats):
+    """Per-user loop oracle of ``models._user_means``."""
+    out = np.zeros((table.num_users, feats.shape[1]))
+    for u in range(table.num_users):
+        items = table.user_items[u]
+        if items.size:
+            out[u] = feats[items].mean(axis=0)
+    return out
+
+
+def _loop_smoothing_matrix(table):
+    """Per-user loop oracle of ``models._smoothing_matrix``."""
+    a_hat = np.zeros((table.num_users, table.num_items))
+    deg_i = table.item_counts().astype(np.float64)
+    for u in range(table.num_users):
+        items = table.user_items[u]
+        if items.size:
+            a_hat[u, items] = 1.0 / np.sqrt(items.size * deg_i[items])
+    return a_hat.T @ a_hat
+
+
+def test_user_means_and_smoothing_match_per_user_loops_bitwise(tiny_dataset):
+    rng = np.random.default_rng(5)
+    wide = [rng.choice(200, size=rng.integers(0, 150), replace=False) for _ in range(40)]
+    tables = [tiny_dataset["raw"], tiny_dataset["split"],
+              data.InteractionTable(3, 4, [[2, 0], [], [3, 1, 2]]),
+              data.InteractionTable(40, 200, wide)]
+    for table in tables:
+        feats = rng.normal(size=(table.num_items, 5)) * rng.lognormal(size=(table.num_items, 1))
+        assert np.array_equal(models._user_means(table, feats), _loop_user_means(table, feats))
+        assert np.array_equal(models._smoothing_matrix(table), _loop_smoothing_matrix(table))
+
+
 def test_graph_isolated_item_keeps_feature():
     table = data.InteractionTable(2, 3, [[0], [0]])  # items 1 and 2 isolated
     fv = data.FeatureMatrix("v", np.arange(9, dtype=float).reshape(3, 3))

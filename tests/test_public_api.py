@@ -1,7 +1,8 @@
 """Every public top-level function or class of the package is used by the
 program itself (``src/``) or by the benchmark (``perfbench/``), and so is
-every optional parameter of a public function or method, so no API or
-option stays alive only for its own tests."""
+every optional parameter of a public function or method and every
+plain-default field of a public dataclass, so no API or option stays alive
+only for its own tests."""
 
 import ast
 from pathlib import Path
@@ -112,8 +113,11 @@ def _callees(expr):
 def _passed_arguments():
     """name -> (keywords passed, most positional arguments passed) over
     every call in src/ and perfbench/; a call through a local alias
-    (``fit = a.f if c else a.g``) counts for each function it may be.
-    Starred arguments are not counted: they pass nothing by name."""
+    (``fit = a.f if c else a.g``) counts for each function it may be, and a
+    public function or class passed to a call (``_checked(what, Config,
+    **fields)``) receives its keywords. Starred arguments are not counted:
+    they pass nothing by name."""
+    public = {name for _, name in _public_definitions()}
     passed = {}
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -142,23 +146,51 @@ def _passed_arguments():
             for name in names:
                 kws, most = passed.get(name, (set(), 0))
                 passed[name] = (kws | keywords, max(most, positional))
+            for name in set().union(*map(_callees, node.args)) & public:
+                kws, most = passed.get(name, (set(), 0))
+                passed[name] = (kws | keywords, most)
     return passed
+
+
+def _is_dataclass(cls):
+    return any(_callees(d.func if isinstance(d, ast.Call) else d) == {"dataclass"}
+               for d in cls.decorator_list)
+
+
+def _optional_parameters():
+    """(module.qualified name, name callers use, argument position that sets
+    it or None, name) for every optional parameter of a public function or
+    method and every plain-default field of a public dataclass. A
+    ``field(default_factory=...)`` holds state rather than an option, so it
+    is left out."""
+    for qualname, called_as, fn, skip in _public_functions():
+        args = fn.args.posonlyargs + fn.args.args
+        for index, a in enumerate(args):
+            if index >= len(args) - len(fn.args.defaults):
+                yield f"{qualname}.{a.arg}", called_as, index - skip, a.arg
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if d is not None:
+                yield f"{qualname}.{a.arg}", called_as, None, a.arg
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_")
+                    or not _is_dataclass(stmt)):
+                continue
+            fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)]
+            for index, f in enumerate(fields):
+                state = isinstance(f.value, ast.Call) and any(
+                    kw.arg == "default_factory" for kw in f.value.keywords)
+                if f.value is not None and not state:
+                    yield f"{path.stem}.{stmt.name}.{f.target.id}", stmt.name, index, f.target.id
 
 
 def test_every_optional_parameter_is_set_by_some_caller():
     passed = _passed_arguments()
     unset = []
-    for qualname, called_as, fn, skip in _public_functions():
+    for qualname, called_as, position, name in _optional_parameters():
         kws, most = passed.get(called_as, (set(), 0))
-        args = fn.args.posonlyargs + fn.args.args
-        optional = [(index, a.arg) for index, a in enumerate(args)
-                    if index >= len(args) - len(fn.args.defaults)]
-        optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                     if d is not None]
-        for index, name in optional:
-            by_position = index is not None and most > index - skip
-            if name not in kws and not by_position:
-                unset.append(f"{qualname}.{name}")
+        if name not in kws and (position is None or most <= position):
+            unset.append(qualname)
     unset = sorted(set(unset) - set(ALLOWED_PARAMETERS))
     assert unset == []
 
