@@ -8,13 +8,23 @@ and keeping the threshold from chasing the target makes the objective stable.
 One projected ascent serves both attacks: each step moves the deltas along
 their normalised gradients and projects them back onto the budget balls.
 PGD takes several short steps; FGSM is its one-step case, a single step of
-the whole budget. Either can add a cross-modal gradient-alignment term to
-the objective, which requires differentiating through the first-order
-gradients.
+the whole budget.
+
+The ascent's objective is built once, in ``ascent_gradients``: a loss plus a
+weighted cross-modal gradient-alignment term, the cosine between the loss's
+visual and textual delta gradients, which requires differentiating through
+those first-order gradients. The coordinated attack (``with_align``) uses it
+on the attacked item's one (visual, textual) delta pair, and the UAT-MC
+max phase in ``training`` uses it on a batch's positive and negative items,
+with ``budget_rows`` and ``to_sphere`` for its budgets and its step. The
+alignment needs equal visual and textual dimensions; with a positive weight
+on other data it is a data error, and the plain attack's trace then records
+its gradient cosine as NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +73,8 @@ class AttackConfig:
             raise DataError("eps_pct must lie in (0, 1]")
         if self.pgd_steps < 1:
             raise DataError("pgd_steps must be >= 1")
+        if self.align_weight < 0:
+            raise DataError("align_weight must be non-negative")
 
 
 @dataclass
@@ -79,12 +91,6 @@ class AttackTrace:
 
     def add(self, iteration, loss, n_rec, cosine):
         self.records.append(TraceRecord(iteration, float(loss), int(n_rec), float(cosine)))
-
-
-def resolve_budget(features, i, eps_pct):
-    """Absolute L2 budget: eps_pct times the 2-norm of the item's feature."""
-    norm = float(np.linalg.norm(features.row(i)))
-    return eps_pct * norm
 
 
 def promoted_user_set(table, i):
@@ -113,26 +119,55 @@ def promotion_loss(params, enc, i, users, deltas, k=50, cache=None, forward=None
     return ad.mul(ad.constant(1.0 / users.size), ad.sum_all(ad.sigmoid(margins)))
 
 
-def align_loss_for_attack(params, enc, i, users, deltas, k=50, cache=None,
-                          forward=None, thresholds=None):
-    """The promotion loss, its create-graph gradients (gv, gt) and their
-    cosine, the alignment term, which stays differentiable in the deltas."""
-    dv, dt = deltas
-    if not (dv.requires_grad and dt.requires_grad):
-        raise ad.GraphError("alignment needs perturbation tensors recorded on the graph")
-    loss = promotion_loss(params, enc, i, users, deltas, k=k, cache=cache,
-                          forward=forward, thresholds=thresholds)
-    gv, gt = ad.grad(loss, [dv, dt], create_graph=True)
-    return loss, (gv, gt), ad.cosine(gv, gt)
+def budget_rows(features, items, eps_pct):
+    """Absolute L2 budget per item: eps_pct times the 2-norm of its feature."""
+    return eps_pct * np.linalg.norm(features.values[items], axis=1)
 
 
-def scaled_unit(g, eps):
-    """eps * g / ||g||, or zeros when the gradient vanishes."""
-    g = np.asarray(g, dtype=np.float64)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0 or eps == 0.0:
-        return np.zeros_like(g), True
-    return eps * g / norm, False
+def to_sphere(g, radius):
+    """Each row of g moved to its radius along itself; a zero row stays zero."""
+    norms = np.sqrt((g * g).sum(axis=1))
+    scale = np.divide(radius, norms, out=np.zeros_like(norms), where=norms > 0)
+    return g * scale[:, None]
+
+
+def ascent_gradients(loss, pairs, weight):
+    """Gradients of the coordinated objective
+        loss + weight * sum over pairs of cos(sum_cols dloss/d delta_v,
+                                              sum_cols dloss/d delta_t)
+    w.r.t. the (delta_v, delta_t) leaf pairs, flattened in pair order. Returns
+    (objective gradients, loss gradients, alignment node or None).
+
+    The loss gradients are taken in create-graph mode so that the alignment
+    stays differentiable in the deltas; at weight 0 one plain backward gives
+    both. When the loss has one term, as a max phase on one triple does, and
+    the nonlinearity is the identity, both gradients are fixed vectors times
+    that term's one derivative, so the alignment is invariant in the deltas
+    and its gradients vanish (the linear-fusion degeneracy)."""
+    leaves = [d for pair in pairs for d in pair]
+    if weight == 0:
+        grads = ad.grad(loss, leaves)
+        return grads, grads, None
+    if any(dv.shape[1] != dt.shape[1] for dv, dt in pairs):
+        raise DataError("gradient alignment requires equal modality dims")
+    first = ad.grad(loss, leaves, create_graph=True)
+    align = None
+    for gv, gt in zip(first[::2], first[1::2]):
+        term = ad.cosine(ad.sum_cols(gv), ad.sum_cols(gt))
+        align = term if align is None else ad.add(align, term)
+    objective = ad.add(loss, ad.mul(ad.constant(weight), align))
+    return ad.grad(objective, leaves), first, align
+
+
+def np_cosine(a, b):
+    """Cosine of two numpy vectors: 0 when either norm is below
+    ad.NORM_TOLERANCE, NaN when their shapes differ."""
+    if a.shape != b.shape:
+        return float("nan")
+    na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
+    if na < ad.NORM_TOLERANCE or nb < ad.NORM_TOLERANCE:
+        return 0.0
+    return float(a.dot(b) / (na * nb))
 
 
 def _project(delta, eps):
@@ -143,16 +178,18 @@ def _project(delta, eps):
 
 
 def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
-    """Projected gradient ascent on the promotion objective; returns
-    (Perturbation, AttackTrace). PGD takes ``pgd_steps`` steps of
-    1.25 * eps / steps and FGSM one step of the whole budget, each along the
-    normalised gradient and projected back onto the budget ball."""
+    """Projected gradient ascent on the promotion objective, plus the
+    alignment term when ``with_align``; returns (Perturbation, AttackTrace).
+    PGD takes ``pgd_steps`` steps of 1.25 * eps / steps and FGSM one step of
+    the whole budget, each along the normalised gradient and projected back
+    onto the budget ball."""
     cache = cache if cache is not None else RankCache(params, enc)
     users = promoted_user_set(enc.table, i)
-    eps_v = resolve_budget(feats_v, i, config.eps_pct)
-    eps_t = resolve_budget(feats_t, i, config.eps_pct)
+    eps_v = float(budget_rows(feats_v, [i], config.eps_pct)[0])
+    eps_t = float(budget_rows(feats_t, [i], config.eps_pct)[0])
     thresholds = cache.thresholds_excluding(i, config.k, users=users)
     fw = Forward(params, enc)
+    weight = config.align_weight if config.with_align else 0.0
 
     def promotion(dv, dt):
         return promotion_loss(params, enc, i, users, (dv, dt), k=config.k, cache=cache,
@@ -167,33 +204,19 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     saw_zero_v = saw_zero_t = False
     for it in range(1, steps + 1):
         dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
-        if config.with_align:
-            promo, (gv_p, gt_p), align = align_loss_for_attack(
-                params, enc, i, users, (dv, dt), k=config.k, cache=cache, forward=fw,
-                thresholds=thresholds)
-            objective = ad.add(promo, ad.mul(ad.constant(config.align_weight), align))
-            gv, gt = ad.grad(objective, [dv, dt])
-        else:
-            gv_p, gt_p = gv, gt = ad.grad(promotion(dv, dt), [dv, dt])
-        move_v, zero_v = scaled_unit(gv.numpy()[0], step_v)
-        move_t, zero_t = scaled_unit(gt.numpy()[0], step_t)
-        saw_zero_v |= zero_v
-        saw_zero_t |= zero_t
+        (gv, gt), (gv_p, gt_p), _ = ascent_gradients(promotion(dv, dt), [(dv, dt)], weight)
+        move_v = to_sphere(gv.numpy(), step_v)[0]
+        move_t = to_sphere(gt.numpy(), step_t)[0]
+        saw_zero_v |= not move_v.any()
+        saw_zero_t |= not move_t.any()
         delta_v = _project(delta_v + move_v, eps_v)
         delta_t = _project(delta_t + move_t, eps_t)
         with ad.no_grad():
             loss = promotion(ad.constant(delta_v[None, :]), ad.constant(delta_t[None, :]))
         n_rec = hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache)
-        trace.add(it, loss.item(), n_rec, _np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
+        trace.add(it, loss.item(), n_rec, np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
     flags = [name for name, on in (
         ("zero_budget_v", eps_v == 0.0), ("zero_budget_t", eps_t == 0.0),
         ("zero_grad_v", saw_zero_v and eps_v != 0.0),
         ("zero_grad_t", saw_zero_t and eps_t != 0.0)) if on]
     return Perturbation(i, delta_v, delta_t, eps_v, eps_t, tuple(flags)), trace
-
-
-def _np_cosine(a, b):
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < ad.NORM_TOLERANCE or nb < ad.NORM_TOLERANCE:
-        return 0.0
-    return float(a @ b / (na * nb))

@@ -149,9 +149,6 @@ class Config:
     def snapshot(self):
         return dict(sorted(self.values.items()))
 
-    def canonical(self):
-        return json.dumps(self.snapshot(), sort_keys=True, separators=(",", ":"))
-
 
 def load_config(path, overrides=()):
     values = {}

@@ -163,9 +163,6 @@ class FeatureMatrix:
     def dim(self):
         return self.values.shape[1]
 
-    def row(self, i):
-        return self.values[i]
-
 
 # ---------------------------------------------------------------------------
 # interaction TSV

@@ -85,13 +85,9 @@ class RankCache:
         own = moved == i
         target = new[:, own][:, 0] if own.any() else sc[:, i]
         lower = moved[~own] < i
-
-        def beat(cols):
-            t = target[:, None]
-            return ((cols > t) | ((cols == t) & lower)).sum(axis=1)
-
         # the target is a hit iff at most r clean columns j != i beat it
-        r = k - 1 + beat(old[:, ~own]) - beat(new[:, ~own])
+        r = (k - 1 + _beaters(old[:, ~own], target, lower)
+             - _beaters(new[:, ~own], target, lower))
         hit = np.zeros(sc.shape[0], dtype=bool)
         live = np.isfinite(target) & (r >= 0)
         if 1 <= k < sc.shape[1]:
@@ -113,9 +109,16 @@ class RankCache:
     def _clean_beaters(self, rows, i, target):
         """Per row, how many clean columns j != i beat the target score."""
         sub = self.masked[rows]
-        t = target[:, None]
-        return ((sub > t).sum(axis=1) + (sub[:, :i] == t).sum(axis=1)
-                - (sub[:, i] > target))
+        lower = np.arange(sub.shape[1]) < i
+        return _beaters(sub, target, lower) - (sub[:, i] > target)
+
+
+def _beaters(cols, target, lower):
+    """Per row, how many columns outrank the row's target score: a higher
+    score, or an equal one on an item id below the target's, which
+    ``lower`` marks per column (or per row and column)."""
+    t = target[:, None]
+    return (cols > t).sum(axis=1) + ((cols == t) & lower).sum(axis=1)
 
 
 def hit_count(params, enc, i, k, delta=None, cache=None):
@@ -164,10 +167,8 @@ def recall_ndcg(params, enc, k=10, cache=None):
     sc = cache.masked[eligible]
     hold = table.holdout[eligible]
     target = sc[np.arange(eligible.size), hold]
-    ids = np.arange(table.num_items)
-    higher = (sc > target[:, None]).sum(axis=1) \
-        + ((sc == target[:, None]) & (ids[None, :] < hold[:, None])).sum(axis=1)
-    rank = higher  # zero-based count of better items
+    lower = np.arange(table.num_items)[None, :] < hold[:, None]
+    rank = _beaters(sc, target, lower)  # zero-based count of better items
     inside = rank <= k - 1
     recall = inside.mean()
     ndcg = np.where(inside, 1.0 / np.log2(rank + 2.0), 0.0).mean()

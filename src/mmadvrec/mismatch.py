@@ -82,12 +82,7 @@ def directional_contribution(g_u, aggregate, norm_sum):
     """cos(g_u, G) * ||g_u|| / norm_sum; zero gradient contributes zero."""
     if norm_sum <= 0:
         raise ValueError("all user gradients are degenerate (zero norm sum)")
-    n_u = float(np.linalg.norm(g_u))
-    n_g = float(np.linalg.norm(aggregate))
-    if n_u < ad.NORM_TOLERANCE or n_g < ad.NORM_TOLERANCE:
-        return 0.0
-    cos = float(np.dot(g_u, aggregate) / (n_u * n_g))
-    return cos * n_u / norm_sum
+    return attacks.np_cosine(g_u, aggregate) * math.sqrt(g_u.dot(g_u)) / norm_sum
 
 
 def user_contributions(params, enc, i, users, k=50, cache=None):

@@ -20,7 +20,6 @@ coordinated defence can differentiate through its first-order gradients.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -75,10 +74,6 @@ class ModelParams:
     def fuse_dim(self):
         return self.proj_v.shape[0]
 
-    @property
-    def embed_dim(self):
-        return self.id_dim + 2 * self.fuse_dim
-
     def arrays(self):
         out = {"user_embeds": self.user_embeds, "item_embeds": self.item_embeds,
                "proj_v": self.proj_v, "proj_t": self.proj_t}
@@ -93,13 +88,6 @@ class ModelParams:
                            self.proj_v.copy(), self.proj_t.copy(),
                            None if self.prop_v is None else self.prop_v.copy(),
                            None if self.prop_t is None else self.prop_t.copy())
-
-    def checksum(self):
-        h = hashlib.sha256()
-        for name in sorted(self.arrays()):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(self.arrays()[name]).tobytes())
-        return h.hexdigest()
 
 
 def init_params(num_users, num_items, dim_v, dim_t, *, kind="concat", phi="tanh",

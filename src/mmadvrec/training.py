@@ -2,16 +2,18 @@
 its coordinated variant that aligns cross-modal perturbation gradients.
 
 Each adversarial step runs two phases over one sampled batch. The max phase
-freezes the parameters, differentiates the perturbed ranking loss with respect
-to per-item feature deltas (in create-graph mode when the alignment weight is
-positive, because the alignment term is a function of those gradients), and
-assigns each delta to its budget sphere along the normalised gradient. The min
+is an attack on the batch: with the parameters frozen it takes the
+coordinated ascent of ``attacks`` (``ascent_gradients``) on the perturbed
+ranking loss, with the batch's positive and negative items as its two
+(visual, textual) delta pairs and alpha as the alignment weight, and moves
+each delta to its budget sphere along the resulting gradient. The min
 phase treats the deltas as constants and takes one optimiser step on
 clean loss + lambda * perturbed loss + beta * squared parameter norm.
 With alpha = 0 the max phase skips the alignment term entirely, so the
 coordinated variant degenerates to plain untargeted adversarial training
 batch for batch; with lambda = 0 the min phase reduces to the pretraining
-step the same way.
+step the same way. A positive alpha needs equal visual and textual
+dimensions, as the coordinated attack does.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from .attacks import ascent_gradients, budget_rows, to_sphere
 from .data import DataError, TripleSampler
 from .metrics import recall_ndcg
 from .models import Forward
@@ -126,76 +129,23 @@ def _reg_loss(fw):
 # ---------------------------------------------------------------------------
 # phases
 
-def _budget_rows(feats, items, eps_pct):
-    norms = np.linalg.norm(feats.values[items], axis=1)
-    return eps_pct * norms
-
-
 _DELTA_KEYS = ("dv_pos", "dt_pos", "dv_neg", "dt_neg")
-
-
-def _zero_delta_nodes(batch_size, feats_v, feats_t):
-    dims = {"dv_pos": feats_v.dim, "dt_pos": feats_t.dim,
-            "dv_neg": feats_v.dim, "dt_neg": feats_t.dim}
-    return {k: ad.leaf(np.zeros((batch_size, dims[k]))) for k in _DELTA_KEYS}
-
-
-def _max_objective(params, enc, triples, config, fw, nodes):
-    """The max-phase objective: perturbed loss plus the weighted alignment
-    term, which is built from create-graph gradients of the perturbed loss.
-    Returns (objective, perturbed loss, alignment node or None at alpha = 0).
-
-    With an identity nonlinearity and batch size 1 the per-triple gradients
-    share one scalar, so the alignment is invariant in the deltas and its
-    gradients vanish (the linear-fusion degeneracy)."""
-    alpha = config.effective_alpha
-    leaves = [nodes[k] for k in _DELTA_KEYS]
-    adv = bpr_loss(params, enc, triples, forward=fw, reduction=config.reduction,
-                   deltas=nodes)
-    if alpha == 0:
-        return adv, adv, None
-    if nodes["dv_pos"].shape[1] != nodes["dt_pos"].shape[1]:
-        raise DataError("gradient alignment requires equal modality dims")
-    gvp, gtp, gvn, gtn = ad.grad(adv, leaves, create_graph=True)
-    align = ad.add(ad.cosine(ad.sum_cols(gvp), ad.sum_cols(gtp)),
-                   ad.cosine(ad.sum_cols(gvn), ad.sum_cols(gtn)))
-    objective = ad.add(adv, ad.mul(ad.constant(alpha), align))
-    return objective, adv, align
-
-
-def max_phase_gradients(params, enc, triples, config, feats_v, feats_t):
-    """Raw gradients of the max-phase objective w.r.t. the four delta blocks,
-    at zero perturbation. Returns (dict key -> gradient array, alignment value).
-    """
-    users, _, _ = triples
-    fw = Forward(params, enc)
-    nodes = _zero_delta_nodes(len(users), feats_v, feats_t)
-    objective, _, align = _max_objective(params, enc, triples, config, fw, nodes)
-    align_value = align.item() if align is not None else 0.0
-    grads = ad.grad(objective, [nodes[k] for k in _DELTA_KEYS])
-    return {k: g.numpy() for k, g in zip(_DELTA_KEYS, grads)}, align_value
 
 
 def max_phase(params, enc, triples, config, feats_v, feats_t):
     """Generate budget-sphere perturbations for the batch; returns
     (DeltaBatch, alignment value). Parameters stay frozen."""
     _, pos, neg = triples
-    grads, align_value = max_phase_gradients(params, enc, triples, config,
-                                             feats_v, feats_t)
-    eps = {
-        "dv_pos": _budget_rows(feats_v, pos, config.eps_d_pct),
-        "dt_pos": _budget_rows(feats_t, pos, config.eps_d_pct),
-        "dv_neg": _budget_rows(feats_v, neg, config.eps_d_pct),
-        "dt_neg": _budget_rows(feats_t, neg, config.eps_d_pct),
-    }
-    out = {key: _rows_to_sphere(grads[key], eps[key]) for key in _DELTA_KEYS}
-    return DeltaBatch(**out), align_value
-
-
-def _rows_to_sphere(g, eps_rows):
-    norms = np.linalg.norm(g, axis=1)
-    scale = np.where(norms > 0, eps_rows / np.where(norms > 0, norms, 1.0), 0.0)
-    return g * scale[:, None]
+    blocks = list(zip(_DELTA_KEYS, (feats_v, feats_t) * 2, (pos, pos, neg, neg)))
+    nodes = {key: ad.leaf(np.zeros((len(items), feats.dim)))
+             for key, feats, items in blocks}
+    adv = bpr_loss(params, enc, triples, reduction=config.reduction, deltas=nodes)
+    leaves = list(nodes.values())
+    grads, _, align = ascent_gradients(adv, [leaves[:2], leaves[2:]],
+                                       config.effective_alpha)
+    out = {key: to_sphere(g.numpy(), budget_rows(feats, items, config.eps_d_pct))
+           for (key, feats, items), g in zip(blocks, grads)}
+    return DeltaBatch(**out), 0.0 if align is None else align.item()
 
 
 def min_phase(params, enc, triples, delta_batch, config, optimizer):

@@ -41,3 +41,9 @@ def rel_err(approx, exact):
     exact = np.asarray(exact, dtype=float)
     scale = max(float(np.max(np.abs(exact))), 1e-10)
     return float(np.max(np.abs(approx - exact))) / scale
+
+
+def param_bytes(params):
+    """Each parameter array's shape and bytes by name: equal exactly when
+    two models' parameters are bitwise equal."""
+    return {name: (a.shape, a.tobytes()) for name, a in params.arrays().items()}

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from mmadvrec import attacks, autodiff as ad, data, metrics, models
-from mmadvrec.attacks import (AttackConfig, Perturbation, align_loss_for_attack,
-                              promoted_user_set, promotion_loss, resolve_budget,
-                              run_attack, scaled_unit)
+from mmadvrec.attacks import (AttackConfig, Perturbation, ascent_gradients, budget_rows,
+                              promoted_user_set, promotion_loss, run_attack, to_sphere)
 from mmadvrec.metrics import RankCache, hit_at_k
 from mmadvrec.models import DatasetEncoding
 
-from conftest import rel_err
+from conftest import param_bytes, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +26,11 @@ def test_perturbation_budget_invariant():
 
 def test_resolve_budget():
     f = data.FeatureMatrix("v", np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 0.0]]))
-    assert resolve_budget(f, 0, 0.10) == pytest.approx(0.5, abs=1e-12)
-    assert resolve_budget(f, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert resolve_budget(f, 2, 0.10) == 0.0
-    grid = [resolve_budget(f, 0, pct) for pct in (0.025, 0.05, 0.075, 0.10)]
+    assert budget_rows(f, [0], 0.10)[0] == pytest.approx(0.5, abs=1e-12)
+    assert budget_rows(f, [1], 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert budget_rows(f, [2], 0.10)[0] == 0.0
+    assert np.allclose(budget_rows(f, [2, 0, 0, 1], 0.10), [0.0, 0.5, 0.5, 0.1], atol=1e-12)
+    grid = [budget_rows(f, [0], pct)[0] for pct in (0.025, 0.05, 0.075, 0.10)]
     assert all(a < b for a, b in zip(grid, grid[1:]))
 
 
@@ -58,11 +58,13 @@ def test_promotion_loss_trivials(scene):
 
 
 def test_scaled_unit_direction():
-    delta, degenerate = scaled_unit(np.array([3.0, 4.0]), 1.0)
-    assert np.allclose(delta, [0.6, 0.8], atol=1e-12)
-    assert not degenerate
-    delta, degenerate = scaled_unit(np.zeros(2), 1.0)
-    assert degenerate and np.all(delta == 0.0)
+    g = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]])
+    assert np.allclose(to_sphere(g, 1.0), [[0.6, 0.8], [0.0, 0.0], [0.0, -1.0]], atol=1e-12)
+    # one radius per row; a zero row stays zero whatever its radius
+    moved = to_sphere(g, np.array([2.0, 5.0, 0.5]))
+    assert np.allclose(moved, [[1.2, 1.6], [0.0, 0.0], [0.0, -0.5]], atol=1e-12)
+    assert np.all(moved[1] == 0.0)
+    assert np.all(to_sphere(g, 0.0) == 0.0)
 
 
 def test_fgsm_budget_exact(scene):
@@ -94,8 +96,8 @@ def test_fgsm_improves_hit_on_trained_model(scene):
 def test_pgd_feasible_every_iterate(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[1])
-    eps_v = resolve_budget(fv, i, 0.10)
-    eps_t = resolve_budget(ft, i, 0.10)
+    eps_v = budget_rows(fv, [i], 0.10)[0]
+    eps_t = budget_rows(ft, [i], 0.10)[0]
 
     # re-run the loop manually to check every iterate, not just the last
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=6, k=10)
@@ -109,8 +111,8 @@ def test_pgd_feasible_every_iterate(scene):
         loss = promotion_loss(params, enc, i, users, (dv, dt), k=cfg.k,
                               cache=cache, forward=fw, thresholds=thr)
         gv, gt = ad.grad(loss, [dv, dt])
-        mv, _ = scaled_unit(gv.numpy()[0], 1.25 * eps_v / cfg.pgd_steps)
-        mt, _ = scaled_unit(gt.numpy()[0], 1.25 * eps_t / cfg.pgd_steps)
+        mv = to_sphere(gv.numpy(), 1.25 * eps_v / cfg.pgd_steps)[0]
+        mt = to_sphere(gt.numpy(), 1.25 * eps_t / cfg.pgd_steps)[0]
         delta_v = attacks._project(delta_v + mv, eps_v)
         delta_t = attacks._project(delta_t + mt, eps_t)
         assert np.linalg.norm(delta_v) <= eps_v + 1e-9
@@ -164,10 +166,10 @@ def test_pgd_beats_fgsm_on_average(scene):
 
 def test_attack_never_mutates_params(scene):
     params, enc, fv, ft, cache, targets = scene
-    checksum = params.checksum()
+    before = param_bytes(params)
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=3, k=10, with_align=True)
     run_attack(params, enc, fv, ft, int(targets[0]), cfg, cache=cache)
-    assert params.checksum() == checksum
+    assert param_bytes(params) == before
 
 
 def test_attack_deterministic(scene):
@@ -179,21 +181,33 @@ def test_attack_deterministic(scene):
     assert a.delta_t.tobytes() == b.delta_t.tobytes()
 
 
+def align_ascent(params, enc, i, users, deltas, weight=1.0, **kwargs):
+    """The attack's coordinated ascent on the promotion loss with its one
+    (visual, textual) delta pair: (loss, objective gradients, loss
+    gradients, alignment node)."""
+    loss = promotion_loss(params, enc, i, users, deltas, k=10, **kwargs)
+    grads, loss_grads, align = ascent_gradients(loss, [deltas], weight)
+    return loss, grads, loss_grads, align
+
+
 def test_align_loss_bounds_and_symmetry(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[0])
     users = promoted_user_set(enc.table, i)
     dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, ft.dim)))
-    loss, (gv, gt), val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10,
-                                                cache=cache)
+    loss, _, (gv, gt), val = align_ascent(params, enc, i, users, (dv, dt), cache=cache)
     assert -1.0 - 1e-9 <= val.item() <= 1.0 + 1e-9
     assert gv.shape == (1, fv.dim) and gt.shape == (1, ft.dim)
     assert loss.item() == promotion_loss(params, enc, i, users, (dv, dt), k=10,
                                          cache=cache).item()
+    # at weight 0 the objective and loss gradients are one plain backward
+    _, grads, loss_grads, align = align_ascent(params, enc, i, users, (dv, dt), 0.0,
+                                               cache=cache)
+    assert align is None and grads is loss_grads
+    assert np.array_equal(grads[0].numpy(), gv.numpy())
     with pytest.raises(ad.GraphError):
-        align_loss_for_attack(params, enc, i, users,
-                              (ad.constant(np.zeros((1, fv.dim))),
-                               ad.constant(np.zeros((1, ft.dim)))), k=10, cache=cache)
+        align_ascent(params, enc, i, users, (ad.constant(np.zeros((1, fv.dim))),
+                                             ad.constant(np.zeros((1, ft.dim)))), cache=cache)
 
 
 def test_align_loss_symmetric_construction(tiny_dataset):
@@ -207,7 +221,7 @@ def test_align_loss_symmetric_construction(tiny_dataset):
     i = 4
     users = promoted_user_set(enc.table, i)
     dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, fv.dim)))
-    _, _, val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10)
+    _, _, _, val = align_ascent(params, enc, i, users, (dv, dt))
     assert val.item() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -220,19 +234,34 @@ def test_align_loss_gradient_fd(scene):
     dv0 = 0.05 * rng.normal(size=(1, fv.dim))
     dt0 = 0.05 * rng.normal(size=(1, ft.dim))
     dv, dt = ad.leaf(dv0), ad.leaf(dt0)
-    _, _, val = align_loss_for_attack(params, enc, i, users, (dv, dt), k=10,
-                                      cache=cache, thresholds=thr)
+    _, (ov, ot), _, val = align_ascent(params, enc, i, users, (dv, dt), 2.5, cache=cache,
+                                       thresholds=thr)
     gv, gt = ad.grad(val, [dv, dt])
 
     def f(vs):
-        _, _, node = align_loss_for_attack(params, enc, i, users,
-                                           (ad.leaf(vs[0]), ad.leaf(vs[1])), k=10,
-                                           cache=cache, thresholds=thr)
+        _, _, _, node = align_ascent(params, enc, i, users, (ad.leaf(vs[0]), ad.leaf(vs[1])),
+                                     cache=cache, thresholds=thr)
         return node.item()
 
     fgv, fgt = ad.fd_gradient(f, [dv0, dt0], step=1e-5)
     assert rel_err(gv.numpy(), fgv) < 1e-4
     assert rel_err(gt.numpy(), fgt) < 1e-4
+    # the objective's gradients are the loss's plus weight times the alignment's
+    lv, lt = ad.grad(promotion_loss(params, enc, i, users, (dv, dt), k=10, cache=cache,
+                                    thresholds=thr), [dv, dt])
+    assert rel_err(ov.numpy(), lv.numpy() + 2.5 * gv.numpy()) < 1e-12
+    assert rel_err(ot.numpy(), lt.numpy() + 2.5 * gt.numpy()) < 1e-12
+
+
+def test_alignment_requires_equal_modality_dims():
+    dv, dt = ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 4)))
+    loss = ad.add(ad.sum_all(ad.mul(dv, dv)), ad.sum_all(dt))
+    with pytest.raises(data.DataError, match="equal modality dims"):
+        ascent_gradients(loss, [(dv, dt)], 1.0)
+    gv, gt = ascent_gradients(loss, [(dv, dt)], 0.0)[0]
+    assert np.array_equal(gv.numpy(), 2 * np.ones((2, 3)))
+    assert np.array_equal(gt.numpy(), np.ones((2, 4)))
+    assert np.isnan(attacks.np_cosine(np.ones(3), np.ones(4)))
 
 
 def test_zero_budget_flags():

@@ -305,6 +305,7 @@ def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, 
                                                  ("attack", "attack.variant", "xyz"),
                                                  ("attack", "attack.eps_a_pct", "2"),
                                                  ("attack", "attack.threshold_mode", "xyz"),
+                                                 ("attack", "attack.align_weight", "-3"),
                                                  ("train", "train.optimizer", "xyz")])
 def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
                                                  command, key, value):
@@ -343,3 +344,37 @@ def test_generated_data_with_a_cold_last_item_reloads(workspace, tmp_path):
     table = data.load_interactions(out / "interactions.tsv")
     assert table.num_items < 200  # the precondition: the last item has no interaction
     assert cli.main(["train", "--config", workspace["cfg"], *sets]) == cli.EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def unequal_dims(workspace, tmp_path_factory):
+    """Runs commands on a pretrained workspace whose visual features have 8
+    columns and textual features 6; an attack writes to ``data.out_dir``
+    and reads the workspace's checkpoint."""
+    out = tmp_path_factory.mktemp("unequal")
+    sets = ["--set", f"data.out_dir={out}", "--set", f"data.path={out}",
+            "--set", "synth.feat_dim_v=8", "--set", "synth.feat_dim_t=6"]
+    assert cli.main(["gen-data", "--config", workspace["cfg"], *sets]) == cli.EXIT_OK
+    assert cli.main(["train", "--config", workspace["cfg"], *sets]) == cli.EXIT_OK
+    ckpt = ["--checkpoint", str(out / "pretrained.ckpt")]
+    return lambda command, *extra: cli.main([command, "--config", workspace["cfg"],
+                                             *sets, *ckpt, *extra])
+
+
+def test_attack_on_unequal_modality_dims_records_nan_cosine(unequal_dims, tmp_path):
+    assert unequal_dims("attack", "--set", f"data.out_dir={tmp_path}") == cli.EXIT_OK
+    header, rows, _ = reports.read_csv(tmp_path / "attack_trace.csv")
+    column = header.index("grad_cosine")
+    assert len(rows) == 5 * 3
+    assert all(np.isnan(float(r[column])) for r in rows)
+    assert all(np.isfinite(float(r[header.index("promotion_loss")])) for r in rows)
+
+
+def test_alignment_on_unequal_modality_dims_is_a_data_error(unequal_dims, tmp_path, capsys):
+    assert unequal_dims("defend") == cli.EXIT_DATA
+    defend_err = capsys.readouterr().err.splitlines()
+    assert unequal_dims("attack", "--set", f"data.out_dir={tmp_path}",
+                        "--set", "attack.with_align=true") == cli.EXIT_DATA
+    attack_err = capsys.readouterr().err.splitlines()
+    assert len(attack_err) == 1 and "equal modality dims" in attack_err[0]
+    assert attack_err == defend_err

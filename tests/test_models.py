@@ -4,7 +4,7 @@ import pytest
 from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
 
-from conftest import rel_err
+from conftest import param_bytes, rel_err
 
 
 def brute_force_rank(scores, i, pool):
@@ -259,7 +259,7 @@ def test_id_only_user_embedding(tiny_dataset):
     params = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
                                 kind="concat", user_content="id_only",
                                 id_dim=4, fuse_dim=3, seed=13)
-    assert params.user_embeds.shape[1] == params.embed_dim
+    assert params.user_embeds.shape[1] == 4 + 2 * 3  # id_dim + 2 * fuse_dim
     h_u = Forward(params, enc).user_embedding_batch([2]).numpy()[0]
     assert np.array_equal(h_u, params.user_embeds[2])
 
@@ -269,7 +269,7 @@ def test_checkpoint_roundtrip(setup, tmp_path):
     path = tmp_path / "model.ckpt"
     models.save_checkpoint(params, path)
     loaded = models.load_checkpoint(path)
-    assert loaded.checksum() == params.checksum()
+    assert param_bytes(loaded) == param_bytes(params)
     assert (loaded.kind, loaded.phi, loaded.user_content) == (
         params.kind, params.phi, params.user_content)
     assert path.read_bytes()[:4] == b"UATM"

@@ -1,8 +1,8 @@
 """Every public top-level function or class of the package is used by the
 program itself (``src/``) or by the benchmark (``perfbench/``), and so is
-every optional parameter of a public function or method and every
-plain-default field of a public dataclass, so no API or option stays alive
-only for its own tests."""
+every public method or property of a public class, every optional
+parameter of a public function or method and every plain-default field of a
+public dataclass, so no API or option stays alive only for its own tests."""
 
 import ast
 from pathlib import Path
@@ -150,6 +150,19 @@ def _passed_arguments():
                 kws, most = passed.get(name, (set(), 0))
                 passed[name] = (kws | keywords, most)
     return passed
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    """A method or property counts as used when some attribute access in
+    src/ or perfbench/ names it; the receiver's type is not resolved."""
+    attributes = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        attributes |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.Attribute)}
+    unused = sorted(qualname for qualname, _, fn, _ in _public_functions()
+                    if qualname.count(".") == 2 and fn.name != "__init__"
+                    and fn.name not in attributes)
+    assert unused == []
 
 
 def _is_dataclass(cls):
