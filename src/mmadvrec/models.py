@@ -6,10 +6,11 @@ Items and users share one fusion recipe
 where z_m is the item's modality feature and mean_m averages the features of
 the user's training items. The concat model feeds raw features; the graph
 model first smooths features over the user-item bipartite graph (one
-symmetric-normalised round) and applies a trainable linear map per modality.
-Perturbations are added to an item's raw feature, so under the graph model
-they reach co-consumed items through the smoothing weights. User embeddings
-are always built from clean features.
+symmetric-normalised round, Âᵀ(Â z), computed from the interaction table's
+CSR arrays) and applies a trainable linear map per modality. Perturbations
+are added to an item's raw feature, so under the graph model they reach
+co-consumed items with the weights of ``DatasetEncoding.delta_column``.
+User embeddings are always built from clean features.
 
 One batched, traced forward (``Forward``) computes every embedding: the
 training batches, an attacked or surveyed item as a 1-row batch, and, under
@@ -117,9 +118,14 @@ def init_params(num_users, num_items, dim_v, dim_t, *, kind="concat", phi="tanh"
 class DatasetEncoding:
     """Feature constants derived from one (table, features) triple.
 
-    For the graph model this holds the smoothed item features, the smoothing
-    matrix column needed to propagate a perturbation, and per-item self
-    coefficients; isolated items keep their raw feature (self coefficient 1).
+    For the graph model this holds the smoothed item features Âᵀ(Â z), where
+    Â[u, i] = 1 / sqrt(deg(u) deg(i)) over every interaction (u, i), and each
+    item's self coefficient (ÂᵀÂ)[i, i]; ``delta_column`` gives the column of
+    ÂᵀÂ that propagates a perturbation. All three are computed from the
+    table's CSR arrays: ``weights`` holds Â's entry of each interaction, and
+    ``item_order`` with ``item_ptr`` lists each item's interactions (CSC
+    order), so the memory grows with the number of interactions, not with
+    U·I or I². Isolated items keep their raw feature (self coefficient 1).
     """
 
     def __init__(self, table, feats_v, feats_t, kind):
@@ -132,54 +138,61 @@ class DatasetEncoding:
         self.raw_v = feats_v.values
         self.raw_t = feats_t.values
         if kind == "graph":
-            smooth = _smoothing_matrix(table)
-            isolated = table.item_counts() == 0
-            self.eff_v = smooth @ self.raw_v
-            self.eff_t = smooth @ self.raw_t
+            deg_u = np.diff(table.indptr)
+            deg_i = table.item_counts()
+            self.weights = 1.0 / np.sqrt(deg_u[table.users] * deg_i[table.items])
+            self.item_order = np.argsort(table.items, kind="stable")
+            self.item_ptr = np.zeros(table.num_items + 1, dtype=np.int64)
+            np.cumsum(deg_i, out=self.item_ptr[1:])
+            isolated = deg_i == 0
+            self.eff_v = self._smooth(self.raw_v)
+            self.eff_t = self._smooth(self.raw_t)
             self.eff_v[isolated] = self.raw_v[isolated]
             self.eff_t[isolated] = self.raw_t[isolated]
-            self.self_coef = np.diag(smooth).copy()
+            self.self_coef = np.bincount(table.items, weights=self.weights * self.weights,
+                                         minlength=table.num_items)
             self.self_coef[isolated] = 1.0
-            self._smooth = smooth
-            self._isolated = isolated
         else:
             self.eff_v = self.raw_v
             self.eff_t = self.raw_t
             self.self_coef = np.ones(table.num_items)
-            self._smooth = None
-            self._isolated = None
         self.user_mean_v = _user_means(table, self.eff_v)
         self.user_mean_t = _user_means(table, self.eff_t)
 
+    def _smooth(self, feats):
+        """Âᵀ(Â feats): scatter to the users, then back to the items."""
+        t, w = self.table, self.weights[:, None]
+        by_user = _bincount_rows(t.users, w * feats[t.items], t.num_users)
+        return _bincount_rows(t.items, w * by_user[t.users], t.num_items)
+
     def delta_column(self, i):
-        """Per-item weights of a unit perturbation on item i's raw feature."""
-        col = np.zeros(self.table.num_items)
-        if self._smooth is None:
-            col[i] = 1.0
-        elif self._isolated[i]:
-            col[i] = 1.0
-        else:
-            col = self._smooth[:, i].copy()
-            col[self._isolated] = 0.0
+        """Per-item weights of a unit perturbation on item i's raw feature:
+        Âᵀ(Â[:, i]), summed over the CSR rows of i's consumers (a unit column
+        under the concat model and for an isolated item)."""
+        t = self.table
+        if self.kind == "graph" and self.item_ptr[i] < self.item_ptr[i + 1]:
+            own = self.item_order[self.item_ptr[i]:self.item_ptr[i + 1]]  # i's interactions
+            consumers = t.users[own]
+            starts = t.indptr[consumers]
+            lens = t.indptr[consumers + 1] - starts
+            # every consumer's CSR row, one after another
+            rows = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            return np.bincount(t.items[rows], minlength=t.num_items,
+                               weights=np.repeat(self.weights[own], lens) * self.weights[rows])
+        col = np.zeros(t.num_items)
+        col[i] = 1.0
         return col
 
 
-def _smoothing_matrix(table):
-    """Â^T Â for the symmetric-normalised interaction matrix
-    Â[u, i] = 1 / sqrt(deg(u) deg(i)) over every interaction (u, i)."""
-    a_hat = np.zeros((table.num_users, table.num_items))
-    deg_u = np.diff(table.indptr)
-    deg_i = table.item_counts().astype(np.float64)
-    a_hat[table.users, table.items] = 1.0 / np.sqrt(deg_u[table.users] * deg_i[table.items])
-    return a_hat.T @ a_hat
+def _bincount_rows(index, rows, n):
+    """(n, d) sums: row k adds up every ``rows[j]`` with ``index[j] == k``."""
+    return np.column_stack([np.bincount(index, weights=rows[:, c], minlength=n)
+                            for c in range(rows.shape[1])])
 
 
 def _user_means(table, feats):
     """Per user, the mean feature row of their items (zeros without any)."""
-    rows = feats[table.items]
-    sums = np.column_stack([np.bincount(table.users, weights=rows[:, c],
-                                        minlength=table.num_users)
-                            for c in range(feats.shape[1])])
+    sums = _bincount_rows(table.users, feats[table.items], table.num_users)
     return sums / np.maximum(np.diff(table.indptr), 1)[:, None]
 
 

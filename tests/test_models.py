@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
@@ -79,7 +83,7 @@ def _loop_user_means(table, feats):
 
 
 def _loop_smoothing_matrix(table):
-    """Per-user loop oracle of ``models._smoothing_matrix``."""
+    """Per-user loop oracle of the dense smoothing matrix ÂᵀÂ."""
     a_hat = np.zeros((table.num_users, table.num_items))
     deg_i = table.item_counts().astype(np.float64)
     for u in range(table.num_users):
@@ -89,6 +93,41 @@ def _loop_smoothing_matrix(table):
     return a_hat.T @ a_hat
 
 
+@st.composite
+def edge_case_tables(draw):
+    """Small random tables plus every edge case of the smoothing: a user with
+    no items, an isolated item, an item with one consumer (who lists it
+    twice), and duplicate pairs among the random lists."""
+    num_items = draw(st.integers(1, 8))
+    lists = draw(st.lists(st.lists(st.integers(0, num_items - 1), max_size=9), max_size=7))
+    lists = lists + [[], [num_items, num_items]]
+    return data.InteractionTable(len(lists), num_items + 2, lists)
+
+
+def _check_against_loops(table, rng):
+    """``_user_means`` bitwise, and the graph encoding's smoothing within
+    1e-12 of the dense loop oracle, with the same delta-column support."""
+    n = table.num_items
+    raw_v, raw_t = (rng.normal(size=(n, 5)) * rng.lognormal(size=(n, 1)) for _ in range(2))
+    assert np.array_equal(models._user_means(table, raw_v), _loop_user_means(table, raw_v))
+    enc = DatasetEncoding(table, data.FeatureMatrix("v", raw_v), data.FeatureMatrix("t", raw_t),
+                          "graph")
+    smooth = _loop_smoothing_matrix(table)
+    isolated = table.item_counts() == 0
+    for got, raw in ((enc.eff_v, raw_v), (enc.eff_t, raw_t)):
+        want = smooth @ raw
+        want[isolated] = raw[isolated]
+        assert rel_err(got, want) <= 1e-12
+    assert rel_err(enc.self_coef, np.where(isolated, 1.0, np.diag(smooth))) <= 1e-12
+    unit = np.eye(n)
+    for i in range(n):
+        want = unit[i] if isolated[i] else smooth[:, i]
+        col = enc.delta_column(i)
+        assert rel_err(col, want) <= 1e-12
+        # Scorer.perturbed_rows moves exactly the rows in this support
+        assert np.array_equal(np.nonzero(col)[0], np.nonzero(want)[0])
+
+
 def test_user_means_and_smoothing_match_per_user_loops_bitwise(tiny_dataset):
     rng = np.random.default_rng(5)
     wide = [rng.choice(200, size=rng.integers(0, 150), replace=False) for _ in range(40)]
@@ -96,9 +135,33 @@ def test_user_means_and_smoothing_match_per_user_loops_bitwise(tiny_dataset):
               data.InteractionTable(3, 4, [[2, 0], [], [3, 1, 2]]),
               data.InteractionTable(40, 200, wide)]
     for table in tables:
-        feats = rng.normal(size=(table.num_items, 5)) * rng.lognormal(size=(table.num_items, 1))
-        assert np.array_equal(models._user_means(table, feats), _loop_user_means(table, feats))
-        assert np.array_equal(models._smoothing_matrix(table), _loop_smoothing_matrix(table))
+        _check_against_loops(table, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_case_tables())
+    def drawn(table):
+        _check_against_loops(table, np.random.default_rng(table.num_interactions))
+
+    drawn()
+
+
+def test_graph_encoding_memory_grows_with_interactions():
+    """No U x I or I x I array: the encoding's peak allocation stays a tenth
+    of one U x I float64 array (the I x I one here would be 275 MiB)."""
+    num_users, num_items = 300, 6000
+    rng = np.random.default_rng(8)
+    table = data.InteractionTable(num_users, num_items,
+                                  [rng.choice(num_items, size=10, replace=False)
+                                   for _ in range(num_users)])
+    fv = data.FeatureMatrix("v", rng.normal(size=(num_items, 4)))
+    ft = data.FeatureMatrix("t", rng.normal(size=(num_items, 4)))
+    tracemalloc.start()
+    try:
+        DatasetEncoding(table, fv, ft, "graph")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= num_users * num_items * 8 / 10
 
 
 def test_graph_isolated_item_keeps_feature():
