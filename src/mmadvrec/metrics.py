@@ -6,10 +6,13 @@ ascending item id, and a user's training items are excluded from their
 candidate pool, matching how recommendation lists are produced.
 
 Top-K thresholds and hit tests read a per-``k`` table that ``RankCache``
-builds on the first query for that ``k``: each user's k+1 best masked clean
-scores in descending order. A threshold is then one lookup per user, and a
-hit test after a perturbation counts only the moved columns; a user's whole
-row is scanned only for exact ties and for ranks deeper than the table.
+builds on the first query for that ``k``: each user's min(2k+1, I) best
+masked clean scores in descending order, with their item ids. A threshold
+is one lookup per user. A hit test after a perturbation first bounds, per
+user, the k-th best clean score outside the target and the moved columns
+(the threshold algorithm of Fagin, Lotem and Naor, PODS 2001); only users
+whose target score reaches that bound are ranked, and only their table
+entries and moved columns are read.
 """
 
 from __future__ import annotations
@@ -20,16 +23,29 @@ from .data import DataError
 from .models import Scorer
 
 UNDEFINED_GAIN = float("nan")
-TOP_BLOCK_ROWS = 256  # partitioned per block, so no U x I copy is made
+TOP_BLOCK_ROWS = 256  # row blocks for the tables and the evaluation, so no U x I copy is made
 
 
 class RankCache:
     """Clean score matrix with seen items masked, shared across attack and
     metric calls on one checkpoint.
 
-    ``masked`` is built at construction. Each user's k+1 best masked scores
-    are built on the first threshold or hit query for that ``k`` and kept,
-    so ``masked`` must not be mutated after the first such query.
+    ``masked`` is built at construction. The per-``k`` tables are built on
+    the first threshold or hit query for that ``k`` and kept, and a hit
+    test keeps the bound of its last (target, k, moved ids), so ``masked``
+    must never be mutated once built.
+
+    The bound: a user's table has depth D = min(2k+1, I). Let c of its
+    entries be excluded items (the target or a moved column). Then the
+    first k+c entries hold at least k items that keep their clean score,
+    each scoring at least the entry at position k-1+c. A target scoring
+    below that bound is beaten by all k of them, so only users at or above
+    it can be hits; when k-1+c >= D the bound is -inf, so the depth leaves
+    room for k+1 excluded entries per user. A candidate's
+    beaters are counted exactly from its table entries and its moved
+    columns when its target beats the last entry (no item outside the table
+    can then beat it) or when the table holds the whole row; otherwise its
+    full row is scanned.
     """
 
     def __init__(self, params, enc):
@@ -39,94 +55,105 @@ class RankCache:
         self.masked = self.scorer.user_matrix @ self.scorer.item_matrix.T
         self.masked[enc.table.users, enc.table.items] = -np.inf
         self._tops = {}
+        self._bound = None
 
     def _top(self, k):
-        """Per user, the k+1 best masked scores in descending order."""
+        """Per user, the min(2k+1, I) best masked scores in descending order
+        and their item ids."""
+        if k < 1:
+            raise DataError(f"k={k} must be >= 1")
         top = self._tops.get(k)
         if top is None:
-            n = self.masked.shape[1]
-            top = np.empty((self.masked.shape[0], k + 1))
-            for start in range(0, top.shape[0], TOP_BLOCK_ROWS):
+            num_users, n = self.masked.shape
+            depth = min(2 * k + 1, n)
+            scores = np.empty((num_users, depth))
+            ids = np.empty((num_users, depth), dtype=np.int64)
+            for start in range(0, num_users, TOP_BLOCK_ROWS):
                 block = self.masked[start:start + TOP_BLOCK_ROWS]
-                best = np.partition(block, n - k - 1, axis=1)[:, n - k - 1:]
-                top[start:start + TOP_BLOCK_ROWS] = np.sort(best, axis=1)[:, ::-1]
-            self._tops[k] = top
+                best = np.argpartition(block, n - depth, axis=1)[:, n - depth:]
+                vals = np.take_along_axis(block, best, axis=1)
+                order = np.argsort(vals, axis=1)[:, ::-1]
+                scores[start:start + TOP_BLOCK_ROWS] = np.take_along_axis(vals, order, axis=1)
+                ids[start:start + TOP_BLOCK_ROWS] = np.take_along_axis(best, order, axis=1)
+            top = self._tops[k] = scores, ids
         return top
-
-    def _kth_without_own(self, top, rows, r, i):
-        """Per row, the r-th best (0-based) clean score once one copy of the
-        item's own clean score is removed; needs r + 1 < top.shape[1]."""
-        at = top[rows, r]
-        return np.where(self.masked[rows, i] < at, at, top[rows, r + 1])
 
     def thresholds_excluding(self, i, k, users=None):
         """Per-user score of the k-th ranked candidate, with the target item
         removed from the pool."""
         if self.masked.shape[1] <= k:
             raise DataError(f"k={k} must be smaller than the item catalog")
-        if k < 1:
-            raise DataError(f"k={k} must be >= 1")
-        top = self._top(k)
-        rows = np.arange(top.shape[0]) if users is None else np.asarray(users)
-        return self._kth_without_own(top, rows, k - 1, i)
+        scores, _ = self._top(k)
+        rows = np.arange(scores.shape[0]) if users is None else np.asarray(users)
+        at = scores[rows, k - 1]
+        return np.where(self.masked[rows, i] < at, at, scores[rows, k])
 
-    def hit_mask(self, i, k, moved=None, moved_scores=None):
+    def hit_mask(self, i, k, moved=None):
         """Boolean per user: does item i rank within the top k candidates?
 
-        ``moved`` lists the item ids whose score columns a perturbation
-        changed and ``moved_scores`` holds their new columns (U x len(moved));
-        the target's column is among them when its own score moved.
+        ``moved`` is None or the pair (item ids, new score columns, U x
+        len(ids)) of the columns a perturbation changed; the target's
+        column is among them when its own score moved.
         """
         sc = self.masked
-        moved = np.asarray([] if moved is None else moved, dtype=np.int64)
-        old = sc[:, moved]
-        new = np.empty_like(old) if moved_scores is None else moved_scores
-        new = np.where(np.isinf(old), -np.inf, new)
-        own = moved == i
-        target = new[:, own][:, 0] if own.any() else sc[:, i]
-        lower = moved[~own] < i
-        # the target is a hit iff at most r clean columns j != i beat it
-        r = (k - 1 + _beaters(old[:, ~own], target, lower)
-             - _beaters(new[:, ~own], target, lower))
+        ids, new = moved if moved is not None else ((), np.empty((sc.shape[0], 0)))
+        ids = np.asarray(ids, dtype=np.int64)
+        if np.shape(new) != (sc.shape[0], ids.size):
+            raise ValueError("moved needs one new score column per moved item id")
+        scores, tids = self._top(k)
+        excluded, bound, own = self._bound_for(i, k, ids)
+        target = sc[:, i]
+        if own is not None:
+            target = np.where(np.isinf(target), -np.inf, new[:, own])
         hit = np.zeros(sc.shape[0], dtype=bool)
-        live = np.isfinite(target) & (r >= 0)
-        if 1 <= k < sc.shape[1]:
-            rows = np.nonzero(live)[0]
-            # within the table, compare with the r-th best other clean score;
-            # a row deeper than the table is a hit if it already passes at k-1
-            depth = np.minimum(r[rows], k - 1)
-            bound = self._kth_without_own(self._top(k), rows, depth, i)
-            t = target[rows]
-            hit[rows] = t > bound
-            unsure = (t == bound) | ((t < bound) & (depth < r[rows]))
-            scan = rows[unsure]
-        else:
-            scan = np.nonzero(live)[0]
-        if scan.size:
-            hit[scan] = self._clean_beaters(scan, i, target[scan]) <= r[scan]
+        rows = np.nonzero(np.isfinite(target) & (target >= bound))[0]
+        if rows.size == 0:
+            return hit
+        t = target[rows, None]
+        # the target's own moved column equals t, so it never beats itself
+        moved_cols = new[rows]
+        moved_cols[np.isinf(sc[rows[:, None], ids])] = -np.inf
+        beaters = _beats(moved_cols, t, ids, i).sum(axis=1)
+        row_ids = tids[rows]
+        clean = (_beats(scores[rows], t, row_ids, i) & ~excluded[row_ids]).sum(axis=1)
+        if scores.shape[1] < sc.shape[1]:
+            deep = t[:, 0] <= scores[rows, -1]
+            if deep.any():
+                every = np.arange(sc.shape[1])
+                clean[deep] = (_beats(sc[rows[deep]], t[deep], every, i)
+                               & ~excluded).sum(axis=1)
+        hit[rows] = beaters + clean <= k - 1
         return hit
 
-    def _clean_beaters(self, rows, i, target):
-        """Per row, how many clean columns j != i beat the target score."""
-        sub = self.masked[rows]
-        lower = np.arange(sub.shape[1]) < i
-        return _beaters(sub, target, lower) - (sub[:, i] > target)
+    def _bound_for(self, i, k, ids):
+        """(excluded items, per-user bound, column of the target among the
+        moved ones or None), kept for the last (i, k, ids) asked."""
+        key = (i, k, ids.tobytes())
+        if self._bound is None or self._bound[0] != key:
+            scores, tids = self._top(k)
+            excluded = np.zeros(self.masked.shape[1], dtype=bool)
+            excluded[ids] = True
+            excluded[i] = True
+            at = k - 1 + excluded[tids].sum(axis=1)
+            depth = scores.shape[1]
+            bound = np.where(at < depth, scores[np.arange(at.size), np.minimum(at, depth - 1)],
+                             -np.inf)
+            own = np.flatnonzero(ids == i)
+            self._bound = key, (excluded, bound, int(own[0]) if own.size else None)
+        return self._bound[1]
 
 
-def _beaters(cols, target, lower):
-    """Per row, how many columns outrank the row's target score: a higher
-    score, or an equal one on an item id below the target's, which
-    ``lower`` marks per column (or per row and column)."""
-    t = target[:, None]
-    return (cols > t).sum(axis=1) + ((cols == t) & lower).sum(axis=1)
+def _beats(score, target, ids, i):
+    """Which entries outrank a target score of item i: a higher score, or an
+    equal one on a lower item id (arrays broadcast row against column)."""
+    return (score > target) | ((score == target) & (ids < i))
 
 
 def hit_count(params, enc, i, k, delta=None, cache=None):
     """Number of users whose top-k list contains item i (perturbed when
     delta=(delta_v, delta_t) is given)."""
     cache = cache if cache is not None else RankCache(params, enc)
-    moved, moved_scores = _moved_columns(cache, i, delta)
-    return int(cache.hit_mask(i, k, moved, moved_scores).sum())
+    return int(cache.hit_mask(i, k, _moved_columns(cache, i, delta)).sum())
 
 
 def hit_at_k(params, enc, i, k, delta=None, cache=None):
@@ -137,9 +164,9 @@ def hit_at_k(params, enc, i, k, delta=None, cache=None):
 
 
 def _moved_columns(cache, i, delta):
-    """(item ids, new score columns) that perturbing item i moves."""
+    """(item ids, new score columns) that perturbing item i moves, or None."""
     if delta is None:
-        return None, None
+        return None
     dv, dt = (np.asarray(d, dtype=np.float64) for d in delta)
     rows, repl = cache.scorer.perturbed_rows(i, dv, dt)
     return rows, cache.scorer.user_matrix @ repl.T
@@ -164,11 +191,15 @@ def recall_ndcg(params, enc, k=10, cache=None):
     eligible = np.nonzero(table.holdout >= 0)[0]
     if eligible.size == 0:
         raise DataError("no user has a held-out item; run the split first")
-    sc = cache.masked[eligible]
     hold = table.holdout[eligible]
-    target = sc[np.arange(eligible.size), hold]
-    lower = np.arange(table.num_items)[None, :] < hold[:, None]
-    rank = _beaters(sc, target, lower)  # zero-based count of better items
+    every = np.arange(table.num_items)
+    rank = np.empty(eligible.size, dtype=np.int64)  # zero-based count of better items
+    for start in range(0, eligible.size, TOP_BLOCK_ROWS):
+        part = slice(start, start + TOP_BLOCK_ROWS)
+        sc = cache.masked[eligible[part]]
+        held = hold[part, None]
+        target = np.take_along_axis(sc, held, axis=1)
+        rank[part] = _beats(sc, target, every, held).sum(axis=1)
     inside = rank <= k - 1
     recall = inside.mean()
     ndcg = np.where(inside, 1.0 / np.log2(rank + 2.0), 0.0).mean()

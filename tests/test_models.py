@@ -164,6 +164,29 @@ def test_graph_encoding_memory_grows_with_interactions():
     assert peak <= num_users * num_items * 8 / 10
 
 
+def test_recall_ndcg_evaluates_in_row_blocks():
+    """Evaluation on a prebuilt cache copies no U x I block of scores: its
+    peak allocation stays below half of one U x I float64 array."""
+    num_users, num_items = 2000, 1000
+    rng = np.random.default_rng(9)
+    lists = [rng.choice(num_items, size=6, replace=False) for _ in range(num_users)]
+    table = data.InteractionTable(num_users, num_items, [items[1:] for items in lists],
+                                  holdout=[items[0] for items in lists])
+    fv = data.FeatureMatrix("v", rng.normal(size=(num_items, 2)))
+    ft = data.FeatureMatrix("t", rng.normal(size=(num_items, 2)))
+    enc = DatasetEncoding(table, fv, ft, "concat")
+    params = models.init_params(num_users, num_items, 2, 2, kind="concat",
+                                id_dim=4, fuse_dim=2, seed=3)
+    cache = metrics.RankCache(params, enc)
+    tracemalloc.start()
+    try:
+        metrics.recall_ndcg(params, enc, k=10, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < num_users * num_items * 8 / 2
+
+
 def test_graph_isolated_item_keeps_feature():
     table = data.InteractionTable(2, 3, [[0], [0]])  # items 1 and 2 isolated
     fv = data.FeatureMatrix("v", np.arange(9, dtype=float).reshape(3, 3))

@@ -2,6 +2,8 @@
 brute-force recounts under the tie rule: higher score wins, equal scores go
 to the lower item id, and a -inf (seen) target is never a hit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from mmadvrec.metrics import RankCache
 from mmadvrec.models import DatasetEncoding
 
 # a small pool of scores forces exact ties; free floats cover the rest
-SCORES = st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
-                   st.floats(-3.0, 3.0, allow_nan=False))
+TIES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+SCORES = st.one_of(TIES, st.floats(-3.0, 3.0, allow_nan=False))
 
 
 def cache_with(masked):
@@ -61,6 +63,34 @@ def hit_cases(draw):
         new.reshape(len(moved), num_users).T
 
 
+@st.composite
+def deep_hit_cases(draw):
+    """Catalogs of 10-40 items with k = 1-4, so each table (depth 2k+1) is
+    truncated, plus k >= I. Scores come from the tie pool, so a table's last
+    entry often ties the target; the moved set may cover most of one row's
+    table, which drives that row's bound to -inf and its full-row scan."""
+    num_users = draw(st.integers(1, 6))
+    num_items = draw(st.integers(10, 40))
+    cells = num_users * num_items
+    values = np.array(draw(st.lists(TIES, min_size=cells, max_size=cells)))
+    seen = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    values[seen & (np.arange(cells) % 4 == 0)] = -np.inf
+    masked = values.reshape(num_users, num_items)
+    k = draw(st.one_of(st.integers(1, 4), st.integers(num_items, num_items + 2)))
+    i = draw(st.integers(0, num_items - 1))
+    row = masked[draw(st.integers(0, num_users - 1))]
+    ranked = np.lexsort((np.arange(num_items), -row))
+    fill = draw(st.integers(0, min(2 * k + 1, num_items)))
+    moved = set(ranked[:fill].tolist()) | draw(st.sets(st.integers(0, num_items - 1),
+                                                       max_size=4))
+    if draw(st.booleans()):
+        moved.add(i)
+    moved = np.array(sorted(moved), dtype=np.int64)
+    cells = num_users * moved.size
+    new = np.array(draw(st.lists(TIES, min_size=cells, max_size=cells)))
+    return masked, i, k, moved, new.reshape(moved.size, num_users).T
+
+
 def brute_hits(masked, i, k, moved, new):
     """Apply the moved columns, sort each row by (score desc, id asc) and
     read off the target's position."""
@@ -88,7 +118,16 @@ def seed_thresholds(masked, i, k, users):
 def test_hit_mask_matches_brute_force_sort(case):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
-    got = cache.hit_mask(i, k, moved, new)
+    got = cache.hit_mask(i, k, (moved, new))
+    assert np.array_equal(got, brute_hits(masked, i, k, moved, new))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deep_hit_cases())
+def test_hit_mask_matches_brute_force_on_truncated_tables(case):
+    masked, i, k, moved, new = case
+    cache = cache_with(masked)
+    got = cache.hit_mask(i, k, (moved, new))
     assert np.array_equal(got, brute_hits(masked, i, k, moved, new))
 
 
@@ -98,8 +137,58 @@ def test_hit_mask_reuses_tables_across_k(case, k2):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
     for kk in (k, k2, k):
-        assert np.array_equal(cache.hit_mask(i, kk, moved, new),
+        assert np.array_equal(cache.hit_mask(i, kk, (moved, new)),
                               brute_hits(masked, i, kk, moved, new))
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_hit_cases(), st.data())
+def test_hit_mask_bound_follows_target_and_moved_set(case, draw):
+    """The bound kept between calls is keyed by (target, k, moved ids):
+    alternating them on one cache must give each call its own bound."""
+    masked, i, k, moved, new = case
+    j = draw.draw(st.integers(0, masked.shape[1] - 1))
+    calls = [(i, k, moved, new), (j, k, moved, new), (i, k, moved[1:], new[:, 1:]),
+             (i, k + 1, moved, new), (i, k, moved[:0], new[:, :0])]
+    cache = cache_with(masked)
+    for target, kk, ids, cols in calls + calls[::-1]:
+        assert np.array_equal(cache.hit_mask(target, kk, (ids, cols)),
+                              brute_hits(masked, target, kk, ids, cols))
+
+
+def test_hit_mask_takes_moved_ids_with_their_scores():
+    masked = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]])
+    cache = cache_with(masked)
+    moved, new = np.array([1]), np.array([[3.0], [-1.0]])
+    assert np.array_equal(cache.hit_mask(0, 1, (moved, new)),
+                          brute_hits(masked, 0, 1, moved, new))
+    for ids_only in (moved, (moved, None), (moved, new[:, :0])):
+        with pytest.raises(ValueError):
+            cache.hit_mask(0, 1, ids_only)
+
+
+def test_hit_mask_allocates_less_than_one_moved_block():
+    """A hit test reads the moved columns of its candidate users only (those
+    whose target reaches their bound, here about a tenth), so it makes no
+    U x m temporary; the moved scores themselves are the caller's."""
+    num_users, num_items, m, i = 2000, 3000, 200, 17
+    rng = np.random.default_rng(5)
+    masked = rng.normal(size=(num_users, num_items))
+    masked[rng.random(masked.shape) < 0.01] = -np.inf
+    cache = cache_with(masked)
+    others = rng.choice(np.delete(np.arange(num_items), i), size=m - 1, replace=False)
+    moved = np.sort(np.append(others, i))
+    new = masked[:, moved] + 0.5 * rng.normal(size=(num_users, m))
+    new[:, moved == i] += 1.0
+    first = cache.hit_mask(i, 50, (moved, new))
+    tracemalloc.start()
+    try:
+        again = cache.hit_mask(i, 50, (moved, new))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.any() and np.array_equal(first, again)
+    assert peak < num_users * m * 8
 
 
 @settings(max_examples=100, deadline=None)
