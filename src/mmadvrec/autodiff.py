@@ -297,13 +297,15 @@ def take_rows(m, idx):
 
 
 def scatter_rows(g, idx, num_rows):
-    """Adjoint of take_rows: scatter-add rows into a zero matrix."""
+    """Adjoint of take_rows: scatter-add rows into a zero matrix. One ``bincount``
+    over flat (row, column) bins adds in index order, bitwise as ``np.add.at``."""
     g = _wrap(g)
     idx = np.asarray(idx, dtype=np.int64)
     if g.ndim != 2 or g.shape[0] != idx.shape[0]:
         raise ShapeError(f"scatter_rows shape mismatch {g.shape} vs {idx.shape}")
-    data = np.zeros((num_rows, g.shape[1]))
-    np.add.at(data, idx, g.data)
+    d = g.shape[1]
+    bins = (idx[:, None] * d + np.arange(d)).ravel()
+    data = np.bincount(bins, weights=g.data.ravel(), minlength=num_rows * d).reshape(num_rows, d)
     return _node(data, [(g, lambda gg: take_rows(gg, idx))])
 
 

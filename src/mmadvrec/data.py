@@ -3,10 +3,9 @@
 An ``InteractionTable`` stores the user-item graph in one layout, compressed
 sparse rows: ``indptr``, ``items`` (sorted within each user) and ``users``
 (the user of each entry). Counts, degrees, masks and the graph model's
-smoothing are whole-array reads of them. Only two per-user structures remain:
-the loop of ``split_leave_one_out``, whose draw order defines the split, and
-the table's lazy membership sets, which give the triple sampler an O(1) test
-per rejection draw without changing its random stream.
+smoothing are whole-array reads of them, and so is the triple sampler, which
+draws a whole batch with a handful of array calls. The one per-user loop left
+is ``split_leave_one_out``'s, whose draw order defines the split.
 
 File formats:
   interactions  UTF-8 TSV, one ``user<TAB>item`` per line, '#' lines ignored
@@ -65,10 +64,8 @@ class InteractionTable:
     ``user_items[u]`` returns as a read-only view, and ``users`` holds the
     user of each entry. The three read-only int64 arrays are the only stored
     layout, so consumers read the whole graph as arrays: counts are a
-    ``bincount``, degrees an ``np.diff(indptr)``. The one per-user structure
-    kept is the lazy ``user_set`` membership sets, built on first use: the
-    triple sampler tests one negative per rejection draw, and a set answers
-    that in O(1) without changing the draws.
+    ``bincount``, degrees an ``np.diff(indptr)``, and membership a binary
+    search of the sorted row.
 
     Immutable after construction; ``split_leave_one_out`` returns a new table
     with one held-out item per eligible user recorded in ``holdout`` (-1 for
@@ -101,21 +98,18 @@ class InteractionTable:
         for a in (self.users, self.items, self.indptr, self.holdout):
             a.flags.writeable = False
         self.user_items = _UserItems(self.indptr, self.items)
-        self._user_sets = None
 
     @property
     def num_interactions(self):
         return int(self.items.size)
 
     def user_set(self, u):
-        # per-user sets, unlike the arrays: the sampler's rejection loop needs
-        # an O(1) membership test per draw
-        if self._user_sets is None:
-            self._user_sets = [set(a.tolist()) for a in self.user_items]
-        return self._user_sets[u]
+        return frozenset(self.user_items[u].tolist())
 
     def has(self, u, i):
-        return i in self.user_set(u)
+        row = self.user_items[u]
+        k = np.searchsorted(row, i)
+        return bool(k < row.size and row[k] == i)
 
     def item_counts(self):
         return np.bincount(self.items, minlength=self.num_items)
@@ -427,36 +421,34 @@ class TripleSampler:
     """Uniform BPR triple sampler over training interactions.
 
     Owns a private RNG; draws are deterministic for a given seed and call
-    sequence. Negatives are uniform over the user's non-interacted items via
-    rejection; a user interacting with every item is resampled away.
+    sequence. Users are uniform over those with 0 < degree < I, positives
+    uniform over the user's items, and negatives uniform over the user's
+    unseen items by array rejection. Whole batches are drawn as arrays.
     """
 
     def __init__(self, table, seed):
         self.table = table
         self.rng = np.random.default_rng(seed)
-        self.eligible = np.nonzero(np.diff(table.indptr))[0]
+        degree = np.diff(table.indptr)
+        self.eligible = np.nonzero((degree > 0) & (degree < table.num_items))[0]
         if self.eligible.size == 0:
-            raise EmptyDatasetError("no user has training interactions")
+            raise EmptyDatasetError("no user has both training interactions and unseen items")
+        if table.num_users * table.num_items >= 2 ** 63:
+            raise DataError("the sampler's user * num_items + item keys overflow int64")
+        # sorted, since the rows are user-major and sorted within each user
+        self._keys = table.users * table.num_items + table.items
 
     def sample(self, batch_size):
         if batch_size < 1:
             raise DataError("batch_size must be >= 1")
-        t = self.table
-        users = np.empty(batch_size, dtype=np.int64)
-        pos = np.empty(batch_size, dtype=np.int64)
-        negs = np.empty(batch_size, dtype=np.int64)
-        for b in range(batch_size):
-            while True:
-                u = int(self.eligible[self.rng.integers(self.eligible.size)])
-                start, stop = t.indptr[u], t.indptr[u + 1]
-                if stop - start < t.num_items:
-                    break
-            users[b] = u
-            pos[b] = t.items[start + self.rng.integers(stop - start)]
-            uset = t.user_set(u)
-            while True:
-                j = int(self.rng.integers(t.num_items))
-                if j not in uset:
-                    negs[b] = j
-                    break
+        t, rng, keys = self.table, self.rng, self._keys
+        users = self.eligible[rng.integers(self.eligible.size, size=batch_size)]
+        start = t.indptr[users]
+        pos = t.items[start + rng.integers(t.indptr[users + 1] - start)]
+        negs = rng.integers(t.num_items, size=batch_size)
+        slots = np.arange(batch_size)
+        while slots.size:  # redraw only the slots whose negative the user holds
+            q = users[slots] * t.num_items + negs[slots]
+            slots = slots[keys[np.searchsorted(keys, q).clip(max=keys.size - 1)] == q]
+            negs[slots] = rng.integers(t.num_items, size=slots.size)
         return users, pos, negs

@@ -180,10 +180,13 @@ def min_phase(params, enc, triples, delta_batch, config, optimizer):
 # optimisers
 
 def _check_finite(name, g, arr):
-    if not np.all(np.isfinite(g)):
+    # a step by a non-finite gradient leaves a non-finite parameter under
+    # either optimiser, so a finite parameter clears the gradient too
+    if np.isfinite(arr).all():
+        return
+    if not np.isfinite(g).all():
         raise NumericalError(f"non-finite gradient for {name}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"parameter {name} diverged")
+    raise NumericalError(f"parameter {name} diverged")
 
 
 class SGD:
@@ -204,23 +207,26 @@ class Adam:
 
     def __init__(self, eta):
         self.eta = eta
-        self.m = {}
-        self.v = {}
+        self.state = {}  # name -> (m, v, and two scratch arrays)
         self.t = 0
 
     def step(self, params, grads):
+        """One step in place, with the float operations of the textbook form
+        in the same order, so the result is bitwise that form's."""
         self.t += 1
         arrays = params.arrays()
         for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
+            if name not in self.state:
+                self.state[name] = tuple(np.zeros_like(g) for _ in range(4))
+            m, v, num, den = self.state[name]
             m *= self.BETA1
-            m += (1 - self.BETA1) * g
+            m += np.multiply(g, 1 - self.BETA1, out=num)
             v *= self.BETA2
-            v += (1 - self.BETA2) * g * g
-            m_hat = m / (1 - self.BETA1 ** self.t)
-            v_hat = v / (1 - self.BETA2 ** self.t)
-            arrays[name] -= self.eta * m_hat / (np.sqrt(v_hat) + self.EPS)
+            v += np.multiply(np.multiply(g, 1 - self.BETA2, out=den), g, out=den)
+            np.multiply(np.divide(m, 1 - self.BETA1 ** self.t, out=num), self.eta, out=num)
+            np.sqrt(np.divide(v, 1 - self.BETA2 ** self.t, out=den), out=den)
+            den += self.EPS
+            arrays[name] -= np.divide(num, den, out=num)
             _check_finite(name, g, arrays[name])
 
 

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmadvrec import autodiff as ad
 
@@ -242,6 +244,20 @@ def test_gather_scatter_concat_adjoints():
         lambda vs: float(np.sum(1 / (1 + np.exp(-np.hstack(vs))))), [a0, b0])
     assert rel_err(ga.numpy(), fda) < 1e-6
     assert rel_err(gb.numpy(), fdb) < 1e-6
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.lists(st.integers(0, 4), max_size=12),
+       st.integers(0, 2 ** 16))
+def test_scatter_rows_equals_add_at_bitwise(num_rows, d, idx, seed):
+    # magnitudes 1e-3..1e16 make the sum of a repeated row depend on its order
+    idx = np.array([i % num_rows for i in idx], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(idx.size, d)) * 10.0 ** rng.integers(-3, 17, size=(idx.size, d))
+    want = np.zeros((num_rows, d))
+    np.add.at(want, idx, g)
+    got = ad.scatter_rows(g, idx, num_rows).numpy()
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_no_grad_suppresses_recording():

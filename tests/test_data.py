@@ -35,6 +35,8 @@ def test_csr_layout_matches_per_user_unique(case):
         row = t.user_items[u]
         assert row.dtype == np.int64 and np.array_equal(row, w)
         assert row.base is t.items and not row.flags.writeable
+        assert t.user_set(u) == set(w.tolist())
+        assert [t.has(u, i) for i in range(num_items)] == [i in w for i in range(num_items)]
     if lists:
         assert np.array_equal(t.user_items[-1], want[-1])
     for a in (t.indptr, t.items, t.users):
@@ -259,6 +261,47 @@ def test_sample_positive_uniformity():
     observed = np.bincount(pos, minlength=5)[:5]
     _, p_value = sps.chisquare(observed)
     assert p_value > 0.01
+
+
+def test_sample_negative_uniformity_over_unseen_items():
+    from scipy import stats as sps
+    seen = [0, 2, 5, 7, 11]
+    t = InteractionTable(1, 12, [seen])
+    _, _, neg = data.TripleSampler(t, seed=9).sample(60_000)
+    observed = np.bincount(neg, minlength=12)
+    assert observed[seen].sum() == 0
+    _, p_value = sps.chisquare(np.delete(observed, seen))
+    assert p_value > 0.01
+
+
+def test_sample_user_uniformity_over_eligible_users():
+    # user 1 holds every item and user 2 none: neither may be drawn
+    from scipy import stats as sps
+    t = InteractionTable(5, 4, [[0], [0, 1, 2, 3], [], [1, 2], [3]])
+    users, _, _ = data.TripleSampler(t, seed=10).sample(60_000)
+    observed = np.bincount(users, minlength=5)
+    assert observed[1] == 0 and observed[2] == 0
+    _, p_value = sps.chisquare(observed[[0, 3, 4]])
+    assert p_value > 0.01
+
+
+def test_sample_stream_follows_the_seed(tiny_dataset):
+    split = tiny_dataset["split"]
+    draw = lambda seed: np.stack(data.TripleSampler(split, seed=seed).sample(64))
+    assert np.array_equal(draw(3), draw(3))
+    assert not np.array_equal(draw(3), draw(4))
+
+
+def test_sampler_rejects_tables_where_every_user_holds_every_item():
+    t = InteractionTable(2, 2, [[0, 1], [0, 1]])
+    with pytest.raises(EmptyDatasetError):
+        data.TripleSampler(t, seed=0)
+
+
+def test_sampler_rejects_catalogs_whose_keys_overflow():
+    t = InteractionTable(3, 2 ** 62, [[], [2 ** 62 - 1], [0]])
+    with pytest.raises(DataError):
+        data.TripleSampler(t, seed=0)
 
 
 def test_stats_invariant(tiny_dataset):

@@ -373,6 +373,21 @@ def test_divergence_aborts():
         pretrain(params, enc, fv, ft, cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("make", [lambda: SGD(0.0), lambda: SGD(0.1), lambda: Adam(0.0),
+                                  lambda: Adam(0.01)])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_optimizer_names_a_non_finite_gradient(make, bad):
+    params = models.init_params(4, 6, 3, 3, kind="concat", id_dim=4, fuse_dim=3, seed=1)
+    grads = {k: np.zeros_like(a) for k, a in params.arrays().items()}
+    grads["proj_t"][1, 2] = bad
+    with pytest.raises(training.NumericalError, match="non-finite gradient for proj_t"):
+        make().step(params, grads)
+    grads["proj_t"][1, 2] = 1e300
+    with pytest.raises(training.NumericalError, match="parameter proj_t diverged"):
+        SGD(1e300).step(params, grads)
+
+
 def test_adam_deterministic_and_distinct_from_sgd(tiny_dataset):
     split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
     enc = DatasetEncoding(split, fv, ft, "concat")
@@ -386,3 +401,24 @@ def test_adam_deterministic_and_distinct_from_sgd(tiny_dataset):
     c, _ = pretrain(fresh, enc, fv, ft, sgd_cfg)
     assert param_bytes(a) == param_bytes(b)
     assert param_bytes(a) != param_bytes(c)
+
+
+def test_adam_steps_equal_the_textbook_formula_bitwise():
+    # the allocating form, kept as the oracle of the in-place step
+    params = models.init_params(4, 6, 3, 3, kind="graph", id_dim=4, fuse_dim=3, seed=5)
+    want = {k: a.copy() for k, a in params.arrays().items()}
+    m = {k: np.zeros_like(a) for k, a in want.items()}
+    v = {k: np.zeros_like(a) for k, a in want.items()}
+    opt, rng = Adam(0.01), np.random.default_rng(6)
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=a.shape) * 10.0 ** rng.integers(-4, 4, size=a.shape)
+                 for k, a in want.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():
+            m[k] = m[k] * Adam.BETA1 + (1 - Adam.BETA1) * g
+            v[k] = v[k] * Adam.BETA2 + (1 - Adam.BETA2) * g * g
+            m_hat = m[k] / (1 - Adam.BETA1 ** t)
+            v_hat = v[k] / (1 - Adam.BETA2 ** t)
+            want[k] = want[k] - 0.01 * m_hat / (np.sqrt(v_hat) + Adam.EPS)
+        for k, a in params.arrays().items():
+            assert np.array_equal(a, want[k]), (t, k)
