@@ -4,11 +4,14 @@ An ``InteractionTable`` stores the user-item graph in one layout, compressed
 sparse rows: ``indptr``, ``items`` (sorted within each user) and ``users``
 (the user of each entry). Counts, degrees, masks and the graph model's
 smoothing are whole-array reads of them, and so is the triple sampler, which
-draws a whole batch with a handful of array calls. The one per-user loop left
-is ``split_leave_one_out``'s, whose draw order defines the split.
+draws a whole batch with a handful of array calls. Every producer hands the
+table two id arrays: the TSV loader, the synthetic generator (from a user x
+item ``held`` mask) and the leave-one-out split (whose one array draw takes
+the same RNG stream as a draw per eligible user in user order).
 
 File formats:
-  interactions  UTF-8 TSV, one ``user<TAB>item`` per line, '#' lines ignored
+  interactions  UTF-8 TSV (a leading BOM is skipped), one ``user<TAB>item``
+                per line, '#' lines ignored
   features      binary little-endian: magic "MMFE", version u32=1,
                 rows u64, cols u64, then rows*cols float64 row-major
   id sidecars   TSV ``raw_id<TAB>dense_id`` (written when ids are remapped)
@@ -16,7 +19,6 @@ File formats:
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
 from collections.abc import Sequence
@@ -67,20 +69,27 @@ class InteractionTable:
     ``bincount``, degrees an ``np.diff(indptr)``, and membership a binary
     search of the sorted row.
 
-    Immutable after construction; ``split_leave_one_out`` returns a new table
-    with one held-out item per eligible user recorded in ``holdout`` (-1 for
-    users without one).
+    Built from the (users[k], items[k]) pairs of two id arrays, in any order
+    and with repeats; an id outside ``[0, num_users)`` or ``[0, num_items)``
+    is a DataError. Immutable after construction; ``split_leave_one_out``
+    returns a new table with one held-out item per eligible user recorded in
+    ``holdout`` (-1 for users without one).
     """
 
-    def __init__(self, num_users, num_items, user_items, holdout=None):
+    def __init__(self, num_users, num_items, users, items, holdout=None):
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-        if len(user_items) != self.num_users:
-            raise DataError("user list count does not match num_users")
-        sizes = np.fromiter(map(len, user_items), np.int64, count=self.num_users)
-        users = np.repeat(np.arange(self.num_users, dtype=np.int64), sizes)
-        items = np.fromiter(itertools.chain.from_iterable(user_items), np.int64,
-                            count=users.size)
+        try:
+            users = np.asarray(users, dtype=np.int64)
+            items = np.asarray(items, dtype=np.int64)
+        except OverflowError as exc:
+            raise DataError(f"an id does not fit in int64 ({exc})") from exc
+        if users.ndim != 1 or users.shape != items.shape:
+            raise DataError("users and items must be 1-d arrays of one length")
+        outside = (users < 0) | (users >= self.num_users)
+        if outside.any():
+            raise DataError(f"user id {users[np.argmax(outside)]} outside "
+                            f"[0, {self.num_users})")
         outside = (items < 0) | (items >= self.num_items)
         if outside.any():
             raise DataError(f"user {users[np.argmax(outside)]} holds an item id "
@@ -173,7 +182,7 @@ def load_interactions(path, num_items=None):
     the input as ``<path>.users.idmap`` / ``<path>.items.idmap``.
     """
     raw_users, raw_items = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -193,12 +202,8 @@ def load_interactions(path, num_items=None):
     if item_map is not None:
         _write_idmap(str(path) + ".items.idmap", item_map)
 
-    num_users = int(max(users)) + 1
-    num_items = int(max(items)) + 1 if num_items is None else num_items
-    per_user = [[] for _ in range(num_users)]
-    for u, i in zip(users, items):
-        per_user[u].append(i)
-    return InteractionTable(num_users, num_items, per_user)
+    num_items = max(items) + 1 if num_items is None else num_items
+    return InteractionTable(max(users) + 1, num_items, users, items)
 
 
 def _densify(raw):
@@ -211,12 +216,7 @@ def _densify(raw):
     except ValueError:
         pass
     mapping = {}
-    ids = []
-    for r in raw:
-        if r not in mapping:
-            mapping[r] = len(mapping)
-        ids.append(mapping[r])
-    return ids, mapping
+    return [mapping.setdefault(r, len(mapping)) for r in raw], mapping
 
 
 def _write_idmap(path, mapping):
@@ -253,9 +253,12 @@ def read_struct(fh, fmt, path, what):
 
 
 def read_matrix(fh, path, what):
-    """Read a ``rows cols`` u64 shape and that many float64s, row-major; a
-    shape claiming more bytes than the file holds is a DataError."""
+    """Read a ``rows cols`` u64 shape and that many float64s, row-major; an
+    empty shape, or one claiming more bytes than the file holds, is a
+    DataError."""
     rows, cols = read_struct(fh, "<QQ", path, f"{what} shape")
+    if rows == 0 or cols == 0:
+        raise DataError(f"{path}: {what} has an empty shape ({rows}, {cols})")
     size = rows * cols * 8
     if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"{path}: truncated {what}")
@@ -351,48 +354,35 @@ def synth_generate(config, seed):
 
     pool = np.sort(rng.choice(I, size=config.unpopular_count, replace=False)) \
         if config.unpopular_count else np.empty(0, dtype=np.int64)
-    pool_set = set(pool.tolist())
-    open_items = np.array([i for i in range(I) if i not in pool_set], dtype=np.int64)
+    open_items = np.setdiff1d(np.arange(I), pool)
 
-    per_user = [set() for _ in range(U)]
+    held = np.zeros((U, I), dtype=bool)  # held[u, i]: user u consumed item i
     order = np.argsort(-affinity[:, open_items], axis=1, kind="stable")
     n_per = config.interactions_per_user
     for u in range(U):
-        chosen = open_items[order[u, :n_per]].tolist()
+        chosen = open_items[order[u, :n_per]]
         if config.interaction_noise > 0.0:
             flip = rng.uniform(size=n_per) < config.interaction_noise
             for j in np.nonzero(flip)[0]:
-                repl = int(open_items[rng.integers(open_items.size)])
-                chosen[j] = repl
-        per_user[u].update(chosen)
+                chosen[j] = open_items[rng.integers(open_items.size)]
+        held[u, chosen] = True
 
     # pool items: exactly n_unpop interactions, drawn from the most receptive users
     for i in pool:
-        cand = np.argsort(-affinity[:, i], kind="stable")[:max(config.n_unpop * 5, config.n_unpop)]
-        picked = rng.choice(cand, size=config.n_unpop, replace=False)
-        for u in picked:
-            per_user[int(u)].add(int(i))
+        cand = np.argsort(-affinity[:, i], kind="stable")[:config.n_unpop * 5]
+        held[rng.choice(cand, size=config.n_unpop, replace=False), i] = True
 
-    # keep the pool the unique set of items at count n_unpop
+    # keep the pool the unique set of items at count n_unpop: an open item
+    # with 1..n_unpop consumers gains its most receptive non-consumers until
+    # it has n_unpop + 1
     if config.unpopular_count:
-        counts = np.zeros(I, dtype=np.int64)
-        for u in range(U):
-            for i in per_user[u]:
-                counts[i] += 1
+        counts = held.sum(axis=0)
         rank_users = np.argsort(-affinity, axis=0, kind="stable")
-        for i in open_items:
-            c = counts[i]
-            if 1 <= c <= config.n_unpop:
-                for u in rank_users[:, i]:
-                    if c > config.n_unpop:
-                        break
-                    u = int(u)
-                    if i not in per_user[u]:
-                        per_user[u].add(int(i))
-                        c += 1
-                counts[i] = c
+        for i in open_items[(counts[open_items] >= 1) & (counts[open_items] <= config.n_unpop)]:
+            ranked = rank_users[:, i]
+            held[ranked[~held[ranked, i]][:config.n_unpop + 1 - counts[i]], i] = True
 
-    table = InteractionTable(U, I, per_user)
+    table = InteractionTable(U, I, *np.nonzero(held))
     return (table,
             FeatureMatrix("v", feats_v),
             FeatureMatrix("t", feats_t))
@@ -404,17 +394,18 @@ def synth_generate(config, seed):
 def split_leave_one_out(table, seed):
     """Hold out one uniformly chosen item per user with >= 2 interactions.
 
-    The loop over users stays: one draw per eligible user, in user order, is
-    what defines the split for a seed."""
+    One array draw picks every hold-out; it takes the generator's stream as
+    one ``integers(degree)`` call per eligible user in user order would."""
     rng = np.random.default_rng(seed)
+    degree = np.diff(table.indptr)
+    eligible = np.nonzero(degree >= 2)[0]
+    picks = table.indptr[eligible] + rng.integers(degree[eligible])
     holdout = np.full(table.num_users, -1, dtype=np.int64)
-    new_lists = []
-    for u, items in enumerate(table.user_items):
-        if items.size >= 2:
-            holdout[u] = pick = items[rng.integers(items.size)]
-            items = items[items != pick]
-        new_lists.append(items)
-    return InteractionTable(table.num_users, table.num_items, new_lists, holdout=holdout)
+    holdout[eligible] = table.items[picks]
+    keep = np.ones(table.num_interactions, dtype=bool)
+    keep[picks] = False
+    return InteractionTable(table.num_users, table.num_items, table.users[keep],
+                            table.items[keep], holdout=holdout)
 
 
 class TripleSampler:

@@ -47,3 +47,11 @@ def param_bytes(params):
     """Each parameter array's shape and bytes by name: equal exactly when
     two models' parameters are bitwise equal."""
     return {name: (a.shape, a.tobytes()) for name, a in params.arrays().items()}
+
+
+def table_from_lists(num_items, lists, holdout=None):
+    """An InteractionTable from per-user item lists (user u holds
+    ``lists[u]``), flattened to the (users, items) arrays it is built from."""
+    users = [u for u, row in enumerate(lists) for _ in row]
+    items = [i for row in lists for i in row]
+    return data.InteractionTable(len(lists), num_items, users, items, holdout=holdout)

@@ -7,7 +7,7 @@ from mmadvrec.attacks import (AttackConfig, Perturbation, ascent_gradients, budg
 from mmadvrec.metrics import RankCache, hit_at_k
 from mmadvrec.models import DatasetEncoding
 
-from conftest import param_bytes, rel_err
+from conftest import param_bytes, rel_err, table_from_lists
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ def test_pgd_single_step_hits_sphere(scene):
 def test_pgd_trace_monotone_single_user_identity():
     # item 5 is new to user 5 alone, so the attack promotes it to one user;
     # with identity phi that user's score is linear in the deltas
-    table = data.InteractionTable(6, 8, [[0, 5], [1, 5], [2, 5], [3, 5], [4, 5], [6, 7]])
+    table = table_from_lists(8, [[0, 5], [1, 5], [2, 5], [3, 5], [4, 5], [6, 7]])
     rng = np.random.default_rng(31)
     fv = data.FeatureMatrix("v", rng.normal(size=(8, 4)))
     ft = data.FeatureMatrix("t", rng.normal(size=(8, 4)))
@@ -265,7 +265,7 @@ def test_alignment_requires_equal_modality_dims():
 
 
 def test_zero_budget_flags():
-    table = data.InteractionTable(3, 4, [[0], [1], [2]])
+    table = table_from_lists(4, [[0], [1], [2]])
     fv = data.FeatureMatrix("v", np.zeros((4, 3)))  # zero-norm rows
     ft = data.FeatureMatrix("t", np.ones((4, 3)))
     enc = DatasetEncoding(table, fv, ft, "concat")

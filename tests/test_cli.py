@@ -206,6 +206,9 @@ def test_config_file_parsing(tmp_path):
     p.write_text("seed 9\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(p)
+    # a leading BOM is skipped, not read into the first key
+    p.write_text("\ufeffseed = 3\n", encoding="utf-8")
+    assert load_config(p)["seed"] == 3
 
 
 def test_seed_split_stable():
@@ -254,6 +257,16 @@ def test_feature_header_cut_is_data_error(workspace, tmp_path):
     assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
                      "--set", f"data.out_dir={tmp_path}",
                      "--checkpoint", os.path.join(src, "pretrained.ckpt")]) == cli.EXIT_DATA
+
+
+def test_feature_file_of_zero_columns_is_data_error(workspace, tmp_path):
+    src = workspace["out"]
+    for name in ("interactions.tsv", "features_t.mmfe"):
+        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+    (tmp_path / "features_v.mmfe").write_bytes(
+        b"MMFE" + (1).to_bytes(4, "little") + (2 ** 64 - 1).to_bytes(8, "little") + bytes(8))
+    assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+                     "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
 
 
 @pytest.mark.parametrize("key, value, block", [("synth.feat_dim_v", "8", "proj_v"),

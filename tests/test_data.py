@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from mmadvrec import data
 from mmadvrec.data import (DataError, DatasetStats, EmptyDatasetError, FeatureMatrix,
                            InteractionTable, ParseError, SynthConfig)
+
+from conftest import table_from_lists
 
 
 @st.composite
@@ -18,10 +23,14 @@ def per_user_lists(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(per_user_lists())
-def test_csr_layout_matches_per_user_unique(case):
+@given(per_user_lists(), st.integers(0, 2 ** 32))
+def test_csr_layout_matches_per_user_unique(case, seed):
     num_items, lists = case
-    t = InteractionTable(len(lists), num_items, lists)
+    # the pairs in a random order: the constructor sorts them
+    users = np.array([u for u, row in enumerate(lists) for _ in row], dtype=np.int64)
+    items = np.array([i for row in lists for i in row], dtype=np.int64)
+    perm = np.random.default_rng(seed).permutation(users.size)
+    t = InteractionTable(len(lists), num_items, users[perm], items[perm])
     want = [np.unique(np.asarray(a, dtype=np.int64)) for a in lists]
     sizes = [w.size for w in want]
     assert t.indptr.tolist() == [0] + np.cumsum(sizes, dtype=np.int64).tolist()
@@ -53,13 +62,33 @@ def test_out_of_range_item_id_is_a_data_error(case, picks):
     bad = picks.draw(st.integers(-2 ** 62, -1) | st.integers(num_items, 2 ** 62))
     lists[picks.draw(st.integers(0, len(lists) - 1))].append(bad)
     with pytest.raises(DataError):
-        InteractionTable(len(lists), num_items, lists)
+        table_from_lists(num_items, lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_user_lists(), st.data())
+def test_out_of_range_user_id_is_a_data_error(case, picks):
+    num_items, lists = case
+    users = [u for u, row in enumerate(lists) for _ in row] + [
+        picks.draw(st.integers(-2 ** 62, -1) | st.integers(len(lists), 2 ** 62))]
+    items = [i for row in lists for i in row] + [0]
+    with pytest.raises(DataError):
+        InteractionTable(len(lists), num_items, users, items)
+
+
+def test_id_arrays_of_unequal_length_or_rank_are_a_data_error():
+    with pytest.raises(DataError):
+        InteractionTable(2, 3, [0, 1], [0])
+    with pytest.raises(DataError):
+        InteractionTable(2, 3, [[0, 1]], [[0, 2]])
+    with pytest.raises(DataError):
+        InteractionTable(2, 3, [0, 2 ** 70], [0, 1])
 
 
 def test_duplicates_drop_without_overflow_at_large_ids():
     # user * num_items + item would overflow int64 here
     big = 2 ** 62
-    t = InteractionTable(3, big, [[], [big - 1], [big - 1, 0, big - 1]])
+    t = table_from_lists(big, [[], [big - 1], [big - 1, 0, big - 1]])
     assert t.items.tolist() == [big - 1, 0, big - 1]
     assert t.users.tolist() == [1, 2, 2]
     assert t.indptr.tolist() == [0, 0, 1, 3]
@@ -109,6 +138,79 @@ def test_string_ids_densified_with_sidecar(tmp_path):
     assert items == {"B004203QQ4": "0", "B000123": "1"}
 
 
+def test_utf8_bom_is_skipped(tmp_path):
+    # read as text, the BOM would stick to the first id and make every id
+    # non-numeric, so all of them would be remapped
+    p = tmp_path / "bom.tsv"
+    p.write_text("\ufeff3\t1\n1\t0\n0\t2\n", encoding="utf-8")
+    t = data.load_interactions(p)
+    assert t.users.tolist() == [0, 1, 3] and t.items.tolist() == [2, 0, 1]
+    assert not list(tmp_path.glob("*.idmap"))
+
+
+def _assert_same_table(got, want):
+    assert (got.num_users, got.num_items) == (want.num_users, want.num_items)
+    for name in ("indptr", "items", "users"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+NAMES = st.text("abxyzé_-.", min_size=1, max_size=3)
+
+
+@st.composite
+def tsv_files(draw):
+    """(file text, user labels, item labels) of a TSV with integer or string
+    ids per column, repeated pairs, '#' and blank lines, and maybe a BOM."""
+    columns = []
+    for _ in range(2):
+        pool = draw(st.lists(st.integers(0, 20).map(str) | NAMES, min_size=1, max_size=8)
+                    if draw(st.booleans()) else
+                    st.lists(st.integers(0, 20).map(str), min_size=1, max_size=8))
+        columns.append(pool)
+    n = draw(st.integers(1, 15))
+    users = [draw(st.sampled_from(columns[0])) for _ in range(n)]
+    items = [draw(st.sampled_from(columns[1])) for _ in range(n)]
+    lines = [f"{u}\t{i}" for u, i in zip(users, items)]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", "# user\titem", "#x"])))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "\n".join(lines) + "\n", users, items
+
+
+def _dense(labels):
+    """(ids, first-appearance order) the TSV spec gives one column: its
+    integers when every label is a non-negative integer, else each label's
+    rank by first appearance."""
+    if all(label.isdigit() for label in labels):
+        return [int(label) for label in labels], None
+    order = list(dict.fromkeys(labels))
+    return [order.index(label) for label in labels], order
+
+
+@settings(max_examples=150, deadline=None)
+@given(tsv_files(), st.integers(0, 3))
+def test_tsv_loads_to_its_pairs_and_roundtrips(tmp_path_factory, case, cold):
+    text, raw_users, raw_items = case
+    path = tmp_path_factory.mktemp("tsv") / "in.tsv"
+    path.write_text(text, encoding="utf-8")
+    (users, user_order), (items, item_order) = _dense(raw_users), _dense(raw_items)
+    num_items = max(items) + 1 + cold
+    t = data.load_interactions(path, num_items=num_items)
+    assert (t.num_users, t.num_items) == (max(users) + 1, num_items)
+    assert list(zip(t.users.tolist(), t.items.tolist())) == sorted(set(zip(users, items)))
+    for suffix, order in (("users", user_order), ("items", item_order)):
+        sidecar = path.parent / f"in.tsv.{suffix}.idmap"
+        if order is None:
+            assert not sidecar.exists()
+        else:
+            assert sidecar.read_text(encoding="utf-8").splitlines() == [
+                f"{label}\t{k}" for k, label in enumerate(order)]
+    again = path.parent / "again.tsv"
+    data.save_interactions(t, again)
+    _assert_same_table(data.load_interactions(again, num_items=num_items), t)
+
+
 def test_table_sparsity_matches_published_counts():
     stats = DatasetStats.compute(19445, 7037, 160792)
     # exact formula; printed table value is 99.883
@@ -118,7 +220,7 @@ def test_table_sparsity_matches_published_counts():
 
 
 def test_interaction_roundtrip(tmp_path):
-    t = InteractionTable(3, 4, [[0, 2], [1], [3, 0]])
+    t = table_from_lists(4, [[0, 2], [1], [3, 0]])
     path = tmp_path / "rt.tsv"
     data.save_interactions(t, path)
     t2 = data.load_interactions(path)
@@ -143,6 +245,14 @@ def test_feature_file_roundtrip(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(DataError):
         data.load_features(bad, "v")
+
+
+@pytest.mark.parametrize("rows, cols", [(2 ** 64 - 1, 0), (2 ** 40, 0), (0, 3), (0, 0)])
+def test_feature_file_with_an_empty_shape_is_data_error(tmp_path, rows, cols):
+    path = tmp_path / "f.mmfe"
+    path.write_bytes(b"MMFE" + struct.pack("<IQQ", 1, rows, cols))
+    with pytest.raises(DataError):
+        data.load_features(path, "v")
 
 
 def test_feature_header_shape(tmp_path):
@@ -224,8 +334,64 @@ def test_split_leave_one_out(tiny_dataset):
             assert h == -1 and train == orig
 
 
+def _loop_split(table, seed):
+    """The per-user split loop that the array draw replaced, as the oracle:
+    one ``integers(degree)`` draw per user of degree >= 2, in user order."""
+    rng = np.random.default_rng(seed)
+    holdout = np.full(table.num_users, -1, dtype=np.int64)
+    users, items = [], []
+    for u in range(table.num_users):
+        row = table.user_items[u]
+        if row.size >= 2:
+            holdout[u] = pick = row[rng.integers(row.size)]
+            row = row[row != pick]
+        users += [u] * row.size
+        items += row.tolist()
+    return np.array(users, dtype=np.int64), np.array(items, dtype=np.int64), holdout
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), max_size=12))),
+       st.integers(0, 2 ** 63 - 1))
+def test_split_matches_the_per_user_loop_bitwise(case, seed):
+    table = table_from_lists(*case)
+    split = data.split_leave_one_out(table, seed)
+    users, items, holdout = _loop_split(table, seed)
+    assert split.users.tobytes() == users.tobytes()
+    assert split.items.tobytes() == items.tobytes()
+    assert split.holdout.tobytes() == holdout.tobytes()
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("extra, synth_digest, split_digest", [
+    ({}, "3df9cdc3dcb6ce2292cc0f5cf6192e3638c50d534d25acb53f99afe4945bb83b",
+     "9297b785884229f492c017a7b4610e3c5f73c45859535fc35d5debf76409061f"),
+    ({"unpopular_count": 0, "interaction_noise": 0.0},
+     "f0502fca482d6262929c804beeaef5b9084829409122b31ce59eeb7388ae6665",
+     "7a8565943c035bf21a4a5839941a7af5e0899adbf41e7e60d4e43f32060c299f")],
+    ids=["pool", "no_pool"])
+def test_synth_and_split_outputs_are_pinned(extra, synth_digest, split_digest):
+    """sha256 of the generated table and features, and of the split, at a
+    small fixed config; the digests were taken from the per-user set and
+    per-user loop versions of both functions."""
+    cfg = SynthConfig(**{**dict(num_users=60, num_items=40, latent_dim=4, feat_dim_v=5,
+                                feat_dim_t=5, interactions_per_user=6, interaction_noise=0.3,
+                                unpopular_count=8, n_unpop=3), **extra})
+    table, fv, ft = data.synth_generate(cfg, seed=11)
+    split = data.split_leave_one_out(table, seed=12)
+    assert _digest(table.indptr, table.items, fv.values, ft.values) == synth_digest
+    assert _digest(split.indptr, split.items, split.holdout) == split_digest
+
+
 def test_split_excludes_singletons():
-    t = InteractionTable(2, 5, [[1], [0, 2, 3]])
+    t = table_from_lists(5, [[1], [0, 2, 3]])
     s = data.split_leave_one_out(t, seed=0)
     assert s.holdout[0] == -1
     assert s.user_items[0].size == 1
@@ -248,7 +414,7 @@ def test_sample_triples_contract(tiny_dataset):
 
 
 def test_sample_triples_forced_negative():
-    t = InteractionTable(1, 2, [[0]])
+    t = table_from_lists(2, [[0]])
     _, _, neg = data.TripleSampler(t, seed=1).sample(50)
     assert set(neg.tolist()) == {1}
 
@@ -256,7 +422,7 @@ def test_sample_triples_forced_negative():
 def test_sample_positive_uniformity():
     # chi-square over the positives of one user with 5 items
     from scipy import stats as sps
-    t = InteractionTable(1, 400, [[0, 1, 2, 3, 4]])
+    t = table_from_lists(400, [[0, 1, 2, 3, 4]])
     _, pos, _ = data.TripleSampler(t, seed=8).sample(100_000)
     observed = np.bincount(pos, minlength=5)[:5]
     _, p_value = sps.chisquare(observed)
@@ -266,7 +432,7 @@ def test_sample_positive_uniformity():
 def test_sample_negative_uniformity_over_unseen_items():
     from scipy import stats as sps
     seen = [0, 2, 5, 7, 11]
-    t = InteractionTable(1, 12, [seen])
+    t = table_from_lists(12, [seen])
     _, _, neg = data.TripleSampler(t, seed=9).sample(60_000)
     observed = np.bincount(neg, minlength=12)
     assert observed[seen].sum() == 0
@@ -277,7 +443,7 @@ def test_sample_negative_uniformity_over_unseen_items():
 def test_sample_user_uniformity_over_eligible_users():
     # user 1 holds every item and user 2 none: neither may be drawn
     from scipy import stats as sps
-    t = InteractionTable(5, 4, [[0], [0, 1, 2, 3], [], [1, 2], [3]])
+    t = table_from_lists(4, [[0], [0, 1, 2, 3], [], [1, 2], [3]])
     users, _, _ = data.TripleSampler(t, seed=10).sample(60_000)
     observed = np.bincount(users, minlength=5)
     assert observed[1] == 0 and observed[2] == 0
@@ -293,13 +459,13 @@ def test_sample_stream_follows_the_seed(tiny_dataset):
 
 
 def test_sampler_rejects_tables_where_every_user_holds_every_item():
-    t = InteractionTable(2, 2, [[0, 1], [0, 1]])
+    t = table_from_lists(2, [[0, 1], [0, 1]])
     with pytest.raises(EmptyDatasetError):
         data.TripleSampler(t, seed=0)
 
 
 def test_sampler_rejects_catalogs_whose_keys_overflow():
-    t = InteractionTable(3, 2 ** 62, [[], [2 ** 62 - 1], [0]])
+    t = table_from_lists(2 ** 62, [[], [2 ** 62 - 1], [0]])
     with pytest.raises(DataError):
         data.TripleSampler(t, seed=0)
 

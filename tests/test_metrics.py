@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mmadvrec import data, metrics, models
-from mmadvrec.data import DataError, InteractionTable
+from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache, gain_hit, hit_at_k, recall_ndcg, select_targets
 from mmadvrec.models import DatasetEncoding
+
+from conftest import table_from_lists
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ def small_instance(num_users, num_items, seed):
 
 def test_hit_trivials():
     # engineered scores: item 2 is every user's top-1, nobody has seen it
-    table = InteractionTable(4, 6, [[0]] * 4)
+    table = table_from_lists(6, [[0]] * 4)
     fv = data.FeatureMatrix("v", np.zeros((6, 2)))
     ft = data.FeatureMatrix("t", np.zeros((6, 2)))
     enc = DatasetEncoding(table, fv, ft, "concat")
@@ -95,7 +97,7 @@ def test_hit_trivials():
 
 def test_hit_fraction():
     # 10 users, engineered so exactly 3 rank the target inside top-k
-    table = InteractionTable(10, 5, [[0]] * 10)
+    table = table_from_lists(5, [[0]] * 10)
     fv = data.FeatureMatrix("v", np.zeros((5, 2)))
     ft = data.FeatureMatrix("t", np.zeros((5, 2)))
     split = data.split_leave_one_out(table, seed=0)
@@ -163,7 +165,7 @@ def test_recall_ndcg_trivial_ranks():
 
 
 def test_recall_ndcg_rank_two():
-    table = InteractionTable(1, 4, [[0, 1]])
+    table = table_from_lists(4, [[0, 1]])
     split = data.split_leave_one_out(table, seed=0)
     fv = data.FeatureMatrix("v", np.zeros((4, 2)))
     ft = data.FeatureMatrix("t", np.zeros((4, 2)))
@@ -195,7 +197,7 @@ def test_recall_ndcg_matches_oracle_exhaustive():
 
 
 def test_recall_requires_split():
-    table = InteractionTable(2, 4, [[0], [1]])  # nobody eligible
+    table = table_from_lists(4, [[0], [1]])  # nobody eligible
     fv = data.FeatureMatrix("v", np.zeros((4, 2)))
     ft = data.FeatureMatrix("t", np.zeros((4, 2)))
     enc = DatasetEncoding(table, fv, ft, "concat")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
 
-from conftest import param_bytes, rel_err
+from conftest import param_bytes, rel_err, table_from_lists
 
 
 def brute_force_rank(scores, i, pool):
@@ -101,7 +101,7 @@ def edge_case_tables(draw):
     num_items = draw(st.integers(1, 8))
     lists = draw(st.lists(st.lists(st.integers(0, num_items - 1), max_size=9), max_size=7))
     lists = lists + [[], [num_items, num_items]]
-    return data.InteractionTable(len(lists), num_items + 2, lists)
+    return table_from_lists(num_items + 2, lists)
 
 
 def _check_against_loops(table, rng):
@@ -132,8 +132,8 @@ def test_user_means_and_smoothing_match_per_user_loops_bitwise(tiny_dataset):
     rng = np.random.default_rng(5)
     wide = [rng.choice(200, size=rng.integers(0, 150), replace=False) for _ in range(40)]
     tables = [tiny_dataset["raw"], tiny_dataset["split"],
-              data.InteractionTable(3, 4, [[2, 0], [], [3, 1, 2]]),
-              data.InteractionTable(40, 200, wide)]
+              table_from_lists(4, [[2, 0], [], [3, 1, 2]]),
+              table_from_lists(200, wide)]
     for table in tables:
         _check_against_loops(table, rng)
 
@@ -150,9 +150,8 @@ def test_graph_encoding_memory_grows_with_interactions():
     of one U x I float64 array (the I x I one here would be 275 MiB)."""
     num_users, num_items = 300, 6000
     rng = np.random.default_rng(8)
-    table = data.InteractionTable(num_users, num_items,
-                                  [rng.choice(num_items, size=10, replace=False)
-                                   for _ in range(num_users)])
+    table = table_from_lists(num_items, [rng.choice(num_items, size=10, replace=False)
+                                         for _ in range(num_users)])
     fv = data.FeatureMatrix("v", rng.normal(size=(num_items, 4)))
     ft = data.FeatureMatrix("t", rng.normal(size=(num_items, 4)))
     tracemalloc.start()
@@ -170,8 +169,8 @@ def test_recall_ndcg_evaluates_in_row_blocks():
     num_users, num_items = 2000, 1000
     rng = np.random.default_rng(9)
     lists = [rng.choice(num_items, size=6, replace=False) for _ in range(num_users)]
-    table = data.InteractionTable(num_users, num_items, [items[1:] for items in lists],
-                                  holdout=[items[0] for items in lists])
+    table = table_from_lists(num_items, [items[1:] for items in lists],
+                             holdout=[items[0] for items in lists])
     fv = data.FeatureMatrix("v", rng.normal(size=(num_items, 2)))
     ft = data.FeatureMatrix("t", rng.normal(size=(num_items, 2)))
     enc = DatasetEncoding(table, fv, ft, "concat")
@@ -188,7 +187,7 @@ def test_recall_ndcg_evaluates_in_row_blocks():
 
 
 def test_graph_isolated_item_keeps_feature():
-    table = data.InteractionTable(2, 3, [[0], [0]])  # items 1 and 2 isolated
+    table = table_from_lists(3, [[0], [0]])  # items 1 and 2 isolated
     fv = data.FeatureMatrix("v", np.arange(9, dtype=float).reshape(3, 3))
     ft = data.FeatureMatrix("t", np.arange(9, dtype=float).reshape(3, 3) * 2)
     enc = DatasetEncoding(table, fv, ft, "graph")
@@ -382,6 +381,22 @@ def test_checkpoint_every_truncation_is_data_error(setup, tmp_path):
     cut.write_bytes(raw[:shape_at] + (1 << 50).to_bytes(8, "little") + raw[shape_at + 8:])
     with pytest.raises(data.DataError):
         models.load_checkpoint(cut)
+
+
+def test_checkpoint_block_with_an_empty_shape_is_data_error(setup, tmp_path):
+    params, _ = setup
+    path = tmp_path / "model.ckpt"
+    models.save_checkpoint(params, path)
+    raw = path.read_bytes()
+    at = raw.index(b"item_embeds") + len(b"item_embeds")
+    path.write_bytes(raw[:at] + (2 ** 64 - 1).to_bytes(8, "little") + bytes(8) + raw[at + 16:])
+    with pytest.raises(data.DataError):
+        models.load_checkpoint(path)
+    # the last block cut to zero rows, so the file still parses to its end
+    at = raw.index(b"user_embeds") + len(b"user_embeds")
+    path.write_bytes(raw[:at] + bytes(8) + raw[at + 8:at + 16])
+    with pytest.raises(data.DataError):
+        models.load_checkpoint(path)
 
 
 def test_encode_rejects_bad_delta_shape(setup):

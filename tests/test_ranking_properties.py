@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmadvrec import attacks, data, models
-from mmadvrec.data import DataError, InteractionTable
+from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.models import DatasetEncoding
+
+from conftest import table_from_lists
 
 # a small pool of scores forces exact ties; free floats cover the rest
 TIES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
@@ -22,7 +24,7 @@ SCORES = st.one_of(TIES, st.floats(-3.0, 3.0, allow_nan=False))
 def cache_with(masked):
     """A RankCache whose masked matrix is replaced before any query."""
     num_users, num_items = masked.shape
-    table = InteractionTable(num_users, num_items, [[0]] * num_users)
+    table = table_from_lists(num_items, [[0]] * num_users)
     fv = data.FeatureMatrix("v", np.zeros((num_items, 1)))
     ft = data.FeatureMatrix("t", np.zeros((num_items, 1)))
     enc = DatasetEncoding(table, fv, ft, "concat")

@@ -10,7 +10,7 @@ from mmadvrec.models import DatasetEncoding
 from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, max_phase,
                                min_phase, pretrain, uat_mc_train)
 
-from conftest import param_bytes, rel_err
+from conftest import param_bytes, rel_err, table_from_lists
 
 KEYS = ("dv_pos", "dt_pos", "dv_neg", "dt_neg")
 
@@ -361,7 +361,7 @@ def test_defense_reduces_attack_gain_smoke(tiny_dataset, trained_concat):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_aborts():
-    split = data.InteractionTable(4, 6, [[0, 1], [1, 2], [2, 3], [3, 4]])
+    split = table_from_lists(6, [[0, 1], [1, 2], [2, 3], [3, 4]])
     split = data.split_leave_one_out(split, seed=0)
     fv = data.FeatureMatrix("v", np.ones((6, 3)))
     ft = data.FeatureMatrix("t", np.ones((6, 3)))
