@@ -1,5 +1,5 @@
 """Experiment pipeline: gen-data, train, defend, attack, diagnose, sweep,
-bench, report.
+report.
 
 Every command is a pure function of (config, input files, seed): all
 randomness flows from the root ``seed`` split per component, and outputs are
@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -89,8 +88,7 @@ def _train_config(cfg, *, defend, seed_label):
         eval_k=cfg["eval.k_rank"],
         optimizer=cfg["train.optimizer"],
         reduction=cfg["train.reduction"],
-        seed=seed_for(cfg["seed"], seed_label),
-        wall_clock=cfg["report.wall_clock"])
+        seed=seed_for(cfg["seed"], seed_label))
 
 
 def _attack_config(cfg):
@@ -101,17 +99,25 @@ def _attack_config(cfg):
         align_weight=cfg["attack.align_weight"], k=cfg["attack.k"])
 
 
+_LOG_COLUMNS = ["epoch", "clean_loss", "adv_loss", "align_mean", "val_recall10"]
+
+
 def _write_train_log(path, log, extra_rows=None):
     rows = list(extra_rows or [])
-    for r in log.rows:
-        rows.append([r["epoch"], r["clean_loss"], r["adv_loss"], r["align_mean"],
-                     r["val_recall10"], r["seconds"]])
-    reports.write_csv(path, ["epoch", "clean_loss", "adv_loss", "align_mean",
-                             "val_recall10", "seconds"], rows)
+    rows.extend([r[c] for c in _LOG_COLUMNS] for r in log.rows)
+    reports.write_csv(path, _LOG_COLUMNS, rows)
 
 
 def _read_last_epoch(log_path):
+    """(last epoch, rows) of an intact log this version wrote; a log with
+    other columns, or one cut or edited since, cannot be extended row for
+    row."""
     header, rows, _ = reports.read_csv(log_path)
+    if header != _LOG_COLUMNS:
+        raise DataError(f"{log_path}: cannot resume a log with columns {header}, "
+                        f"expected {_LOG_COLUMNS}")
+    if not reports.verify_csv(log_path):
+        raise DataError(f"{log_path}: cannot resume a log that fails its sha256 line")
     if not rows:
         return 0, []
     return int(rows[-1][0]), rows
@@ -272,6 +278,9 @@ def cmd_attack(cfg, args):
 
 
 def cmd_diagnose(cfg, args):
+    bin_width = cfg["diagnose.bin_width"]
+    if not 0.0 < bin_width <= 1.0:
+        raise ConfigError(f"'diagnose.bin_width' must lie in (0, 1], got {bin_width}")
     out, inputs, split, _, _, enc = _workspace(cfg)
     ckpt = args.checkpoint or os.path.join(out, "pretrained.ckpt")
     params = models.load_checkpoint(ckpt)
@@ -279,7 +288,7 @@ def cmd_diagnose(cfg, args):
     k_users = cfg["diagnose.k_users"] or None
     result = mismatch.mismatch_survey(params, enc, targets, k_users=k_users,
                                       k=cfg["eval.k_hit"],
-                                      bin_width=cfg["diagnose.bin_width"])
+                                      bin_width=bin_width)
     items_path = os.path.join(out, "mismatch_items.csv")
     hist_path = os.path.join(out, "mismatch_hist.csv")
     users_path = os.path.join(out, "mismatch_users.csv")
@@ -348,50 +357,6 @@ def cmd_sweep(cfg, args):
     return EXIT_OK
 
 
-def cmd_bench(cfg, args):
-    out, _, split, fv, ft, enc = _workspace(cfg)
-    params = _init_params(cfg, split, fv, ft)
-    batch = cfg["bench.batch_size"]
-    n = cfg["bench.batches"]
-    modes = {"pretrain": (0.0, 0.0), "uat": (1.0, 0.0), "uat_mc": (1.0, 1.0)}  # (lambda, alpha)
-    rows = []
-    medians = {}
-    for mode, (lambda_, alpha) in modes.items():
-        dcfg = _checked("bench keys", DefenseConfig, mode="uat_mc", lambda_=lambda_,
-                        alpha=alpha, beta=cfg["defense.beta"], eta=cfg["train.eta"],
-                        eps_d_pct=cfg["defense.eps_d_pct"], batch_size=batch,
-                        seed=seed_for(cfg["seed"], "bench"), wall_clock=True)
-        work = params.clone()
-        sampler = data.TripleSampler(enc.table, seed=dcfg.seed)
-        optimizer = training.make_optimizer(dcfg)
-        times = []
-        for b in range(n):
-            triples = sampler.sample(batch)
-            t0 = time.perf_counter()
-            delta_batch = None
-            if lambda_ > 0:
-                delta_batch, _ = training.max_phase(work, enc, triples, dcfg, fv, ft)
-            training.min_phase(work, enc, triples, delta_batch, dcfg, optimizer)
-            dt = time.perf_counter() - t0
-            times.append(dt)
-            rows.append([mode, b, dt])
-        medians[mode] = float(np.median(times))
-    ratio = medians["uat_mc"] / medians["uat"]
-    bench_csv = os.path.join(out, "bench.csv")
-    bench_json = os.path.join(out, "bench.json")
-    reports.write_csv(bench_csv, ["mode", "batch", "seconds"], rows)
-    with open(bench_json, "w", encoding="utf-8") as fh:
-        json.dump({"id_dim": params.id_dim, "fuse_dim": params.fuse_dim,
-                   "batch_size": batch, "batches": n,
-                   "median_seconds": medians,
-                   "uat_mc_over_uat": ratio}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"bench (d={params.id_dim}, batch={batch}): "
-          + ", ".join(f"{m} {medians[m]*1e3:.2f}ms" for m in modes)
-          + f"; uat_mc/uat = {ratio:.2f}x")
-    return EXIT_OK
-
-
 def cmd_report(cfg, args):
     out = _out_dir(cfg)
     combined = []
@@ -444,7 +409,6 @@ def build_parser():
     add("attack", cmd_attack, needs_checkpoint=True)
     add("diagnose", cmd_diagnose, needs_checkpoint=True)
     add("sweep", cmd_sweep, needs_checkpoint=True)
-    add("bench", cmd_bench)
     add("report", cmd_report)
     return parser
 

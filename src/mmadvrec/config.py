@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -25,6 +26,14 @@ def _bool(text):
     if t in ("false", "0", "no"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _check_finite(key, values):
+    # nan passes every range check (each comparison is false) and inf the
+    # one-sided ones, so a non-finite float is refused before they run
+    for v in values:
+        if not math.isfinite(v):
+            raise ConfigError(f"{key!r} must be finite, got {v}")
 
 
 # key -> (type constructor, default)
@@ -81,9 +90,6 @@ SCHEMA = {
     "diagnose.targets": (int, 100),
     "diagnose.k_users": (int, 0),  # 0 = 10% of the promotion set
     "diagnose.bin_width": (float, 0.05),
-    "bench.batches": (int, 50),
-    "bench.batch_size": (int, 256),
-    "report.wall_clock": (_bool, False),
 }
 
 # least value of each count key; zero is meaningful only where listed as 0
@@ -93,7 +99,7 @@ MINIMUM = {key: 1 for key in (
     "model.dim", "model.fuse_dim", "train.batch_size", "train.max_epochs",
     "train.eval_every", "defense.max_epochs", "attack.pgd_steps", "attack.k",
     "attack.targets", "attack.popularity_threshold", "eval.k_hit", "eval.k_rank",
-    "diagnose.targets", "bench.batches", "bench.batch_size")}
+    "diagnose.targets")}
 MINIMUM.update({"synth.unpopular_count": 0, "train.patience": 0, "diagnose.k_users": 0})
 
 # allowed values of each enum key
@@ -128,6 +134,8 @@ class Config:
             value = ctor(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
+        if ctor is float:
+            _check_finite(key, [value])
         if key in MINIMUM and value < MINIMUM[key]:
             raise ConfigError(f"{key!r} must be >= {MINIMUM[key]}, got {value}")
         if key in CHOICES and value not in CHOICES[key]:
@@ -142,9 +150,11 @@ class Config:
 
     def floats(self, key):
         try:
-            return [float(x) for x in str(self[key]).split(",") if x.strip()]
+            values = [float(x) for x in str(self[key]).split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad list for {key!r}") from exc
+        _check_finite(key, values)
+        return values
 
     def snapshot(self):
         return dict(sorted(self.values.items()))

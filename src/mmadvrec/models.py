@@ -57,7 +57,7 @@ class ModelParams:
             raise DataError(f"unknown nonlinearity {self.phi!r}")
         if self.user_content not in _USER_CODES:
             raise DataError(f"unknown user content mode {self.user_content!r}")
-        if (self.kind == "graph") != (self.prop_v is not None):
+        if any((self.kind == "graph") != (p is not None) for p in (self.prop_v, self.prop_t)):
             raise DataError("propagation weights present iff kind == 'graph'")
         d_total = self.item_embeds.shape[1] + 2 * self.proj_v.shape[0]
         expect_user = d_total if self.user_content == "id_only" else self.item_embeds.shape[1]
@@ -361,5 +361,5 @@ def load_checkpoint(path):
                            blocks["user_embeds"], blocks["item_embeds"],
                            blocks["proj_v"], blocks["proj_t"],
                            blocks.get("prop_v"), blocks.get("prop_t"))
-    except KeyError as exc:
+    except (KeyError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc})") from exc

@@ -18,7 +18,6 @@ dimensions, as the coordinated attack does.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +49,6 @@ class DefenseConfig:
     optimizer: str = "sgd"  # sgd | adam
     reduction: str = "sum"  # sum | mean
     seed: int = 0
-    wall_clock: bool = False  # record real seconds in the log
 
     def __post_init__(self):
         if self.mode not in ("uat", "uat_mc"):
@@ -75,10 +73,10 @@ class DefenseConfig:
 class TrainLog:
     rows: list = field(default_factory=list)
 
-    def add(self, epoch, clean_loss, adv_loss, align_mean, val_recall, seconds):
+    def add(self, epoch, clean_loss, adv_loss, align_mean, val_recall):
         self.rows.append({"epoch": epoch, "clean_loss": clean_loss,
                           "adv_loss": adv_loss, "align_mean": align_mean,
-                          "val_recall10": val_recall, "seconds": seconds})
+                          "val_recall10": val_recall})
 
     @property
     def epochs(self):
@@ -263,7 +261,6 @@ def _train(params, enc, feats_v, feats_t, config, adversarial, start_epoch=1):
     best_recall = -np.inf
     evals_since_best = 0
     for epoch in range(start_epoch, start_epoch + config.max_epochs):
-        t0 = time.perf_counter()
         clean_sum = adv_sum = align_sum = 0.0
         for _ in range(n_batches):
             triples = sampler.sample(config.batch_size)
@@ -286,9 +283,8 @@ def _train(params, enc, feats_v, feats_t, config, adversarial, start_epoch=1):
                 evals_since_best = 0
             else:
                 evals_since_best += 1
-        seconds = time.perf_counter() - t0 if config.wall_clock else 0.0
         log.add(epoch, clean_sum / n_batches, adv_sum / n_batches,
-                align_sum / n_batches, recall, seconds)
+                align_sum / n_batches, recall)
         if evals_since_best > config.patience:
             break
     if best_recall == -np.inf:

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mmadvrec import cli, config, data, reports, training
+from mmadvrec import cli, config, data, mismatch, reports, training
 from mmadvrec.config import Config, ConfigError, load_config, seed_for
 
 BASE_CFG = """
@@ -29,8 +29,6 @@ attack.pgd_steps = 3
 attack.k = 12
 eval.k_hit = 12
 diagnose.targets = 4
-bench.batches = 4
-bench.batch_size = 32
 """
 
 
@@ -132,6 +130,25 @@ def test_train_resume_continues_epochs(workspace):
     assert int(rows2[-1][0]) > last
 
 
+@pytest.mark.parametrize("damage", ["old columns", "cut"])
+def test_resume_refuses_a_log_it_cannot_extend(workspace, tmp_path, capsys, damage):
+    for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe", "pretrained.ckpt"):
+        shutil.copy(os.path.join(workspace["out"], name), tmp_path / name)
+    log = tmp_path / "train_log.csv"
+    if damage == "old columns":  # the log as written before its seconds column went
+        reports.write_csv(log, ["epoch", "clean_loss", "adv_loss", "align_mean",
+                                "val_recall10", "seconds"], [[1, 0.5, 0.0, 0.0, 0.25, 0.0]])
+    else:  # cut inside its last row, before the sha256 line
+        raw = open(os.path.join(workspace["out"], "train_log.csv"), "rb").read()
+        log.write_bytes(raw[:raw.rindex(b"\n", 0, raw.rindex(b"# sha256")) - 5])
+    before = log.read_bytes()
+    assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+                     "--set", f"data.out_dir={tmp_path}", "--resume"]) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(log) in lines[0]
+    assert log.read_bytes() == before
+
+
 def test_diagnose_outputs(workspace):
     out = workspace["out"]
     assert run(workspace, "diagnose") == 0
@@ -145,6 +162,18 @@ def test_diagnose_outputs(workspace):
     assert run(workspace, "diagnose") == 0
     _, items2, _ = reports.read_csv(os.path.join(out, "mismatch_items.csv"))
     assert items == items2
+
+
+@pytest.mark.parametrize("width", ["0", "-0.5", "1.5"])
+def test_bin_width_outside_the_unit_interval_is_config_error(workspace, monkeypatch, capsys,
+                                                             tmp_path, width):
+    surveyed = []
+    monkeypatch.setattr(mismatch, "mismatch_survey", lambda *a, **k: surveyed.append(a))
+    assert run(workspace, "diagnose", "--set", f"data.out_dir={tmp_path}",
+               "--set", f"diagnose.bin_width={width}") == cli.EXIT_CONFIG
+    assert surveyed == [] and os.listdir(tmp_path) == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "diagnose.bin_width" in lines[0]
 
 
 def test_sweep_grids(workspace):
@@ -167,16 +196,6 @@ def test_sweep_grids(workspace):
                "--set", "attack.variant=fgsm", "--set", "defense.max_epochs=1") == 0
     header, rows, _ = reports.read_csv(os.path.join(out, "sweep.csv"))
     assert float(rows[0][0]) == 0.1
-
-
-def test_bench_outputs(workspace):
-    out = workspace["out"]
-    assert run(workspace, "bench") == 0
-    summary = json.load(open(os.path.join(out, "bench.json")))
-    assert summary["batch_size"] == 32
-    assert "id_dim" in summary and "uat_mc_over_uat" in summary
-    _, rows, _ = reports.read_csv(os.path.join(out, "bench.csv"))
-    assert len(rows) == 3 * 4  # three modes, four batches
 
 
 def test_report_merges_metrics(workspace):
@@ -301,7 +320,9 @@ def test_run_id_does_not_depend_on_where_files_live(workspace, tmp_path):
 @pytest.mark.parametrize("kind, key, value", [("eps", "sweep.eps_a", "0.05,1.5"),
                                               ("eps", "sweep.eps_d", "0.05,2"),
                                               ("lambda", "sweep.lambdas", "1,-1"),
-                                              ("alpha", "sweep.alphas", "0.1,-2")])
+                                              ("alpha", "sweep.alphas", "0.1,-2"),
+                                              ("lambda", "sweep.lambdas", "1,nan"),
+                                              ("eps", "sweep.eps_a", "0.05,inf")])
 def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, capsys,
                                                         kind, key, value):
     trained = []
@@ -319,7 +340,12 @@ def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, 
                                                  ("attack", "attack.eps_a_pct", "2"),
                                                  ("attack", "attack.threshold_mode", "xyz"),
                                                  ("attack", "attack.align_weight", "-3"),
-                                                 ("train", "train.optimizer", "xyz")])
+                                                 ("train", "train.optimizer", "xyz"),
+                                                 ("attack", "attack.align_weight", "nan"),
+                                                 ("defend", "defense.lambda", "nan"),
+                                                 ("defend", "defense.alpha", "nan"),
+                                                 ("train", "train.eta", "nan"),
+                                                 ("defend", "defense.beta", "inf")])
 def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
                                                  command, key, value):
     checkpoint = os.path.join(workspace["out"], "pretrained.ckpt")
@@ -329,6 +355,20 @@ def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error")
     assert os.listdir(tmp_path) == []
+
+
+def test_every_float_key_refuses_non_finite_values():
+    floats = [key for key, (ctor, _) in config.SCHEMA.items() if ctor is float]
+    assert "defense.lambda" in floats
+    for key in floats:
+        for value in ("nan", "inf", "-inf", "NaN"):
+            with pytest.raises(ConfigError, match=key):
+                Config({key: value})
+    for key in ("sweep.eps_d", "sweep.eps_a", "sweep.lambdas", "sweep.alphas"):
+        assert Config({key: "0.1, 2"}).floats(key) == [0.1, 2.0]
+        for value in ("0.1,nan", "inf", "0.1,-inf"):
+            with pytest.raises(ConfigError, match=key):
+                Config({key: value}).floats(key)
 
 
 def test_every_enum_key_checks_its_choices():

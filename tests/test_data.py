@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmadvrec import data
 from mmadvrec.data import (DataError, DatasetStats, EmptyDatasetError, FeatureMatrix,
@@ -281,6 +282,27 @@ def test_feature_file_every_truncation_is_data_error(tmp_path):
     cut.write_bytes(raw[:8] + (1 << 50).to_bytes(8, "little") + raw[16:])
     with pytest.raises(DataError):
         data.load_features(cut, "v")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                  elements=FINITE), st.sampled_from(["v", "t"]))
+def test_feature_file_roundtrips_and_every_truncation_is_data_error(tmp_path_factory,
+                                                                   values, modality):
+    root = tmp_path_factory.mktemp("feat")
+    path, cut = root / "f.mmfe", root / "cut.mmfe"
+    data.write_features(FeatureMatrix(modality, values), path)
+    loaded = data.load_features(path, modality, expected_items=values.shape[0])
+    assert loaded.modality == modality and loaded.values.shape == values.shape
+    assert loaded.values.tobytes() == values.tobytes()  # bitwise, -0.0 included
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(DataError):
+            data.load_features(cut, modality)
 
 
 def test_synth_determinism():

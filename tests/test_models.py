@@ -1,9 +1,11 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
@@ -396,6 +398,77 @@ def test_checkpoint_block_with_an_empty_shape_is_data_error(setup, tmp_path):
     at = raw.index(b"user_embeds") + len(b"user_embeds")
     path.write_bytes(raw[:at] + bytes(8) + raw[at + 8:at + 16])
     with pytest.raises(data.DataError):
+        models.load_checkpoint(path)
+
+
+@st.composite
+def model_params(draw):
+    """Parameters of either kind, nonlinearity and user-content mode, small
+    shapes, with every value drawn from the finite floats."""
+    users, items, dim_v, dim_t, id_dim, fuse_dim = [draw(st.integers(1, 3)) for _ in range(6)]
+    params = models.init_params(users, items, dim_v, dim_t,
+                                kind=draw(st.sampled_from(["concat", "graph"])),
+                                phi=draw(st.sampled_from(["identity", "tanh"])),
+                                user_content=draw(st.sampled_from(["shared", "id_only"])),
+                                id_dim=id_dim, fuse_dim=fuse_dim)
+    for a in params.arrays().values():
+        a[...] = draw(hnp.arrays(np.float64, a.shape,
+                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return params
+
+
+@settings(max_examples=15, deadline=None)
+@given(model_params())
+def test_checkpoint_roundtrips_and_every_truncation_is_data_error(tmp_path_factory, params):
+    root = tmp_path_factory.mktemp("ckpt")
+    path, cut = root / "model.ckpt", root / "cut.ckpt"
+    models.save_checkpoint(params, path)
+    loaded = models.load_checkpoint(path)
+    assert (loaded.kind, loaded.phi, loaded.user_content) == (
+        params.kind, params.phi, params.user_content)
+    assert param_bytes(loaded) == param_bytes(params)
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(data.DataError):
+            models.load_checkpoint(cut)
+
+
+def _checkpoint_blocks(raw):
+    """name -> (first byte, end) of each block of a checkpoint file."""
+    spans, at = {}, 9  # magic, version and kind code
+    while at < len(raw):
+        (name_len,) = struct.unpack_from("<H", raw, at)
+        name = raw[at + 2:at + 2 + name_len].decode()
+        rows, cols = struct.unpack_from("<QQ", raw, at + 2 + name_len)
+        end = at + 2 + name_len + 16 + 8 * rows * cols
+        spans[name], at = (at, end), end
+    return spans
+
+
+def _block(name, arr):
+    arr = np.asarray(arr, dtype="<f8")
+    return (struct.pack("<H", len(name)) + name.encode()
+            + struct.pack("<QQ", *arr.shape) + arr.tobytes())
+
+
+@pytest.mark.parametrize("edit", ["drop prop_t", "drop prop_v", "meta (1, 1)", "meta nan",
+                                  "meta inf"])
+def test_malformed_checkpoint_blocks_are_data_errors(tmp_path, edit):
+    params = models.init_params(3, 4, 2, 2, kind="graph", id_dim=2, fuse_dim=2, seed=5)
+    path = tmp_path / "model.ckpt"
+    models.save_checkpoint(params, path)
+    raw = path.read_bytes()
+    action, target = edit.split(" ", 1)
+    if action == "drop":
+        start, end = _checkpoint_blocks(raw)[target]
+        replacement = b""
+    else:
+        start, end = _checkpoint_blocks(raw)["meta"]
+        meta = {"(1, 1)": [[0.0]], "nan": [[np.nan, 0.0]], "inf": [[0.0, np.inf]]}[target]
+        replacement = _block("meta", meta)
+    path.write_bytes(raw[:start] + replacement + raw[end:])
+    with pytest.raises(data.DataError, match="model.ckpt|propagation"):
         models.load_checkpoint(path)
 
 

@@ -1,11 +1,15 @@
 """Every public top-level function or class of the package is used by the
 program itself (``src/``) or by the benchmark (``perfbench/``), and so is
 every public method or property of a public class, every optional
-parameter of a public function or method and every plain-default field of a
-public dataclass, so no API or option stays alive only for its own tests."""
+parameter of a public function or method, every plain-default field of a
+public dataclass and every config key, so no API or option stays alive only
+for its own tests."""
 
 import ast
+import re
 from pathlib import Path
+
+from mmadvrec import config
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mmadvrec"
@@ -14,7 +18,6 @@ PACKAGE = ROOT / "src" / "mmadvrec"
 ALLOWED = {
     "cli.main": "the console entry point named in pyproject.toml",
     "autodiff.fd_gradient": "the finite-difference oracle the gradient tests compare against",
-    "reports.verify_csv": "checks the sha256 line every CSV ends with, for readers of the outputs",
 }
 
 # module.function.parameter -> why no call site in src/ or perfbench/ sets it
@@ -214,3 +217,46 @@ def test_parameter_allow_list_names_exist():
         a = fn.args
         params |= {f"{qualname}.{x.arg}" for x in a.posonlyargs + a.args + a.kwonlyargs}
     assert set(ALLOWED_PARAMETERS) <= params
+
+
+# the tables in config.py that declare keys rather than read them
+KEY_TABLES = {"SCHEMA", "MINIMUM", "CHOICES"}
+
+
+def _declares_keys(stmt):
+    names = [t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        receiver = getattr(stmt.value.func, "value", None)
+        names.append(getattr(receiver, "id", None))
+    return bool(KEY_TABLES & set(names))
+
+
+def _key_patterns():
+    """A regex per string the program or the benchmark writes outside the
+    key tables: a plain string matches itself, and an f-string matches any
+    text in place of each of its fields (``f"sweep.{kind}s"``)."""
+    patterns = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for stmt in body:
+            if path.name == "config.py" and _declares_keys(stmt):
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.JoinedStr):
+                    patterns.add("".join(re.escape(v.value) if isinstance(v, ast.Constant)
+                                         else ".+" for v in node.values))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    patterns.add(re.escape(node.value))
+    return [re.compile(p) for p in patterns]
+
+
+def test_every_config_key_is_read_by_the_program_or_the_benchmark():
+    patterns = _key_patterns()
+    unread = sorted(key for key in config.SCHEMA
+                    if not any(p.fullmatch(key) for p in patterns))
+    assert unread == []
+
+
+def test_every_bounded_or_enum_key_is_a_schema_key():
+    assert sorted(set(config.MINIMUM) - set(config.SCHEMA)) == []
+    assert sorted(set(config.CHOICES) - set(config.SCHEMA)) == []
