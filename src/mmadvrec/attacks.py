@@ -101,22 +101,35 @@ def promoted_user_set(table, i):
     return np.nonzero(keep)[0].astype(np.int64)
 
 
-def promotion_loss(params, enc, i, users, deltas, k=50, cache=None, forward=None,
-                   thresholds=None):
-    """Mean sigmoid(target score - top-K threshold) over the user set,
-    differentiable in the (1, d) perturbation rows deltas=(delta_v, delta_t)."""
+class Promotion:
+    """The promotion objective of one target item: the mean over its
+    audience of sigmoid(target score - top-K threshold), differentiable in
+    the (1, d) perturbation rows. The audience's clean user rows and
+    thresholds are gathered here once per target, so each evaluation only
+    encodes the moved item."""
+
+    def __init__(self, forward, i, users, rows, thresholds):
+        if len(users) == 0:
+            raise DataError("promotion loss needs a nonempty user set")
+        self.forward = forward
+        self.item = i
+        self.rows = ad.constant(rows)  # its own copy, so its transpose is built once
+        self.thresholds = ad.constant(np.reshape(thresholds, (-1, 1)))
+        self._mean = ad.constant(1.0 / len(users))
+
+    def loss(self, dv, dt):
+        h_i = self.forward.item_embedding_batch([self.item], dv, dt)
+        margins = ad.sub(ad.matmul(self.rows, ad.transpose(h_i)), self.thresholds)
+        return ad.mul(self._mean, ad.sum_all(ad.sigmoid(margins)))
+
+
+def promotion(cache, i, users, k):
+    """Item i's Promotion to ``users`` on the cache's clean model, at each
+    user's top-k threshold with the target removed from the pool."""
     users = np.asarray(users, dtype=np.int64)
-    if users.size == 0:
-        raise DataError("promotion loss needs a nonempty user set")
-    cache = cache if cache is not None else RankCache(params, enc)
-    fw = forward if forward is not None else Forward(params, enc)
-    if thresholds is None:
-        thresholds = cache.thresholds_excluding(i, k, users=users)
-    dv, dt = deltas
-    h_i = fw.item_embedding_batch([i], dv, dt)
-    scores = ad.matmul(ad.constant(cache.scorer.user_matrix[users]), ad.transpose(h_i))
-    margins = ad.sub(scores, ad.constant(thresholds[:, None]))
-    return ad.mul(ad.constant(1.0 / users.size), ad.sum_all(ad.sigmoid(margins)))
+    return Promotion(Forward(cache.params, cache.enc), i, users,
+                     cache.scorer.user_matrix[users],
+                     cache.thresholds_excluding(i, k, users=users))
 
 
 def budget_rows(features, items, eps_pct):
@@ -182,19 +195,15 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     alignment term when ``with_align``; returns (Perturbation, AttackTrace).
     PGD takes ``pgd_steps`` steps of 1.25 * eps / steps and FGSM one step of
     the whole budget, each along the normalised gradient and projected back
-    onto the budget ball."""
+    onto the budget ball. A step's traced forward also gives the loss that
+    the previous step reached, so only the last step's loss takes a forward
+    of its own."""
     cache = cache if cache is not None else RankCache(params, enc)
     users = promoted_user_set(enc.table, i)
     eps_v = float(budget_rows(feats_v, [i], config.eps_pct)[0])
     eps_t = float(budget_rows(feats_t, [i], config.eps_pct)[0])
-    thresholds = cache.thresholds_excluding(i, config.k, users=users)
-    fw = Forward(params, enc)
+    objective = promotion(cache, i, users, config.k)
     weight = config.align_weight if config.with_align else 0.0
-
-    def promotion(dv, dt):
-        return promotion_loss(params, enc, i, users, (dv, dt), k=config.k, cache=cache,
-                              forward=fw, thresholds=thresholds)
-
     scale, steps = (1.0, 1) if config.variant == "fgsm" else (1.25, config.pgd_steps)
     step_v = scale * eps_v / steps
     step_t = scale * eps_t / steps
@@ -202,19 +211,24 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     delta_t = np.zeros(feats_t.dim)
     trace = AttackTrace()
     saw_zero_v = saw_zero_t = False
+    last = None  # (n_rec, cosine) of the previous step, whose loss this step's forward gives
     for it in range(1, steps + 1):
         dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
-        (gv, gt), (gv_p, gt_p), _ = ascent_gradients(promotion(dv, dt), [(dv, dt)], weight)
+        loss = objective.loss(dv, dt)
+        if last is not None:
+            trace.add(it - 1, loss.item(), *last)
+        (gv, gt), (gv_p, gt_p), _ = ascent_gradients(loss, [(dv, dt)], weight)
         move_v = to_sphere(gv.numpy(), step_v)[0]
         move_t = to_sphere(gt.numpy(), step_t)[0]
         saw_zero_v |= not move_v.any()
         saw_zero_t |= not move_t.any()
         delta_v = _project(delta_v + move_v, eps_v)
         delta_t = _project(delta_t + move_t, eps_t)
-        with ad.no_grad():
-            loss = promotion(ad.constant(delta_v[None, :]), ad.constant(delta_t[None, :]))
-        n_rec = hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache)
-        trace.add(it, loss.item(), n_rec, np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
+        last = (hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache),
+                np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
+    with ad.no_grad():
+        loss = objective.loss(ad.constant(delta_v[None, :]), ad.constant(delta_t[None, :]))
+    trace.add(steps, loss.item(), *last)
     flags = [name for name, on in (
         ("zero_budget_v", eps_v == 0.0), ("zero_budget_t", eps_t == 0.0),
         ("zero_grad_v", saw_zero_v and eps_v != 0.0),

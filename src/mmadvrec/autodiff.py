@@ -8,6 +8,15 @@ max phase needs (it differentiates a function of first-order gradients).
 
 Shapes are restricted to scalars (0-d), vectors and matrices; broadcasting is
 exact-shape or scalar-only.
+
+Transposes: a constant made by ``tensor`` or ``constant`` holds a private
+copy of its data that nothing changes, so its transpose is computed once,
+kept on the node and returned by every later ``transpose`` of it, including
+the one in each backward through ``matmul``; the kept transpose is such a
+constant too. It is C-contiguous, as every transpose is, so products with
+it round as before. A tensor that wraps an array it does not own, such as
+``Forward``'s views of the parameters that the optimiser updates in place,
+is transposed afresh each time.
 """
 
 from __future__ import annotations
@@ -61,7 +70,12 @@ class Tensor:
     ``_links`` holds (parent, vjp) pairs for parents that require grad; the
     vjp closure maps the cotangent of this node to the cotangent contribution
     of that parent, expressed in traced ops so it stays differentiable.
+    ``_owns_data`` marks a constant whose data is its own copy, and
+    ``_transposed`` keeps that constant's transpose once it is asked for.
     """
+
+    _owns_data = False
+    _transposed = None
 
     def __init__(self, data, requires_grad=False, _links=()):
         arr = np.asarray(data, dtype=np.float64)
@@ -98,7 +112,9 @@ class Tensor:
 def tensor(data, requires_grad=False):
     """Wrap external data in a tensor; the data is copied, so later caller
     mutation cannot corrupt a recorded graph."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
+    out = Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
+    out._owns_data = True
+    return out
 
 
 def leaf(data):
@@ -271,6 +287,11 @@ def transpose(a):
     a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
+    if a._owns_data and not a.requires_grad:
+        if a._transposed is None:
+            a._transposed = Tensor(a.data.T)
+            a._transposed._owns_data = True
+        return a._transposed
     return _node(a.data.T, [(a, lambda g: transpose(g))])
 
 

@@ -172,7 +172,7 @@ def load_config(path, overrides=()):
                     raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
                 key, _, value = stripped.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = Config(values)
     for item in overrides:

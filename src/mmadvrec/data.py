@@ -182,16 +182,20 @@ def load_interactions(path, num_items=None):
     the input as ``<path>.users.idmap`` / ``<path>.items.idmap``.
     """
     raw_users, raw_items = [], []
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            cols = stripped.split("\t")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
-                raise ParseError(path, line_no, f"expected 'user<TAB>item', got {stripped!r}")
-            raw_users.append(cols[0])
-            raw_items.append(cols[1])
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                cols = stripped.split("\t")
+                if len(cols) != 2 or not cols[0] or not cols[1]:
+                    raise ParseError(path, line_no,
+                                     f"expected 'user<TAB>item', got {stripped!r}")
+                raw_users.append(cols[0])
+                raw_items.append(cols[1])
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not raw_users:
         raise EmptyDatasetError(f"{path}: no interactions")
 

@@ -19,7 +19,6 @@ from . import attacks
 from . import autodiff as ad
 from .data import DataError
 from .metrics import RankCache
-from .models import Forward
 
 
 @dataclass
@@ -61,19 +60,17 @@ class SurveyResult:
 
 def per_user_gradients(params, enc, i, users, k=50, cache=None):
     """Per-user gradients of sigmoid(y_ui - y_uK) w.r.t. the two modality
-    deltas at zero perturbation."""
-    users = np.asarray(users, dtype=np.int64)
-    if users.size == 0:
-        raise DataError("per-user gradients need a nonempty user set")
+    deltas at zero perturbation. The users' rows and thresholds are the
+    attack's per-target ones, each user reading a view of its row."""
     cache = cache if cache is not None else RankCache(params, enc)
+    objective = attacks.promotion(cache, i, users, k)
     dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
     dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
-    h_i = Forward(params, enc).item_embedding_batch([i], dv, dt)  # shared across users
-    thresholds = cache.thresholds_excluding(i, k, users=users)
+    h_i = objective.forward.item_embedding_batch([i], dv, dt)  # shared across users
     out = []
-    for u, thr in zip(users, thresholds):
-        score = ad.dot(ad.constant(cache.scorer.user_matrix[u:u + 1]), h_i)
-        g_v, g_t = ad.grad(ad.sigmoid(ad.sub(score, ad.constant(thr))), [dv, dt])
+    for row, thr in zip(objective.rows.numpy(), objective.thresholds.numpy()[:, 0]):
+        score = ad.dot(ad.Tensor(row[None, :]), h_i)
+        g_v, g_t = ad.grad(ad.sigmoid(ad.sub(score, ad.Tensor(thr))), [dv, dt])
         out.append((g_v.numpy()[0], g_t.numpy()[0]))
     return out
 

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mmadvrec import attacks, autodiff as ad, data, metrics, models
-from mmadvrec.attacks import (AttackConfig, Perturbation, ascent_gradients, budget_rows,
-                              promoted_user_set, promotion_loss, run_attack, to_sphere)
+from mmadvrec.attacks import (AttackConfig, Perturbation, Promotion, ascent_gradients,
+                              budget_rows, promoted_user_set, promotion, run_attack,
+                              to_sphere)
 from mmadvrec.metrics import RankCache, hit_at_k
 from mmadvrec.models import DatasetEncoding
 
@@ -43,18 +46,15 @@ def test_promotion_loss_trivials(scene):
     h_i = fw.item_embedding_batch([i]).numpy()[0]
     base = cache.scorer.user_matrix[users] @ h_i
     # margins engineered to (0, ln 3): sigma gives (0.5, 0.75)
+    rows = cache.scorer.user_matrix[users]
     thr = np.array([base[0], base[1] - np.log(3.0)])
-    loss = promotion_loss(params, enc, i, users, (dv, dt), k=5, cache=cache,
-                          thresholds=thr)
+    loss = Promotion(fw, i, users, rows, thr).loss(dv, dt)
     assert loss.item() == pytest.approx(0.625, abs=1e-12)
     # saturation: margin -> +inf limit gives 1
-    thr = base - 50.0
-    loss = promotion_loss(params, enc, i, users, (dv, dt), k=5, cache=cache,
-                          thresholds=thr)
+    loss = Promotion(fw, i, users, rows, base - 50.0).loss(dv, dt)
     assert loss.item() == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(data.DataError):
-        promotion_loss(params, enc, i, np.array([], dtype=np.int64), (dv, dt),
-                       k=5, cache=cache)
+        promotion(cache, i, np.array([], dtype=np.int64), 5)
 
 
 def test_scaled_unit_direction():
@@ -101,16 +101,12 @@ def test_pgd_feasible_every_iterate(scene):
 
     # re-run the loop manually to check every iterate, not just the last
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=6, k=10)
-    users = promoted_user_set(enc.table, i)
-    thr = cache.thresholds_excluding(i, cfg.k, users=users)
-    fw = models.Forward(params, enc)
+    objective = promotion(cache, i, promoted_user_set(enc.table, i), cfg.k)
     delta_v = np.zeros(fv.dim)
     delta_t = np.zeros(ft.dim)
     for _ in range(cfg.pgd_steps):
         dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
-        loss = promotion_loss(params, enc, i, users, (dv, dt), k=cfg.k,
-                              cache=cache, forward=fw, thresholds=thr)
-        gv, gt = ad.grad(loss, [dv, dt])
+        gv, gt = ad.grad(objective.loss(dv, dt), [dv, dt])
         mv = to_sphere(gv.numpy(), 1.25 * eps_v / cfg.pgd_steps)[0]
         mt = to_sphere(gt.numpy(), 1.25 * eps_t / cfg.pgd_steps)[0]
         delta_v = attacks._project(delta_v + mv, eps_v)
@@ -181,11 +177,11 @@ def test_attack_deterministic(scene):
     assert a.delta_t.tobytes() == b.delta_t.tobytes()
 
 
-def align_ascent(params, enc, i, users, deltas, weight=1.0, **kwargs):
-    """The attack's coordinated ascent on the promotion loss with its one
+def align_ascent(objective, deltas, weight=1.0):
+    """The attack's coordinated ascent on a Promotion's loss with its one
     (visual, textual) delta pair: (loss, objective gradients, loss
     gradients, alignment node)."""
-    loss = promotion_loss(params, enc, i, users, deltas, k=10, **kwargs)
+    loss = objective.loss(*deltas)
     grads, loss_grads, align = ascent_gradients(loss, [deltas], weight)
     return loss, grads, loss_grads, align
 
@@ -193,21 +189,19 @@ def align_ascent(params, enc, i, users, deltas, weight=1.0, **kwargs):
 def test_align_loss_bounds_and_symmetry(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[0])
-    users = promoted_user_set(enc.table, i)
+    objective = promotion(cache, i, promoted_user_set(enc.table, i), 10)
     dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, ft.dim)))
-    loss, _, (gv, gt), val = align_ascent(params, enc, i, users, (dv, dt), cache=cache)
+    loss, _, (gv, gt), val = align_ascent(objective, (dv, dt))
     assert -1.0 - 1e-9 <= val.item() <= 1.0 + 1e-9
     assert gv.shape == (1, fv.dim) and gt.shape == (1, ft.dim)
-    assert loss.item() == promotion_loss(params, enc, i, users, (dv, dt), k=10,
-                                         cache=cache).item()
+    assert loss.item() == objective.loss(dv, dt).item()
     # at weight 0 the objective and loss gradients are one plain backward
-    _, grads, loss_grads, align = align_ascent(params, enc, i, users, (dv, dt), 0.0,
-                                               cache=cache)
+    _, grads, loss_grads, align = align_ascent(objective, (dv, dt), 0.0)
     assert align is None and grads is loss_grads
     assert np.array_equal(grads[0].numpy(), gv.numpy())
     with pytest.raises(ad.GraphError):
-        align_ascent(params, enc, i, users, (ad.constant(np.zeros((1, fv.dim))),
-                                             ad.constant(np.zeros((1, ft.dim)))), cache=cache)
+        align_ascent(objective, (ad.constant(np.zeros((1, fv.dim))),
+                                 ad.constant(np.zeros((1, ft.dim)))))
 
 
 def test_align_loss_symmetric_construction(tiny_dataset):
@@ -219,36 +213,32 @@ def test_align_loss_symmetric_construction(tiny_dataset):
                                 seed=33)
     params.proj_t[:] = params.proj_v
     i = 4
-    users = promoted_user_set(enc.table, i)
+    objective = promotion(RankCache(params, enc), i, promoted_user_set(enc.table, i), 10)
     dv, dt = ad.leaf(np.zeros((1, fv.dim))), ad.leaf(np.zeros((1, fv.dim)))
-    _, _, _, val = align_ascent(params, enc, i, users, (dv, dt))
+    _, _, _, val = align_ascent(objective, (dv, dt))
     assert val.item() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_align_loss_gradient_fd(scene):
     params, enc, fv, ft, cache, targets = scene
     i = int(targets[4])
-    users = promoted_user_set(enc.table, i)[:20]
-    thr = cache.thresholds_excluding(i, 10, users=users)
+    objective = promotion(cache, i, promoted_user_set(enc.table, i)[:20], 10)
     rng = np.random.default_rng(7)
     dv0 = 0.05 * rng.normal(size=(1, fv.dim))
     dt0 = 0.05 * rng.normal(size=(1, ft.dim))
     dv, dt = ad.leaf(dv0), ad.leaf(dt0)
-    _, (ov, ot), _, val = align_ascent(params, enc, i, users, (dv, dt), 2.5, cache=cache,
-                                       thresholds=thr)
+    _, (ov, ot), _, val = align_ascent(objective, (dv, dt), 2.5)
     gv, gt = ad.grad(val, [dv, dt])
 
     def f(vs):
-        _, _, _, node = align_ascent(params, enc, i, users, (ad.leaf(vs[0]), ad.leaf(vs[1])),
-                                     cache=cache, thresholds=thr)
+        _, _, _, node = align_ascent(objective, (ad.leaf(vs[0]), ad.leaf(vs[1])))
         return node.item()
 
     fgv, fgt = ad.fd_gradient(f, [dv0, dt0], step=1e-5)
     assert rel_err(gv.numpy(), fgv) < 1e-4
     assert rel_err(gt.numpy(), fgt) < 1e-4
     # the objective's gradients are the loss's plus weight times the alignment's
-    lv, lt = ad.grad(promotion_loss(params, enc, i, users, (dv, dt), k=10, cache=cache,
-                                    thresholds=thr), [dv, dt])
+    lv, lt = ad.grad(objective.loss(dv, dt), [dv, dt])
     assert rel_err(ov.numpy(), lv.numpy() + 2.5 * gv.numpy()) < 1e-12
     assert rel_err(ot.numpy(), lt.numpy() + 2.5 * gt.numpy()) < 1e-12
 
@@ -286,3 +276,86 @@ def test_graph_model_attack_end_to_end(trained_graph, tiny_dataset):
     pert, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
     assert np.linalg.norm(pert.delta_v) <= pert.eps_v + 1e-9
     assert len(trace.records) == 4
+
+
+def _attack_digest(pert, trace):
+    """sha256 of the deltas' bytes and of every trace record."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(pert.delta_v, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(pert.delta_t, dtype="<f8").tobytes())
+    for r in trace.records:
+        h.update(np.array([r.iteration, r.n_rec], dtype="<i8").tobytes())
+        h.update(np.array([r.promotion_loss, r.grad_cosine], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, variant, with_align, digest", [
+    ("concat", "pgd", False,
+     "4978a82c17d7630f25169fa5e2457828e01aa6f234c90c56278ab38e72bc41da"),
+    ("concat", "pgd", True,
+     "8b1f7bd92622248d7a341478ddb57c40f37c1380779daaef15a079b381f4577f"),
+    ("concat", "fgsm", False,
+     "be16db26c432d7a63ef2698e440e4f20fe4bbabcb8cd1abc44a10a69390e8cb7"),
+    ("concat", "fgsm", True,
+     "5db1775ed5069bec1e4b8614a273106856120fb72a451c36101ff5d8e484a0d3"),
+    ("graph", "pgd", False,
+     "43d5081a410181fd2d4ab61e4aafd9f175a14388b04e3121ca6f644280d586bf"),
+    ("graph", "pgd", True,
+     "3d1396e8ccb4e434eff1ea2214d065a548f16c9c84a600ae1293af1f3fe38d16"),
+    ("graph", "fgsm", False,
+     "dae7b0e41c2f8bb6bd3add7d0976324b280b17d7bad32441b79b48415a441b6b"),
+    ("graph", "fgsm", True,
+     "b463c63630bf25fec88bec0872e4b28ac788255ce12b6b96f19cb6c1cce06960")])
+def test_attack_outputs_are_pinned(request, tiny_dataset, kind, variant, with_align, digest):
+    """sha256 of run_attack's deltas and trace at a small fixed config; the
+    digests were taken from the version that ran a second, untraced forward
+    per step to record the step's loss."""
+    params, enc = request.getfixturevalue(f"trained_{kind}")
+    i = int(metrics.select_targets(tiny_dataset["raw"], 1, n_unpop=4, seed=9)[0])
+    cfg = AttackConfig(variant=variant, eps_pct=0.10, pgd_steps=4, k=10,
+                       with_align=with_align, align_weight=0.5)
+    pert, trace = run_attack(params, enc, tiny_dataset["fv"], tiny_dataset["ft"], i, cfg)
+    assert _attack_digest(pert, trace) == digest
+
+
+class _CountedRows(np.ndarray):
+    """A user-row table that records each gather by an index array and
+    hands out plain arrays, so nothing downstream sees the subclass."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            type(self).gathers += 1
+        return np.asarray(super().__getitem__(key))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("variant, steps, with_align", [
+    ("pgd", 1, False), ("pgd", 4, False), ("pgd", 3, True), ("fgsm", 1, False)])
+def test_attack_gathers_once_and_runs_one_forward_per_step(scene, monkeypatch, variant,
+                                                           steps, with_align):
+    """One attack gathers its audience's user rows once and runs one
+    promotion forward per step plus one for the last step's loss."""
+    params, enc, fv, ft, _, targets = scene
+    cache = RankCache(params, enc)
+    cache.scorer.user_matrix = cache.scorer.user_matrix.view(_CountedRows)
+    monkeypatch.setattr(_CountedRows, "gathers", 0)
+    forwards = []
+    embed = models.Forward.item_embedding_batch
+
+    def counted(self, idx, delta_v=None, delta_t=None, weights=None):
+        if weights is None:  # hit tests move rows by their weights; promotion does not
+            forwards.append(list(idx))
+        return embed(self, idx, delta_v, delta_t, weights)
+
+    monkeypatch.setattr(models.Forward, "item_embedding_batch", counted)
+    i = int(targets[0])
+    cfg = AttackConfig(variant=variant, eps_pct=0.10, pgd_steps=steps, k=10,
+                       with_align=with_align)
+    _, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
+    assert len(trace.records) == steps
+    assert _CountedRows.gathers == 1
+    assert forwards == [[i]] * (steps + 1)

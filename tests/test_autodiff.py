@@ -45,6 +45,28 @@ def test_scalar_broadcast_only():
         ad.mul(a, ad.constant([1.0, 2.0]))  # vector-matrix broadcast unsupported
 
 
+def test_transpose_is_kept_only_for_a_constant_that_owns_its_data():
+    c = ad.constant(np.arange(6.0).reshape(2, 3))
+    t = ad.transpose(c)
+    assert ad.transpose(c) is t and t.data.flags.c_contiguous
+    assert np.array_equal(t.numpy(), c.numpy().T)
+    # every backward through the constant reads the one kept transpose
+    x = ad.leaf(np.ones((3, 1)))
+    for _ in range(2):
+        (g,) = ad.grad(ad.sum_all(ad.matmul(c, x)), [x])
+        assert np.array_equal(g.numpy(), [[3.0], [5.0], [7.0]])
+    assert ad.transpose(c) is t
+    # a tensor over a caller's array sees that array change in place
+    arr = np.arange(6.0).reshape(2, 3)
+    view = ad.Tensor(arr)
+    first = ad.transpose(view)
+    arr += 1.0
+    assert ad.transpose(view) is not first
+    assert np.array_equal(ad.transpose(view).numpy(), arr.T)
+    leaf = ad.leaf(arr)
+    assert ad.transpose(leaf).requires_grad and ad.transpose(leaf) is not ad.transpose(leaf)
+
+
 def test_matvec():
     """matmul on a one-column right operand."""
     eye = ad.constant(np.eye(3))

@@ -288,6 +288,24 @@ def test_feature_file_of_zero_columns_is_data_error(workspace, tmp_path):
                      "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 7\n\xff\n")
+    assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "bad.cfg" in capsys.readouterr().err
+
+
+def test_interactions_that_are_not_utf8_are_data_error(workspace, tmp_path, capsys):
+    src = workspace["out"]
+    for name in ("features_v.mmfe", "features_t.mmfe"):
+        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+    (tmp_path / "interactions.tsv").write_bytes(
+        open(os.path.join(src, "interactions.tsv"), "rb").read() + b"1\t\xff\n")
+    assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+                     "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
+    assert "interactions.tsv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value, block", [("synth.feat_dim_v", "8", "proj_v"),
                                                ("synth.users", "150", "user_embeds")])
 def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(workspace, tmp_path, capsys,

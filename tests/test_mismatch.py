@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmadvrec import attacks, autodiff as ad, metrics, mismatch, models
+from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.mismatch import (UserContribution, directional_contribution, jaccard,
                                mismatch_survey, per_user_gradients, top_user_sets,
@@ -35,7 +36,7 @@ def test_sum_of_per_user_grads_matches_aggregate(scene):
     agg_t = np.sum([g for _, g in grads], axis=0)
     dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
     dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
-    loss = attacks.promotion_loss(params, enc, i, users, (dv, dt), k=10, cache=cache)
+    loss = attacks.promotion(cache, i, users, 10).loss(dv, dt)
     gv, gt = ad.grad(loss, [dv, dt])
     # promotion loss is the mean, the aggregate is the sum
     assert rel_err(gv.numpy()[0] * users.size, agg_v) < 1e-10
@@ -48,10 +49,12 @@ def test_single_user_gradient_is_aggregate(scene):
     grads = per_user_gradients(params, enc, i, one, k=10, cache=cache)
     dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
     dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
-    loss = attacks.promotion_loss(params, enc, i, one, (dv, dt), k=10, cache=cache)
+    loss = attacks.promotion(cache, i, one, 10).loss(dv, dt)
     gv, gt = ad.grad(loss, [dv, dt])
     assert rel_err(grads[0][0], gv.numpy()[0]) < 1e-12
     assert rel_err(grads[0][1], gt.numpy()[0]) < 1e-12
+    with pytest.raises(DataError):
+        per_user_gradients(params, enc, i, users[:0], k=10, cache=cache)
 
 
 def test_per_user_gradient_fd_two_user_toy(scene):
