@@ -9,6 +9,8 @@ from __future__ import annotations
 import hashlib
 import math
 
+from .data import DataError
+
 
 def fmt(value):
     if isinstance(value, float):
@@ -34,17 +36,20 @@ def write_csv(path, header, rows, comments=()):
 def read_csv(path):
     """Read back a report CSV; returns (header, rows of strings, comments)."""
     header, rows, comments = None, [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append(line.split(","))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    comments.append(line[1:].strip())
+                elif header is None:
+                    header = line.split(",")
+                else:
+                    rows.append(line.split(","))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     return header, rows, comments
 
 
@@ -56,5 +61,5 @@ def verify_csv(path):
     pos = data.rfind(marker)
     if pos < 0:
         return False
-    body, tail = data[:pos], data[pos + len(marker):].strip().decode()
-    return hashlib.sha256(body).hexdigest() == tail
+    body, tail = data[:pos], data[pos + len(marker):].strip()
+    return hashlib.sha256(body).hexdigest().encode() == tail

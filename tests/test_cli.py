@@ -306,6 +306,16 @@ def test_interactions_that_are_not_utf8_are_data_error(workspace, tmp_path, caps
     assert "interactions.tsv" in capsys.readouterr().err
 
 
+def test_report_of_a_metrics_file_that_is_not_utf8_is_data_error(workspace, tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_bytes(b"run_id,gain_pct\n\xff,1.0\n")
+    assert run(workspace, "report", "--runs", str(tmp_path),
+               "--set", f"data.out_dir={tmp_path}") == cli.EXIT_DATA
+    assert "metrics.csv" in capsys.readouterr().err
+    assert not reports.verify_csv(tmp_path / "metrics.csv")
+    (tmp_path / "metrics.csv").write_bytes(b"a\n# sha256=\xff\n")
+    assert not reports.verify_csv(tmp_path / "metrics.csv")
+
+
 @pytest.mark.parametrize("key, value, block", [("synth.feat_dim_v", "8", "proj_v"),
                                                ("synth.users", "150", "user_embeds")])
 def test_checkpoint_that_does_not_fit_the_dataset_is_data_error(workspace, tmp_path, capsys,
