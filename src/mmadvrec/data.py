@@ -79,6 +79,8 @@ class InteractionTable:
     def __init__(self, num_users, num_items, users, items, holdout=None):
         self.num_users = int(num_users)
         self.num_items = int(num_items)
+        if self.num_users + 1 > np.iinfo(np.intp).max // 8:  # indptr's int64 entries
+            raise DataError(f"{self.num_users} users are too many to index in one array")
         try:
             users = np.asarray(users, dtype=np.int64)
             items = np.asarray(items, dtype=np.int64)

@@ -8,11 +8,12 @@ candidate pool, matching how recommendation lists are produced.
 Top-K thresholds and hit tests read a per-``k`` table that ``RankCache``
 builds on the first query for that ``k``: each user's min(2k+1, I) best
 masked clean scores in descending order, with their item ids. A threshold
-is one lookup per user. A hit test after a perturbation first bounds, per
-user, the k-th best clean score outside the target and the moved columns
-(the threshold algorithm of Fagin, Lotem and Naor, PODS 2001); only users
-whose target score reaches that bound are ranked, and only their table
-entries and moved columns are read.
+is one lookup per user. A hit test after a perturbation takes the moved
+items as embedding rows and scores the target's row for every user. It
+bounds, per user, the k-th best clean score outside the target and the
+moved items (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001);
+only users whose target score reaches that bound are ranked, and only they
+score the other moved rows and read their table entries.
 """
 
 from __future__ import annotations
@@ -36,16 +37,18 @@ class RankCache:
     must never be mutated once built.
 
     The bound: a user's table has depth D = min(2k+1, I). Let c of its
-    entries be excluded items (the target or a moved column). Then the
+    entries be excluded items (the target or a moved item). Then the
     first k+c entries hold at least k items that keep their clean score,
     each scoring at least the entry at position k-1+c. A target scoring
     below that bound is beaten by all k of them, so only users at or above
     it can be hits; when k-1+c >= D the bound is -inf, so the depth leaves
-    room for k+1 excluded entries per user. A candidate's
-    beaters are counted exactly from its table entries and its moved
-    columns when its target beats the last entry (no item outside the table
-    can then beat it) or when the table holds the whole row; otherwise its
-    full row is scanned.
+    room for k+1 excluded entries per user. Moved items arrive as embedding
+    rows: the target's row is scored for every user, to find the
+    candidates, and the other moved rows for the candidates only. A
+    candidate's beaters are counted exactly from its table entries and
+    those moved scores when its target beats the last entry (no item
+    outside the table can then beat it) or when the table holds the whole
+    row; otherwise its full row is scanned.
     """
 
     def __init__(self, params, enc):
@@ -91,29 +94,33 @@ class RankCache:
     def hit_mask(self, i, k, moved=None):
         """Boolean per user: does item i rank within the top k candidates?
 
-        ``moved`` is None or the pair (item ids, new score columns, U x
-        len(ids)) of the columns a perturbation changed; the target's
-        column is among them when its own score moved.
+        ``moved`` is None or the pair (item ids, replacement embedding rows,
+        len(ids) x d) of the items a perturbation changed, as
+        ``Scorer.perturbed_rows`` returns it; the target is among them when
+        its own row moved. The target's row is scored for every user, the
+        other moved rows for candidate users only.
         """
-        sc = self.masked
-        ids, new = moved if moved is not None else ((), np.empty((sc.shape[0], 0)))
+        sc, users = self.masked, self.scorer.user_matrix
+        ids, repl = moved if moved is not None else ((), np.empty((0, users.shape[1])))
         ids = np.asarray(ids, dtype=np.int64)
-        if np.shape(new) != (sc.shape[0], ids.size):
-            raise ValueError("moved needs one new score column per moved item id")
+        if np.shape(repl) != (ids.size, users.shape[1]):
+            raise ValueError("moved needs one replacement embedding row per moved item id")
         scores, tids = self._top(k)
         excluded, bound, own = self._bound_for(i, k, ids)
         target = sc[:, i]
         if own is not None:
-            target = np.where(np.isinf(target), -np.inf, new[:, own])
+            target = np.where(np.isinf(target), -np.inf, (users @ repl[own:own + 1].T)[:, 0])
         hit = np.zeros(sc.shape[0], dtype=bool)
         rows = np.nonzero(np.isfinite(target) & (target >= bound))[0]
         if rows.size == 0:
             return hit
         t = target[rows, None]
-        # the target's own moved column equals t, so it never beats itself
-        moved_cols = new[rows]
-        moved_cols[np.isinf(sc[rows[:, None], ids])] = -np.inf
-        beaters = _beats(moved_cols, t, ids, i).sum(axis=1)
+        others = ids != i  # the target is left out, so it never beats itself
+        beaters = 0
+        if others.any():
+            moved_cols = users[rows] @ repl[others].T
+            moved_cols[np.isinf(sc[rows[:, None], ids[others]])] = -np.inf
+            beaters = _beats(moved_cols, t, ids[others], i).sum(axis=1)
         row_ids = tids[rows]
         clean = (_beats(scores[rows], t, row_ids, i) & ~excluded[row_ids]).sum(axis=1)
         if scores.shape[1] < sc.shape[1]:
@@ -151,9 +158,14 @@ def _beats(score, target, ids, i):
 
 def hit_count(params, enc, i, k, delta=None, cache=None):
     """Number of users whose top-k list contains item i (perturbed when
-    delta=(delta_v, delta_t) is given)."""
+    delta=(delta_v, delta_t) is given, which moves the embedding rows
+    ``Scorer.perturbed_rows`` returns; no user x item block is scored)."""
     cache = cache if cache is not None else RankCache(params, enc)
-    return int(cache.hit_mask(i, k, _moved_columns(cache, i, delta)).sum())
+    moved = None
+    if delta is not None:
+        dv, dt = (np.asarray(d, dtype=np.float64) for d in delta)
+        moved = cache.scorer.perturbed_rows(i, dv, dt)
+    return int(cache.hit_mask(i, k, moved).sum())
 
 
 def hit_at_k(params, enc, i, k, delta=None, cache=None):
@@ -161,15 +173,6 @@ def hit_at_k(params, enc, i, k, delta=None, cache=None):
     cache = cache if cache is not None else RankCache(params, enc)
     n = hit_count(params, enc, i, k, delta=delta, cache=cache)
     return 100.0 * n / enc.table.num_users
-
-
-def _moved_columns(cache, i, delta):
-    """(item ids, new score columns) that perturbing item i moves, or None."""
-    if delta is None:
-        return None
-    dv, dt = (np.asarray(d, dtype=np.float64) for d in delta)
-    rows, repl = cache.scorer.perturbed_rows(i, dv, dt)
-    return rows, cache.scorer.user_matrix @ repl.T
 
 
 def gain_hit(hit_before, hit_after):

@@ -306,6 +306,18 @@ def test_interactions_that_are_not_utf8_are_data_error(workspace, tmp_path, caps
     assert "interactions.tsv" in capsys.readouterr().err
 
 
+def test_interactions_with_a_user_id_past_any_array_size_are_data_error(workspace, tmp_path,
+                                                                       capsys):
+    src = workspace["out"]
+    for name in ("features_v.mmfe", "features_t.mmfe"):
+        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+    (tmp_path / "interactions.tsv").write_text("4611686018427387904\t0\n0\t1\n",
+                                               encoding="utf-8")
+    assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+                     "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
+    assert "too many" in capsys.readouterr().err
+
+
 def test_report_of_a_metrics_file_that_is_not_utf8_is_data_error(workspace, tmp_path, capsys):
     (tmp_path / "metrics.csv").write_bytes(b"run_id,gain_pct\n\xff,1.0\n")
     assert run(workspace, "report", "--runs", str(tmp_path),

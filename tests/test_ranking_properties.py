@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmadvrec import attacks, data, models
+from mmadvrec import attacks, data, metrics, models
 from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.models import DatasetEncoding
@@ -21,8 +21,11 @@ TIES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 SCORES = st.one_of(TIES, st.floats(-3.0, 3.0, allow_nan=False))
 
 
-def cache_with(masked):
-    """A RankCache whose masked matrix is replaced before any query."""
+def cache_with(masked, user_matrix=None):
+    """A RankCache whose masked matrix and user matrix are replaced before
+    any query. The user matrix defaults to the U x U identity, so a moved
+    item's replacement row is its score column itself: the product is
+    exact, and every drawn score and tie reaches the hit test bit for bit."""
     num_users, num_items = masked.shape
     table = table_from_lists(num_items, [[0]] * num_users)
     fv = data.FeatureMatrix("v", np.zeros((num_items, 1)))
@@ -32,6 +35,7 @@ def cache_with(masked):
                                 id_dim=1, fuse_dim=1, seed=0)
     cache = RankCache(params, enc)
     cache.masked = masked
+    cache.scorer.user_matrix = np.eye(num_users) if user_matrix is None else user_matrix
     return cache
 
 
@@ -61,8 +65,7 @@ def hit_cases(draw):
     cells = num_users * len(moved)
     new = np.array(draw(st.lists(SCORES, min_size=cells, max_size=cells)))
     k = draw(st.integers(1, num_items + 1))
-    return masked, i, k, np.array(moved, dtype=np.int64), \
-        new.reshape(len(moved), num_users).T
+    return masked, i, k, np.array(moved, dtype=np.int64), new.reshape(len(moved), num_users)
 
 
 @st.composite
@@ -90,15 +93,15 @@ def deep_hit_cases(draw):
     moved = np.array(sorted(moved), dtype=np.int64)
     cells = num_users * moved.size
     new = np.array(draw(st.lists(TIES, min_size=cells, max_size=cells)))
-    return masked, i, k, moved, new.reshape(moved.size, num_users).T
+    return masked, i, k, moved, new.reshape(moved.size, num_users)
 
 
 def brute_hits(masked, i, k, moved, new):
-    """Apply the moved columns, sort each row by (score desc, id asc) and
-    read off the target's position."""
+    """Apply the moved score columns (``new[c]`` is item ``moved[c]``'s), sort
+    each row by (score desc, id asc) and read off the target's position."""
     sc = masked.copy()
     for c, j in enumerate(moved):
-        sc[:, j] = np.where(np.isinf(masked[:, j]), -np.inf, new[:, c])
+        sc[:, j] = np.where(np.isinf(masked[:, j]), -np.inf, new[c])
     ids = np.arange(sc.shape[1])
     out = []
     for row in sc:
@@ -150,47 +153,117 @@ def test_hit_mask_bound_follows_target_and_moved_set(case, draw):
     alternating them on one cache must give each call its own bound."""
     masked, i, k, moved, new = case
     j = draw.draw(st.integers(0, masked.shape[1] - 1))
-    calls = [(i, k, moved, new), (j, k, moved, new), (i, k, moved[1:], new[:, 1:]),
-             (i, k + 1, moved, new), (i, k, moved[:0], new[:, :0])]
+    calls = [(i, k, moved, new), (j, k, moved, new), (i, k, moved[1:], new[1:]),
+             (i, k + 1, moved, new), (i, k, moved[:0], new[:0])]
     cache = cache_with(masked)
-    for target, kk, ids, cols in calls + calls[::-1]:
-        assert np.array_equal(cache.hit_mask(target, kk, (ids, cols)),
-                              brute_hits(masked, target, kk, ids, cols))
+    for target, kk, ids, rows in calls + calls[::-1]:
+        assert np.array_equal(cache.hit_mask(target, kk, (ids, rows)),
+                              brute_hits(masked, target, kk, ids, rows))
 
 
 def test_hit_mask_takes_moved_ids_with_their_scores():
     masked = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]])
     cache = cache_with(masked)
-    moved, new = np.array([1]), np.array([[3.0], [-1.0]])
+    moved, new = np.array([1]), np.array([[3.0, -1.0]])
     assert np.array_equal(cache.hit_mask(0, 1, (moved, new)),
                           brute_hits(masked, 0, 1, moved, new))
-    for ids_only in (moved, (moved, None), (moved, new[:, :0])):
+    # ids alone, no rows, no row per id, and the U x m score columns the
+    # rows replaced: each is a rows block of the wrong shape
+    for bad in (moved, (moved, None), (moved, new[:0]), (moved, new.T)):
         with pytest.raises(ValueError):
-            cache.hit_mask(0, 1, ids_only)
+            cache.hit_mask(0, 1, bad)
 
 
 def test_hit_mask_allocates_less_than_one_moved_block():
-    """A hit test reads the moved columns of its candidate users only (those
-    whose target reaches their bound, here about a tenth), so it makes no
-    U x m temporary; the moved scores themselves are the caller's."""
-    num_users, num_items, m, i = 2000, 3000, 200, 17
+    """A hit test scores the moved rows other than the target's for its
+    candidate users only (those whose target reaches their bound, here
+    about a tenth), so it makes no U x m temporary."""
+    num_users, num_items, m, i, d = 2000, 3000, 200, 17, 64
     rng = np.random.default_rng(5)
-    masked = rng.normal(size=(num_users, num_items))
+    users = rng.normal(size=(num_users, d))
+    items = rng.normal(size=(num_items, d)) / np.sqrt(d)
+    masked = users @ items.T
     masked[rng.random(masked.shape) < 0.01] = -np.inf
-    cache = cache_with(masked)
+    cache = cache_with(masked, users)
     others = rng.choice(np.delete(np.arange(num_items), i), size=m - 1, replace=False)
     moved = np.sort(np.append(others, i))
-    new = masked[:, moved] + 0.5 * rng.normal(size=(num_users, m))
-    new[:, moved == i] += 1.0
-    first = cache.hit_mask(i, 50, (moved, new))
+    rows = items[moved] + 0.5 * rng.normal(size=(m, d)) / np.sqrt(d)
+    own = rows[moved == i]
+    rows[moved == i] = 1.6 * own / np.linalg.norm(own)
+    first = cache.hit_mask(i, 50, (moved, rows))
     tracemalloc.start()
     try:
-        again = cache.hit_mask(i, 50, (moved, new))
+        again = cache.hit_mask(i, 50, (moved, rows))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert first.any() and np.array_equal(first, again)
     assert peak < num_users * m * 8
+
+
+@st.composite
+def embedded_hit_cases(draw):
+    """Small-integer user and item embeddings, so every float64 product is
+    exact and equal scores are frequent. Like a graph perturbation, the moved
+    set is the target with some other items, or other items alone."""
+    num_users = draw(st.integers(1, 6))
+    num_items = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+
+    def block(n):
+        return np.array(draw(st.lists(small, min_size=n * d, max_size=n * d)),
+                        dtype=np.float64).reshape(n, d)
+
+    users, items = block(num_users), block(num_items)
+    masked = users @ items.T
+    cells = num_users * num_items
+    masked[np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+           .reshape(masked.shape)] = -np.inf
+    i = draw(st.integers(0, num_items - 1))
+    moved = draw(st.sets(st.integers(0, num_items - 1), max_size=num_items)) - {i}
+    if draw(st.booleans()):
+        moved.add(i)
+    moved = np.array(sorted(moved), dtype=np.int64)
+    k = draw(st.one_of(st.integers(1, 4), st.integers(1, num_items + 1)))
+    return users, masked, i, k, moved, block(moved.size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedded_hit_cases())
+def test_hit_mask_matches_brute_force_on_exact_embeddings(case):
+    users, masked, i, k, moved, rows = case
+    cache = cache_with(masked, users)
+    got = cache.hit_mask(i, k, (moved, rows))
+    assert np.array_equal(got, brute_hits(masked, i, k, moved, rows @ users.T))
+
+
+def test_graph_hit_count_allocates_less_than_one_moved_block():
+    """On the graph model a perturbation moves every item its target's
+    consumers hold; ``hit_count`` scores those rows for candidate users
+    only, so it never builds the U x m block of their scores."""
+    cfg = data.SynthConfig(num_users=1000, num_items=400, latent_dim=6, feat_dim_v=8,
+                           feat_dim_t=8, interactions_per_user=60, unpopular_count=10,
+                           n_unpop=5)
+    table, fv, ft = data.synth_generate(cfg, seed=3)
+    enc = DatasetEncoding(table, fv, ft, "graph")
+    params = models.init_params(table.num_users, table.num_items, fv.dim, ft.dim,
+                                kind="graph", id_dim=16, fuse_dim=8, seed=4)
+    cache = RankCache(params, enc)
+    i = int(np.argmax(table.item_counts() == cfg.n_unpop))
+    m = np.count_nonzero(enc.delta_column(i))
+    assert m >= 100
+    rng = np.random.default_rng(5)
+    delta = rng.normal(size=fv.dim), rng.normal(size=ft.dim)
+    first = metrics.hit_count(params, enc, i, 20, delta=delta, cache=cache)
+    tracemalloc.start()
+    try:
+        again = metrics.hit_count(params, enc, i, 20, delta=delta, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == again and first > 0  # so some candidate scores the moved rows
+    assert peak < table.num_users * m * 8
 
 
 @settings(max_examples=100, deadline=None)
