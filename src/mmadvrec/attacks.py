@@ -25,7 +25,7 @@ its gradient cosine as NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +41,10 @@ BUDGET_SLACK = 1e-9
 class Perturbation:
     """Paired modality deltas for one item, with their L2 budgets."""
 
-    item: int
     delta_v: np.ndarray
     delta_t: np.ndarray
     eps_v: float
     eps_t: float
-    flags: tuple = ()
 
     def __post_init__(self):
         self.delta_v = np.asarray(self.delta_v, dtype=np.float64)
@@ -75,22 +73,6 @@ class AttackConfig:
             raise DataError("pgd_steps must be >= 1")
         if self.align_weight < 0:
             raise DataError("align_weight must be non-negative")
-
-
-@dataclass
-class TraceRecord:
-    iteration: int
-    promotion_loss: float
-    n_rec: int
-    grad_cosine: float
-
-
-@dataclass
-class AttackTrace:
-    records: list = field(default_factory=list)
-
-    def add(self, iteration, loss, n_rec, cosine):
-        self.records.append(TraceRecord(iteration, float(loss), int(n_rec), float(cosine)))
 
 
 def promoted_user_set(table, i):
@@ -129,7 +111,7 @@ def promotion(cache, i, users, k):
     users = np.asarray(users, dtype=np.int64)
     return Promotion(Forward(cache.params, cache.enc), i, users,
                      cache.scorer.user_matrix[users],
-                     cache.thresholds_excluding(i, k, users=users))
+                     cache.thresholds_excluding(i, k, users))
 
 
 def budget_rows(features, items, eps_pct):
@@ -192,12 +174,15 @@ def _project(delta, eps):
 
 def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     """Projected gradient ascent on the promotion objective, plus the
-    alignment term when ``with_align``; returns (Perturbation, AttackTrace).
-    PGD takes ``pgd_steps`` steps of 1.25 * eps / steps and FGSM one step of
-    the whole budget, each along the normalised gradient and projected back
-    onto the budget ball. A step's traced forward also gives the loss that
-    the previous step reached, so only the last step's loss takes a forward
-    of its own."""
+    alignment term when ``with_align``; returns (Perturbation, trace). The
+    trace holds one (iteration, promotion_loss, n_rec, grad_cosine) tuple
+    per step: the loss the step reached, the hit count after it and the
+    cosine of the step's visual and textual loss gradients. PGD takes
+    ``pgd_steps`` steps of 1.25 * eps / steps and FGSM one step of the whole
+    budget, each along the normalised gradient and projected back onto the
+    budget ball. A step's traced forward also gives the loss that the
+    previous step reached, so only the last step's loss takes a forward of
+    its own."""
     cache = cache if cache is not None else RankCache(params, enc)
     users = promoted_user_set(enc.table, i)
     eps_v = float(budget_rows(feats_v, [i], config.eps_pct)[0])
@@ -209,28 +194,19 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     step_t = scale * eps_t / steps
     delta_v = np.zeros(feats_v.dim)
     delta_t = np.zeros(feats_t.dim)
-    trace = AttackTrace()
-    saw_zero_v = saw_zero_t = False
+    trace = []
     last = None  # (n_rec, cosine) of the previous step, whose loss this step's forward gives
     for it in range(1, steps + 1):
         dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
         loss = objective.loss(dv, dt)
         if last is not None:
-            trace.add(it - 1, loss.item(), *last)
+            trace.append((it - 1, loss.item(), *last))
         (gv, gt), (gv_p, gt_p), _ = ascent_gradients(loss, [(dv, dt)], weight)
-        move_v = to_sphere(gv.numpy(), step_v)[0]
-        move_t = to_sphere(gt.numpy(), step_t)[0]
-        saw_zero_v |= not move_v.any()
-        saw_zero_t |= not move_t.any()
-        delta_v = _project(delta_v + move_v, eps_v)
-        delta_t = _project(delta_t + move_t, eps_t)
+        delta_v = _project(delta_v + to_sphere(gv.numpy(), step_v)[0], eps_v)
+        delta_t = _project(delta_t + to_sphere(gt.numpy(), step_t)[0], eps_t)
         last = (hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache),
                 np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
     with ad.no_grad():
         loss = objective.loss(ad.constant(delta_v[None, :]), ad.constant(delta_t[None, :]))
-    trace.add(steps, loss.item(), *last)
-    flags = [name for name, on in (
-        ("zero_budget_v", eps_v == 0.0), ("zero_budget_t", eps_t == 0.0),
-        ("zero_grad_v", saw_zero_v and eps_v != 0.0),
-        ("zero_grad_t", saw_zero_t and eps_t != 0.0)) if on]
-    return Perturbation(i, delta_v, delta_t, eps_v, eps_t, tuple(flags)), trace
+    trace.append((steps, loss.item(), *last))
+    return Perturbation(delta_v, delta_t, eps_v, eps_t), trace

@@ -221,9 +221,7 @@ def run_campaign(params, enc, fv, ft, targets, acfg, k_hit, cache=None):
                                      delta=(pert.delta_v, pert.delta_t), cache=cache)
         rows.append([i, acfg.variant, acfg.with_align, acfg.eps_pct,
                      hit_before, hit_after, metrics.gain_hit(hit_before, hit_after)])
-        for rec in trace.records:
-            trace_rows.append([i, rec.iteration, rec.promotion_loss, rec.n_rec,
-                               rec.grad_cosine])
+        trace_rows += [[i, *rec] for rec in trace]
         hits_before.append(hit_before)
         hits_after.append(hit_after)
     mean_before = float(np.mean(hits_before))

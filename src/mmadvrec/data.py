@@ -34,16 +34,6 @@ class DataError(Exception):
     """Problem with input data files or dataset construction."""
 
 
-class ParseError(DataError):
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
-
-
-class EmptyDatasetError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class DatasetStats:
     num_users: int
@@ -192,14 +182,14 @@ def load_interactions(path, num_items=None):
                     continue
                 cols = stripped.split("\t")
                 if len(cols) != 2 or not cols[0] or not cols[1]:
-                    raise ParseError(path, line_no,
-                                     f"expected 'user<TAB>item', got {stripped!r}")
+                    raise DataError(f"{path}:{line_no}: expected 'user<TAB>item', "
+                                    f"got {stripped!r}")
                 raw_users.append(cols[0])
                 raw_items.append(cols[1])
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not raw_users:
-        raise EmptyDatasetError(f"{path}: no interactions")
+        raise DataError(f"{path}: no interactions")
 
     users, user_map = _densify(raw_users)
     items, item_map = _densify(raw_items)
@@ -429,7 +419,7 @@ class TripleSampler:
         degree = np.diff(table.indptr)
         self.eligible = np.nonzero((degree > 0) & (degree < table.num_items))[0]
         if self.eligible.size == 0:
-            raise EmptyDatasetError("no user has both training interactions and unseen items")
+            raise DataError("no user has both training interactions and unseen items")
         if table.num_users * table.num_items >= 2 ** 63:
             raise DataError("the sampler's user * num_items + item keys overflow int64")
         # sorted, since the rows are user-major and sorted within each user

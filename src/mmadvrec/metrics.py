@@ -81,15 +81,15 @@ class RankCache:
             top = self._tops[k] = scores, ids
         return top
 
-    def thresholds_excluding(self, i, k, users=None):
-        """Per-user score of the k-th ranked candidate, with the target item
-        removed from the pool."""
+    def thresholds_excluding(self, i, k, users):
+        """Score of the k-th ranked candidate of each of ``users``, with the
+        target item removed from the pool."""
         if self.masked.shape[1] <= k:
             raise DataError(f"k={k} must be smaller than the item catalog")
         scores, _ = self._top(k)
-        rows = np.arange(scores.shape[0]) if users is None else np.asarray(users)
-        at = scores[rows, k - 1]
-        return np.where(self.masked[rows, i] < at, at, scores[rows, k])
+        users = np.asarray(users)
+        at = scores[users, k - 1]
+        return np.where(self.masked[users, i] < at, at, scores[users, k])
 
     def hit_mask(self, i, k, moved=None):
         """Boolean per user: does item i rank within the top k candidates?

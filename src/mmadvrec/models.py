@@ -67,14 +67,6 @@ class ModelParams:
             if not np.all(np.isfinite(a)):
                 raise DataError("non-finite parameter value")
 
-    @property
-    def id_dim(self):
-        return self.item_embeds.shape[1]
-
-    @property
-    def fuse_dim(self):
-        return self.proj_v.shape[0]
-
     def arrays(self):
         out = {"user_embeds": self.user_embeds, "item_embeds": self.item_embeds,
                "proj_v": self.proj_v, "proj_t": self.proj_t}
@@ -295,12 +287,10 @@ class Scorer:
         with ad.no_grad():
             self.item_matrix = fw.item_embedding_batch(np.arange(enc.table.num_items)).numpy()
             self.user_matrix = fw.user_embedding_batch(np.arange(enc.table.num_users)).numpy()
-        self._scores = None
 
     def scores(self):
-        if self._scores is None:
-            self._scores = self.user_matrix @ self.item_matrix.T
-        return self._scores
+        """The clean U x I score matrix, computed on each call."""
+        return self.user_matrix @ self.item_matrix.T
 
     def perturbed_rows(self, i, delta_v, delta_t):
         """(row indices, replacement embedding rows) after perturbing item i:

@@ -10,7 +10,8 @@ from mmadvrec.attacks import (AttackConfig, Perturbation, Promotion, ascent_grad
 from mmadvrec.metrics import RankCache, hit_at_k
 from mmadvrec.models import DatasetEncoding
 
-from conftest import param_bytes, rel_err, table_from_lists
+from conftest import param_bytes, table_from_lists
+from oracles import rel_err
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +23,9 @@ def scene(trained_concat, tiny_dataset):
 
 
 def test_perturbation_budget_invariant():
-    Perturbation(0, [0.6, 0.8], [0.0, 0.0], 1.0, 1.0)
+    Perturbation([0.6, 0.8], [0.0, 0.0], 1.0, 1.0)
     with pytest.raises(ValueError):
-        Perturbation(0, [3.0, 4.0], [0.0, 0.0], 1.0, 1.0)
+        Perturbation([3.0, 4.0], [0.0, 0.0], 1.0, 1.0)
 
 
 def test_resolve_budget():
@@ -67,16 +68,20 @@ def test_scaled_unit_direction():
     assert np.all(to_sphere(g, 0.0) == 0.0)
 
 
+def assert_on_sphere(pert):
+    """Each delta ends on its budget sphere (none of these targets has a zero
+    budget or a zero gradient)."""
+    for delta, eps in ((pert.delta_v, pert.eps_v), (pert.delta_t, pert.eps_t)):
+        assert abs(np.linalg.norm(delta) - eps) < 1e-9
+
+
 def test_fgsm_budget_exact(scene):
     params, enc, fv, ft, cache, targets = scene
     cfg = AttackConfig(variant="fgsm", eps_pct=0.10, k=10)
     for i in targets[:4]:
         pert, trace = run_attack(params, enc, fv, ft, int(i), cfg, cache=cache)
-        if "zero_grad_v" not in pert.flags and "zero_budget_v" not in pert.flags:
-            assert abs(np.linalg.norm(pert.delta_v) - pert.eps_v) < 1e-9
-        if "zero_grad_t" not in pert.flags and "zero_budget_t" not in pert.flags:
-            assert abs(np.linalg.norm(pert.delta_t) - pert.eps_t) < 1e-9
-        assert len(trace.records) == 1
+        assert_on_sphere(pert)
+        assert len(trace) == 1
 
 
 def test_fgsm_improves_hit_on_trained_model(scene):
@@ -121,10 +126,8 @@ def test_pgd_single_step_hits_sphere(scene):
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=1, k=10)
     pert, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
     # step size 1.25*eps exceeds the ball, so projection lands on the boundary
-    if not pert.flags:
-        assert abs(np.linalg.norm(pert.delta_v) - pert.eps_v) < 1e-9
-        assert abs(np.linalg.norm(pert.delta_t) - pert.eps_t) < 1e-9
-    assert len(trace.records) == 1
+    assert_on_sphere(pert)
+    assert len(trace) == 1
 
 
 def test_pgd_trace_monotone_single_user_identity():
@@ -141,7 +144,7 @@ def test_pgd_trace_monotone_single_user_identity():
     assert promoted_user_set(table, i).tolist() == [5]
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=8, k=2)
     pert, trace = run_attack(params, enc, fv, ft, i, cfg)
-    losses = [r.promotion_loss for r in trace.records]
+    losses = [loss for _, loss, _, _ in trace]
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
     assert losses[-1] > losses[0]
 
@@ -155,8 +158,7 @@ def test_pgd_beats_fgsm_on_average(scene):
         p_cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=10, k=10)
         _, f_trace = run_attack(params, enc, fv, ft, i, f_cfg, cache=cache)
         _, p_trace = run_attack(params, enc, fv, ft, i, p_cfg, cache=cache)
-        wins.append(p_trace.records[-1].promotion_loss
-                    - f_trace.records[-1].promotion_loss)
+        wins.append(p_trace[-1][1] - f_trace[-1][1])  # the last steps' promotion losses
     assert np.mean(wins) >= 0
 
 
@@ -254,7 +256,7 @@ def test_alignment_requires_equal_modality_dims():
     assert np.isnan(attacks.np_cosine(np.ones(3), np.ones(4)))
 
 
-def test_zero_budget_flags():
+def test_zero_budget_leaves_its_delta_zero():
     table = table_from_lists(4, [[0], [1], [2]])
     fv = data.FeatureMatrix("v", np.zeros((4, 3)))  # zero-norm rows
     ft = data.FeatureMatrix("t", np.ones((4, 3)))
@@ -262,7 +264,7 @@ def test_zero_budget_flags():
     params = models.init_params(3, 4, 3, 3, kind="concat", id_dim=4, fuse_dim=3, seed=1)
     cfg = AttackConfig(variant="fgsm", eps_pct=0.10, k=2)
     pert, _ = run_attack(params, enc, fv, ft, 3, cfg)
-    assert "zero_budget_v" in pert.flags
+    assert pert.eps_v == 0.0 and pert.eps_t > 0.0
     assert np.all(pert.delta_v == 0.0)
     assert np.linalg.norm(pert.delta_t) <= pert.eps_t + 1e-9
 
@@ -275,17 +277,17 @@ def test_graph_model_attack_end_to_end(trained_graph, tiny_dataset):
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=4, k=10)
     pert, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
     assert np.linalg.norm(pert.delta_v) <= pert.eps_v + 1e-9
-    assert len(trace.records) == 4
+    assert len(trace) == 4
 
 
 def _attack_digest(pert, trace):
-    """sha256 of the deltas' bytes and of every trace record."""
+    """sha256 of the deltas' bytes and of every step of the trace."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(pert.delta_v, dtype="<f8").tobytes())
     h.update(np.ascontiguousarray(pert.delta_t, dtype="<f8").tobytes())
-    for r in trace.records:
-        h.update(np.array([r.iteration, r.n_rec], dtype="<i8").tobytes())
-        h.update(np.array([r.promotion_loss, r.grad_cosine], dtype="<f8").tobytes())
+    for iteration, promotion_loss, n_rec, grad_cosine in trace:
+        h.update(np.array([iteration, n_rec], dtype="<i8").tobytes())
+        h.update(np.array([promotion_loss, grad_cosine], dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -356,6 +358,6 @@ def test_attack_gathers_once_and_runs_one_forward_per_step(scene, monkeypatch, v
     cfg = AttackConfig(variant=variant, eps_pct=0.10, pgd_steps=steps, k=10,
                        with_align=with_align)
     _, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
-    assert len(trace.records) == steps
+    assert len(trace) == steps
     assert _CountedRows.gathers == 1
     assert forwards == [[i]] * (steps + 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mmadvrec import autodiff as ad
 
-from conftest import rel_err
+from oracles import rel_err
 
 
 def test_sigmoid_values():

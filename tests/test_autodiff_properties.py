@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mmadvrec import autodiff as ad
 
-from conftest import rel_err
+from oracles import rel_err
 
 # each step maps the running (n, m) matrix h to a new (n, m) matrix
 STEPS = ("add", "sub", "mul", "matmul", "transpose", "take_rows", "hstack",

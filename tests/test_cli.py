@@ -8,6 +8,8 @@ import pytest
 from mmadvrec import cli, config, data, mismatch, reports, training
 from mmadvrec.config import Config, ConfigError, load_config, seed_for
 
+from conftest import damaged_checkpoint, damaged_features
+
 BASE_CFG = """
 seed = 7
 synth.users = 100
@@ -219,9 +221,12 @@ def test_missing_dataset_is_data_error(tmp_path):
 
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "x.cfg"
-    p.write_text("# comment\nseed = 9\nmodel.kind = graph\n", encoding="utf-8")
+    p.write_text("# comment\nseed = 9\nmodel.kind = graph\nattack.with_align = false\n",
+                 encoding="utf-8")
     cfg = load_config(p)
     assert cfg["seed"] == 9 and cfg["model.kind"] == "graph"
+    assert cfg["attack.with_align"] is False
+    assert load_config(p, ["attack.with_align=yes"])["attack.with_align"] is True
     p.write_text("seed 9\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(p)
@@ -286,6 +291,34 @@ def test_feature_file_of_zero_columns_is_data_error(workspace, tmp_path):
         b"MMFE" + (1).to_bytes(4, "little") + (2 ** 64 - 1).to_bytes(8, "little") + bytes(8))
     assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
                      "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("features_v.mmfe", "nan", "non-finite values"),
+    ("features_t.mmfe", "version 2", "features_t.mmfe: unsupported version 2"),
+    ("pretrained.ckpt", "version 2", "unsupported checkpoint version 2"),
+    ("pretrained.ckpt", "rename user_embeds", "malformed block name"),
+    ("pretrained.ckpt", "nan proj_t", "non-finite parameter value"),
+    ("pretrained.ckpt", "widen user_embeds", "user embedding width inconsistent")])
+def test_damaged_feature_or_checkpoint_file_is_data_error(workspace, tmp_path, capsys,
+                                                          name, edit, message):
+    for f in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe", "pretrained.ckpt"):
+        shutil.copy(os.path.join(workspace["out"], f), tmp_path / f)
+    damage = damaged_features if name.endswith(".mmfe") else damaged_checkpoint
+    (tmp_path / name).write_bytes(damage((tmp_path / name).read_bytes(), edit))
+    assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+                     "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:") and message in lines[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_training_loss_is_numerical_abort(workspace, tmp_path, capsys):
+    assert run(workspace, "train", "--set", f"data.out_dir={tmp_path}",
+               "--set", "train.eta=1e300") == cli.EXIT_NUMERIC
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["numerical abort: training loss is nan"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -362,7 +395,8 @@ def test_run_id_does_not_depend_on_where_files_live(workspace, tmp_path):
                                               ("lambda", "sweep.lambdas", "1,-1"),
                                               ("alpha", "sweep.alphas", "0.1,-2"),
                                               ("lambda", "sweep.lambdas", "1,nan"),
-                                              ("eps", "sweep.eps_a", "0.05,inf")])
+                                              ("eps", "sweep.eps_a", "0.05,inf"),
+                                              ("eps", "sweep.eps_a", "0.05,abc")])
 def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, capsys,
                                                         kind, key, value):
     trained = []
@@ -385,13 +419,18 @@ def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, 
                                                  ("defend", "defense.lambda", "nan"),
                                                  ("defend", "defense.alpha", "nan"),
                                                  ("train", "train.eta", "nan"),
-                                                 ("defend", "defense.beta", "inf")])
+                                                 ("defend", "defense.beta", "inf"),
+                                                 ("train", "train.eta", "0"),
+                                                 ("attack", "attack.with_align", "maybe"),
+                                                 ("train", "train.eta", None)])
 def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
                                                  command, key, value):
+    """A value of None passes the key alone, with no '='."""
     checkpoint = os.path.join(workspace["out"], "pretrained.ckpt")
     extra = ["--checkpoint", checkpoint] if command == "attack" else []
+    override = key if value is None else f"{key}={value}"
     assert run(workspace, command, "--set", f"data.out_dir={tmp_path}",
-               "--set", f"{key}={value}", *extra) == cli.EXIT_CONFIG
+               "--set", override, *extra) == cli.EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error")
     assert os.listdir(tmp_path) == []

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mmadvrec import data
-from mmadvrec.data import (DataError, DatasetStats, EmptyDatasetError, FeatureMatrix,
-                           InteractionTable, ParseError, SynthConfig)
+from mmadvrec.data import DataError, DatasetStats, FeatureMatrix, InteractionTable, SynthConfig
 
-from conftest import table_from_lists
+from conftest import damaged_features, table_from_lists
 
 
 @st.composite
@@ -118,11 +117,10 @@ def test_load_takes_the_catalog_size_when_given(tmp_path):
 def test_load_errors(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("0\t1\nthis is broken\n", encoding="utf-8")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(DataError, match=r"bad\.tsv:2: expected 'user<TAB>item'"):
         data.load_interactions(p)
-    assert exc.value.line_no == 2
     p.write_text("# only a comment\n", encoding="utf-8")
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(DataError, match="bad.tsv: no interactions"):
         data.load_interactions(p)
 
 
@@ -246,6 +244,11 @@ def test_feature_file_roundtrip(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(DataError):
         data.load_features(bad, "v")
+    for edit, message in (("version 2", "bad.mmfe: unsupported version 2"),
+                          ("nan", "non-finite values")):
+        bad.write_bytes(damaged_features(path.read_bytes(), edit))
+        with pytest.raises(DataError, match=message):
+            data.load_features(bad, "v")
 
 
 @pytest.mark.parametrize("rows, cols", [(2 ** 64 - 1, 0), (2 ** 40, 0), (0, 3), (0, 0)])
@@ -482,7 +485,7 @@ def test_sample_stream_follows_the_seed(tiny_dataset):
 
 def test_sampler_rejects_tables_where_every_user_holds_every_item():
     t = table_from_lists(2, [[0, 1], [0, 1]])
-    with pytest.raises(EmptyDatasetError):
+    with pytest.raises(DataError, match="no user has both"):
         data.TripleSampler(t, seed=0)
 
 

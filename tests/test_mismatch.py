@@ -8,16 +8,8 @@ from mmadvrec.mismatch import (UserContribution, directional_contribution, jacca
                                mismatch_survey, per_user_gradients, top_user_sets,
                                user_contributions)
 
-from conftest import rel_err
-
-
-def oracle_contribution(g_u, aggregate, norm_sum):
-    """Independent reimplementation: cos(g,G) * ||g|| / sum of norms."""
-    ng = np.linalg.norm(g_u)
-    na = np.linalg.norm(aggregate)
-    if ng == 0 or na == 0:
-        return 0.0
-    return float((g_u @ aggregate) / (ng * na) * ng / norm_sum)
+import oracles
+from oracles import rel_err
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +86,8 @@ def test_directional_contribution_matches_oracle():
         grads = rng.normal(size=(5, 4))
         agg = grads.sum(axis=0)
         norm_sum = sum(np.linalg.norm(g) for g in grads)
-        for g in grads:
-            assert abs(directional_contribution(g, agg, norm_sum)
-                       - oracle_contribution(g, agg, norm_sum)) < 1e-12
+        for g, want in zip(grads, oracles.contributions(grads)):
+            assert abs(directional_contribution(g, agg, norm_sum) - want) < 1e-12
 
 
 def test_contribution_sum_bound_and_collinear_equality():
@@ -193,3 +184,23 @@ def test_survey_deterministic(scene, tiny_dataset):
     a = mismatch_survey(params, enc, targets, k=10, cache=cache)
     b = mismatch_survey(params, enc, targets, k=10, cache=cache)
     assert [r.jaccard for r in a.reports] == [r.jaccard for r in b.reports]
+
+
+def test_survey_skips_a_target_with_zero_user_gradients(trained_concat, tiny_dataset):
+    """A target that beats every user's threshold by far more than 37 has
+    sigmoid(margin) == 1.0 exactly, so every per-user gradient is zero and
+    its contributions are undefined: the survey lists it as skipped, with
+    the error's message, and leaves it out of the histogram."""
+    params, enc = trained_concat
+    params = params.clone()
+    good, saturated = (int(i) for i in
+                       metrics.select_targets(tiny_dataset["raw"], 2, n_unpop=4, seed=5))
+    params.user_embeds[:, 0] = 1.0
+    params.item_embeds[saturated, 0] = 1e3
+    result = mismatch_survey(params, enc, [good, saturated], k=10)
+    assert [r.item for r in result.reports] == [good]
+    assert result.skipped == [(saturated, "all user gradients are degenerate (zero norm sum)")]
+    assert result.histogram.counts.sum() == 1
+    assert result.histogram.mean == result.reports[0].jaccard
+    with pytest.raises(DataError, match="at least one target"):
+        mismatch_survey(params, enc, [], k=10)

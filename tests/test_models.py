@@ -1,4 +1,3 @@
-import struct
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
 
-from conftest import param_bytes, rel_err, table_from_lists
+from conftest import damaged_checkpoint, param_bytes, table_from_lists
+from oracles import rel_err
 
 
 def brute_force_rank(scores, i, pool):
@@ -434,41 +434,24 @@ def test_checkpoint_roundtrips_and_every_truncation_is_data_error(tmp_path_facto
             models.load_checkpoint(cut)
 
 
-def _checkpoint_blocks(raw):
-    """name -> (first byte, end) of each block of a checkpoint file."""
-    spans, at = {}, 9  # magic, version and kind code
-    while at < len(raw):
-        (name_len,) = struct.unpack_from("<H", raw, at)
-        name = raw[at + 2:at + 2 + name_len].decode()
-        rows, cols = struct.unpack_from("<QQ", raw, at + 2 + name_len)
-        end = at + 2 + name_len + 16 + 8 * rows * cols
-        spans[name], at = (at, end), end
-    return spans
+# each edit of ``damaged_checkpoint`` and the error it must raise
+CHECKPOINT_ERRORS = {
+    "drop prop_t": "propagation weights", "drop prop_v": "propagation weights",
+    "meta (1, 1)": "model.ckpt: malformed checkpoint",
+    "meta nan": "model.ckpt: malformed checkpoint", "meta inf": "model.ckpt: malformed checkpoint",
+    "version 2": "model.ckpt: unsupported checkpoint version 2",
+    "rename user_embeds": "model.ckpt: malformed block name",
+    "nan prop_v": "non-finite parameter value",
+    "widen user_embeds": "user embedding width inconsistent"}
 
 
-def _block(name, arr):
-    arr = np.asarray(arr, dtype="<f8")
-    return (struct.pack("<H", len(name)) + name.encode()
-            + struct.pack("<QQ", *arr.shape) + arr.tobytes())
-
-
-@pytest.mark.parametrize("edit", ["drop prop_t", "drop prop_v", "meta (1, 1)", "meta nan",
-                                  "meta inf"])
+@pytest.mark.parametrize("edit", list(CHECKPOINT_ERRORS))
 def test_malformed_checkpoint_blocks_are_data_errors(tmp_path, edit):
     params = models.init_params(3, 4, 2, 2, kind="graph", id_dim=2, fuse_dim=2, seed=5)
     path = tmp_path / "model.ckpt"
     models.save_checkpoint(params, path)
-    raw = path.read_bytes()
-    action, target = edit.split(" ", 1)
-    if action == "drop":
-        start, end = _checkpoint_blocks(raw)[target]
-        replacement = b""
-    else:
-        start, end = _checkpoint_blocks(raw)["meta"]
-        meta = {"(1, 1)": [[0.0]], "nan": [[np.nan, 0.0]], "inf": [[0.0, np.inf]]}[target]
-        replacement = _block("meta", meta)
-    path.write_bytes(raw[:start] + replacement + raw[end:])
-    with pytest.raises(data.DataError, match="model.ckpt|propagation"):
+    path.write_bytes(damaged_checkpoint(path.read_bytes(), edit))
+    with pytest.raises(data.DataError, match=CHECKPOINT_ERRORS[edit]):
         models.load_checkpoint(path)
 
 

@@ -113,8 +113,7 @@ def brute_hits(masked, i, k, moved, new):
 
 def seed_thresholds(masked, i, k, users):
     """The np.delete + partition formula the cache replaced."""
-    sc = masked if users is None else masked[users]
-    drop = np.delete(sc, i, axis=1)
+    drop = np.delete(masked[users], i, axis=1)
     return np.partition(drop, drop.shape[1] - k, axis=1)[:, drop.shape[1] - k]
 
 
@@ -275,9 +274,10 @@ def test_thresholds_match_seed_formula(masked, draw):
     ks = draw.draw(st.lists(st.integers(1, num_items - 1), min_size=2, max_size=2))
     subset = draw.draw(st.one_of(st.none(), st.lists(st.integers(0, num_users - 1),
                                                      max_size=num_users, unique=True)))
-    users = None if subset is None else np.array(subset, dtype=np.int64)
+    # no subset drawn: every user, in order
+    users = np.arange(num_users) if subset is None else np.array(subset, dtype=np.int64)
     for k in ks + ks[:1]:
-        got = cache.thresholds_excluding(i, k, users=users)
+        got = cache.thresholds_excluding(i, k, users)
         assert np.array_equal(got, seed_thresholds(masked, i, k, users))
 
 
@@ -285,7 +285,7 @@ def test_thresholds_reject_k_outside_catalog():
     cache = cache_with(np.zeros((2, 4)))
     for k in (0, 4, 5):
         with pytest.raises(DataError):
-            cache.thresholds_excluding(1, k)
+            cache.thresholds_excluding(1, k, [0, 1])
 
 
 def test_masked_matches_per_user_mask(trained_graph):
@@ -295,7 +295,8 @@ def test_masked_matches_per_user_mask(trained_graph):
     for u in range(enc.table.num_users):
         want[u, enc.table.user_items[u]] = -np.inf
     assert np.array_equal(cache.masked, want)
-    assert cache.scorer._scores is None
+    # the cache's one U x I array is ``masked``: its scorer keeps no score copy
+    assert not any(np.shape(a) == want.shape for a in vars(cache.scorer).values())
 
 
 def test_promoted_user_set_matches_membership(tiny_dataset):

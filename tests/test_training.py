@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from mmadvrec.models import DatasetEncoding
 from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, max_phase,
                                min_phase, pretrain, uat_mc_train)
 
-from conftest import param_bytes, rel_err, table_from_lists
+from conftest import param_bytes, table_from_lists
+from oracles import rel_err
 
 KEYS = ("dv_pos", "dt_pos", "dv_neg", "dt_neg")
 
@@ -297,6 +299,24 @@ def test_pretrain_deterministic(tiny_dataset):
     b, log_b = pretrain(fresh, enc, fv, ft, cfg)
     assert param_bytes(a) == param_bytes(b)
     assert log_a.rows == log_b.rows
+
+
+def test_early_stopping_returns_the_best_epoch(tiny_dataset):
+    """With patience 0, the first evaluation that does not beat the best
+    stops the fit. A learning rate of 1e-12 leaves the recall of epoch 2 at
+    epoch 1's, so the fit ends after 2 of 6 epochs with epoch 1's model."""
+    split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
+    enc = DatasetEncoding(split, fv, ft, "concat")
+    fresh = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
+                               kind="concat", id_dim=8, fuse_dim=5, seed=52)
+    cfg = DefenseConfig(eta=1e-12, beta=1e-5, batch_size=32, max_epochs=6, patience=0,
+                        seed=53, optimizer="adam")
+    best, log = pretrain(fresh, enc, fv, ft, cfg)
+    assert [r["epoch"] for r in log.rows] == [1, 2]
+    assert log.rows[1]["val_recall10"] <= log.rows[0]["val_recall10"]
+    epoch_1, _ = pretrain(fresh, enc, fv, ft, replace(cfg, max_epochs=1))
+    assert param_bytes(best) == param_bytes(epoch_1)
+    assert param_bytes(best) != param_bytes(fresh)
 
 
 def test_degeneracy_chain_bitwise(tiny_dataset):
