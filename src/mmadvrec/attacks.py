@@ -64,16 +64,6 @@ class AttackConfig:
     align_weight: float = 1.0
     k: int = 50
 
-    def __post_init__(self):
-        if self.variant not in ("fgsm", "pgd"):
-            raise DataError(f"unknown attack variant {self.variant!r}")
-        if not 0.0 < self.eps_pct <= 1.0:
-            raise DataError("eps_pct must lie in (0, 1]")
-        if self.pgd_steps < 1:
-            raise DataError("pgd_steps must be >= 1")
-        if self.align_weight < 0:
-            raise DataError("align_weight must be non-negative")
-
 
 def promoted_user_set(table, i):
     """Default target audience: every user with no training interaction

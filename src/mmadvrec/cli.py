@@ -63,18 +63,8 @@ def _init_params(cfg, table, fv, ft):
         fuse_dim=cfg["model.fuse_dim"], seed=seed_for(cfg["seed"], "init"))
 
 
-def _checked(what, build, *args, **fields):
-    """build(*args, **fields) for a config object; a value it rejects is a
-    config error (exit 2) that names ``what``."""
-    try:
-        return build(*args, **fields)
-    except DataError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 def _train_config(cfg, *, defend, seed_label):
-    return _checked(
-        "train/defense keys", DefenseConfig,
+    return DefenseConfig(
         mode=cfg["defense.mode"] if defend else "uat_mc",
         lambda_=cfg["defense.lambda"] if defend else 0.0,
         alpha=cfg["defense.alpha"] if defend else 0.0,
@@ -92,8 +82,7 @@ def _train_config(cfg, *, defend, seed_label):
 
 
 def _attack_config(cfg):
-    return _checked(
-        "attack keys", attacks.AttackConfig,
+    return attacks.AttackConfig(
         variant=cfg["attack.variant"], eps_pct=cfg["attack.eps_a_pct"],
         pgd_steps=cfg["attack.pgd_steps"], with_align=cfg["attack.with_align"],
         align_weight=cfg["attack.align_weight"], k=cfg["attack.k"])
@@ -276,9 +265,6 @@ def cmd_attack(cfg, args):
 
 
 def cmd_diagnose(cfg, args):
-    bin_width = cfg["diagnose.bin_width"]
-    if not 0.0 < bin_width <= 1.0:
-        raise ConfigError(f"'diagnose.bin_width' must lie in (0, 1], got {bin_width}")
     out, inputs, split, _, _, enc = _workspace(cfg)
     ckpt = args.checkpoint or os.path.join(out, "pretrained.ckpt")
     params = models.load_checkpoint(ckpt)
@@ -286,7 +272,10 @@ def cmd_diagnose(cfg, args):
     k_users = cfg["diagnose.k_users"] or None
     result = mismatch.mismatch_survey(params, enc, targets, k_users=k_users,
                                       k=cfg["eval.k_hit"],
-                                      bin_width=bin_width)
+                                      bin_width=cfg["diagnose.bin_width"])
+    if not result.reports:
+        item, reason = result.skipped[0]
+        raise DataError(f"surveyed none of {len(targets)} targets; item {item}: {reason}")
     items_path = os.path.join(out, "mismatch_items.csv")
     hist_path = os.path.join(out, "mismatch_hist.csv")
     users_path = os.path.join(out, "mismatch_users.csv")
@@ -309,12 +298,11 @@ def cmd_diagnose(cfg, args):
     return EXIT_OK
 
 
-def _sweep_points(cfg, key, base, field):
-    """(value, config) per grid value of ``key``; a value the config rejects
-    is a config error, raised before any point runs."""
-    return [(value, _checked(f"{key}: bad grid value {value!r}", replace, base,
-                             **{field: value}))
-            for value in cfg.floats(key)]
+def _sweep_points(cfg, key, like, base, field):
+    """(value, config) per grid value of ``key``; a value outside the bounds
+    of the scalar key ``like`` is a config error, raised before any point
+    runs."""
+    return [(value, replace(base, **{field: value})) for value in cfg.floats(key, like)]
 
 
 def cmd_sweep(cfg, args):
@@ -322,10 +310,10 @@ def cmd_sweep(cfg, args):
     dcfg = _train_config(cfg, defend=True, seed_label="sweep-defend")
     acfg = _attack_config(cfg)
     if kind == "eps":
-        defends = _sweep_points(cfg, "sweep.eps_d", dcfg, "eps_d_pct")
-        attack_points = _sweep_points(cfg, "sweep.eps_a", acfg, "eps_pct")
+        defends = _sweep_points(cfg, "sweep.eps_d", "defense.eps_d_pct", dcfg, "eps_d_pct")
+        attack_points = _sweep_points(cfg, "sweep.eps_a", "attack.eps_a_pct", acfg, "eps_pct")
     else:
-        defends = _sweep_points(cfg, f"sweep.{kind}s", dcfg,
+        defends = _sweep_points(cfg, f"sweep.{kind}s", f"defense.{kind}", dcfg,
                                 "lambda_" if kind == "lambda" else "alpha")
     out, inputs, split, fv, ft, enc = _workspace(cfg)
     source = args.checkpoint or os.path.join(out, "pretrained.ckpt")

@@ -36,6 +36,13 @@ def _check_finite(key, values):
             raise ConfigError(f"{key!r} must be finite, got {v}")
 
 
+def _check_bounds(key, values, low, high, open_low):
+    for v in values:
+        if not (low < v <= high or (v == low and not open_low)):
+            raise ConfigError(f"{key!r} must lie in {'(' if open_low else '['}{low}, "
+                              f"{high}{']' if high < math.inf else ')'}, got {v}")
+
+
 # key -> (type constructor, default)
 SCHEMA = {
     "seed": (int, 0),
@@ -92,15 +99,21 @@ SCHEMA = {
     "diagnose.bin_width": (float, 0.05),
 }
 
-# least value of each count key; zero is meaningful only where listed as 0
-MINIMUM = {key: 1 for key in (
+# (low end, high end, low end excluded) of each bounded key; a count may be
+# 0 only where its low end is 0
+BOUNDS = {key: (1, math.inf, False) for key in (
     "synth.users", "synth.items", "synth.latent_dim", "synth.feat_dim_v",
     "synth.feat_dim_t", "synth.interactions_per_user", "synth.n_unpop",
     "model.dim", "model.fuse_dim", "train.batch_size", "train.max_epochs",
     "train.eval_every", "defense.max_epochs", "attack.pgd_steps", "attack.k",
     "attack.targets", "attack.popularity_threshold", "eval.k_hit", "eval.k_rank",
     "diagnose.targets")}
-MINIMUM.update({"synth.unpopular_count": 0, "train.patience": 0, "diagnose.k_users": 0})
+BOUNDS.update({key: (0, math.inf, False) for key in (
+    "synth.unpopular_count", "train.patience", "diagnose.k_users", "train.beta",
+    "defense.beta", "defense.lambda", "defense.alpha", "attack.align_weight")})
+BOUNDS.update({key: (0, 1, True) for key in (
+    "defense.eps_d_pct", "attack.eps_a_pct", "diagnose.bin_width")})
+BOUNDS.update({"train.eta": (0, math.inf, True), "synth.mixing_overlap": (0, 1, False)})
 
 # allowed values of each enum key
 CHOICES = {
@@ -136,8 +149,8 @@ class Config:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
         if ctor is float:
             _check_finite(key, [value])
-        if key in MINIMUM and value < MINIMUM[key]:
-            raise ConfigError(f"{key!r} must be >= {MINIMUM[key]}, got {value}")
+        if key in BOUNDS:
+            _check_bounds(key, [value], *BOUNDS[key])
         if key in CHOICES and value not in CHOICES[key]:
             raise ConfigError(f"{key!r} must be one of {', '.join(CHOICES[key])}, "
                               f"got {value!r}")
@@ -148,12 +161,15 @@ class Config:
             raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
 
-    def floats(self, key):
+    def floats(self, key, like):
+        """The comma-separated floats of grid ``key``, each held to the
+        bounds of the scalar key ``like`` that it stands for."""
         try:
             values = [float(x) for x in str(self[key]).split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad list for {key!r}") from exc
         _check_finite(key, values)
+        _check_bounds(key, values, *BOUNDS[like])
         return values
 
     def snapshot(self):

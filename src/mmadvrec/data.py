@@ -273,7 +273,10 @@ def load_features(path, modality, expected_items=None):
         rows = values.shape[0]
     if expected_items is not None and rows != expected_items:
         raise DataError(f"{path}: {rows} feature rows but dataset has {expected_items} items")
-    return FeatureMatrix(modality, values.copy())
+    try:
+        return FeatureMatrix(modality, values.copy())
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +297,6 @@ class SynthConfig:
     n_unpop: int = 5
 
     def validate(self):
-        if min(self.num_users, self.num_items, self.latent_dim,
-               self.feat_dim_v, self.feat_dim_t, self.interactions_per_user) < 1:
-            raise DataError("synthetic config requires positive counts")
-        if not 0.0 <= self.mixing_overlap <= 1.0:
-            raise DataError("mixing_overlap must lie in [0, 1]")
-        if self.unpopular_count < 0 or self.n_unpop < 1:
-            raise DataError("bad unpopular pool configuration")
         if self.unpopular_count >= self.num_items:
             raise DataError("unpopular pool larger than the catalog")
         open_items = self.num_items - self.unpopular_count

@@ -216,8 +216,6 @@ def select_targets(table, count, n_unpop=5, mode="exact", seed=0):
     "at_most" admits any count in [1, n_unpop]. If fewer items qualify than
     requested, all of them are returned.
     """
-    if mode not in ("exact", "at_most"):
-        raise DataError(f"unknown popularity threshold mode {mode!r}")
     counts = table.item_counts()
     if mode == "exact":
         qualifying = np.nonzero(counts == n_unpop)[0]

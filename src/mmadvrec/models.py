@@ -353,3 +353,5 @@ def load_checkpoint(path):
                            blocks.get("prop_v"), blocks.get("prop_t"))
     except (KeyError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc})") from exc
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

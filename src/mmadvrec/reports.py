@@ -16,7 +16,7 @@ def fmt(value):
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
-        return repr(value)
+        return repr(float(value))  # np.float64's repr names its type
     return str(value)
 
 

@@ -50,20 +50,6 @@ class DefenseConfig:
     reduction: str = "sum"  # sum | mean
     seed: int = 0
 
-    def __post_init__(self):
-        if self.mode not in ("uat", "uat_mc"):
-            raise DataError(f"unknown defense mode {self.mode!r}")
-        if self.lambda_ < 0 or self.alpha < 0 or self.beta < 0:
-            raise DataError("lambda, alpha and beta must be non-negative")
-        if self.eta <= 0:
-            raise DataError("learning rate must be positive")
-        if not 0.0 < self.eps_d_pct <= 1.0:
-            raise DataError("eps_d_pct must lie in (0, 1]")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DataError(f"unknown optimizer {self.optimizer!r}")
-        if self.reduction not in ("sum", "mean"):
-            raise DataError(f"unknown reduction {self.reduction!r}")
-
     @property
     def effective_alpha(self):
         return 0.0 if self.mode == "uat" else self.alpha

@@ -161,6 +161,12 @@ def test_diagnose_outputs(workspace):
     _, users_rows, _ = reports.read_csv(os.path.join(out, "mismatch_users.csv"))
     # per-user dump row count equals the summed promotion-set sizes
     assert len(users_rows) > 0
+    width = Config()["diagnose.bin_width"]
+    edges = [(float(r[0]), float(r[1])) for r in hist]
+    assert len(edges) == round(1 / width)
+    assert [high for _, high in edges[:-1]] == [low for low, _ in edges[1:]]
+    for j, (low, high) in enumerate(edges):
+        assert low == pytest.approx(j * width) and high == pytest.approx((j + 1) * width)
     assert run(workspace, "diagnose") == 0
     _, items2, _ = reports.read_csv(os.path.join(out, "mismatch_items.csv"))
     assert items == items2
@@ -176,6 +182,17 @@ def test_bin_width_outside_the_unit_interval_is_config_error(workspace, monkeypa
     assert surveyed == [] and os.listdir(tmp_path) == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "diagnose.bin_width" in lines[0]
+
+
+def test_diagnose_that_surveys_no_target_is_data_error(workspace, tmp_path, capsys):
+    """At k_hit = 60 on a 60-item catalog every target is skipped."""
+    assert run(workspace, "diagnose", "--set", f"data.out_dir={tmp_path}",
+               "--set", "eval.k_hit=60",
+               "--checkpoint", os.path.join(workspace["out"], "pretrained.ckpt")) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: surveyed none of 4 targets")
+    assert "k=60 must be smaller than the item catalog" in lines[0]
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_grids(workspace):
@@ -310,6 +327,7 @@ def test_damaged_feature_or_checkpoint_file_is_data_error(workspace, tmp_path, c
                      "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("data error:") and message in lines[0]
+    assert str(tmp_path / name) in lines[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -436,6 +454,20 @@ def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("key, value", [("attack.eps_a_pct", "2"),
+                                        ("diagnose.bin_width", "0"),
+                                        ("train.eta", "0"),
+                                        ("defense.lambda", "-1"),
+                                        ("synth.mixing_overlap", "1.5")])
+def test_every_command_refuses_an_out_of_bounds_value(workspace, tmp_path, capsys, key, value):
+    for command in ("gen-data", "train", "defend", "attack", "diagnose", "sweep"):
+        assert run(workspace, command, "--set", f"data.out_dir={tmp_path}",
+                   "--set", f"{key}={value}") == cli.EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error") and key in lines[0]
+    assert os.listdir(tmp_path) == []
+
+
 def test_every_float_key_refuses_non_finite_values():
     floats = [key for key, (ctor, _) in config.SCHEMA.items() if ctor is float]
     assert "defense.lambda" in floats
@@ -443,11 +475,12 @@ def test_every_float_key_refuses_non_finite_values():
         for value in ("nan", "inf", "-inf", "NaN"):
             with pytest.raises(ConfigError, match=key):
                 Config({key: value})
-    for key in ("sweep.eps_d", "sweep.eps_a", "sweep.lambdas", "sweep.alphas"):
-        assert Config({key: "0.1, 2"}).floats(key) == [0.1, 2.0]
-        for value in ("0.1,nan", "inf", "0.1,-inf"):
+    for key, like in (("sweep.eps_d", "defense.eps_d_pct"), ("sweep.eps_a", "attack.eps_a_pct"),
+                      ("sweep.lambdas", "defense.lambda"), ("sweep.alphas", "defense.alpha")):
+        assert Config({key: "0.1, 1"}).floats(key, like) == [0.1, 1.0]
+        for value in ("0.1,nan", "inf", "0.1,-inf", "0.1,-1"):
             with pytest.raises(ConfigError, match=key):
-                Config({key: value}).floats(key)
+                Config({key: value}).floats(key, like)
 
 
 def test_every_enum_key_checks_its_choices():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mmadvrec import data
+from mmadvrec.config import Config, ConfigError
 from mmadvrec.data import DataError, DatasetStats, FeatureMatrix, InteractionTable, SynthConfig
 
 from conftest import damaged_features, table_from_lists
@@ -341,8 +342,9 @@ def test_synth_validation():
         data.synth_generate(SynthConfig(num_users=5, num_items=4,
                                         interactions_per_user=10,
                                         unpopular_count=0), seed=0)
-    with pytest.raises(DataError):
-        data.synth_generate(SynthConfig(mixing_overlap=1.5), seed=0)
+    assert Config({"synth.mixing_overlap": "1"})["synth.mixing_overlap"] == 1.0
+    with pytest.raises(ConfigError, match="synth.mixing_overlap"):
+        Config({"synth.mixing_overlap": "1.5"})
 
 
 def test_split_leave_one_out(tiny_dataset):

@@ -116,11 +116,8 @@ def _callees(expr):
 def _passed_arguments():
     """name -> (keywords passed, most positional arguments passed) over
     every call in src/ and perfbench/; a call through a local alias
-    (``fit = a.f if c else a.g``) counts for each function it may be, and a
-    public function or class passed to a call (``_checked(what, Config,
-    **fields)``) receives its keywords. Starred arguments are not counted:
-    they pass nothing by name."""
-    public = {name for _, name in _public_definitions()}
+    (``fit = a.f if c else a.g``) counts for each function it may be.
+    Starred arguments are not counted: they pass nothing by name."""
     passed = {}
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -149,9 +146,6 @@ def _passed_arguments():
             for name in names:
                 kws, most = passed.get(name, (set(), 0))
                 passed[name] = (kws | keywords, max(most, positional))
-            for name in set().union(*map(_callees, node.args)) & public:
-                kws, most = passed.get(name, (set(), 0))
-                passed[name] = (kws | keywords, most)
     return passed
 
 
@@ -220,7 +214,7 @@ def test_parameter_allow_list_names_exist():
 
 
 # the tables in config.py that declare keys rather than read them
-KEY_TABLES = {"SCHEMA", "MINIMUM", "CHOICES"}
+KEY_TABLES = {"SCHEMA", "BOUNDS", "CHOICES"}
 
 
 def _declares_keys(stmt):
@@ -258,5 +252,5 @@ def test_every_config_key_is_read_by_the_program_or_the_benchmark():
 
 
 def test_every_bounded_or_enum_key_is_a_schema_key():
-    assert sorted(set(config.MINIMUM) - set(config.SCHEMA)) == []
+    assert sorted(set(config.BOUNDS) - set(config.SCHEMA)) == []
     assert sorted(set(config.CHOICES) - set(config.SCHEMA)) == []
