@@ -221,8 +221,8 @@ def sqrt(a):
 def sigmoid(a):
     a = _wrap(a)
     x = a.data
-    val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _self_linked(val, a,
                         lambda g, out: mul(g, mul(out, sub(constant(1.0), out))))
 
@@ -317,17 +317,22 @@ def take_rows(m, idx):
     return _node(m.data[idx], [(m, lambda g: scatter_rows(g, idx, n))])
 
 
+def bincount_rows(index, rows, n):
+    """(n, d) numpy sums: row k adds up every ``rows[j]`` with ``index[j] == k``.
+    One ``bincount`` over flat (row, column) bins adds in index order, bitwise
+    as ``np.add.at``."""
+    d = rows.shape[1]
+    bins = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=n * d).reshape(n, d)
+
+
 def scatter_rows(g, idx, num_rows):
-    """Adjoint of take_rows: scatter-add rows into a zero matrix. One ``bincount``
-    over flat (row, column) bins adds in index order, bitwise as ``np.add.at``."""
+    """Adjoint of take_rows: scatter-add rows into a zero matrix."""
     g = _wrap(g)
     idx = np.asarray(idx, dtype=np.int64)
     if g.ndim != 2 or g.shape[0] != idx.shape[0]:
         raise ShapeError(f"scatter_rows shape mismatch {g.shape} vs {idx.shape}")
-    d = g.shape[1]
-    bins = (idx[:, None] * d + np.arange(d)).ravel()
-    data = np.bincount(bins, weights=g.data.ravel(), minlength=num_rows * d).reshape(num_rows, d)
-    return _node(data, [(g, lambda gg: take_rows(gg, idx))])
+    return _node(bincount_rows(idx, g.data, num_rows), [(g, lambda gg: take_rows(gg, idx))])
 
 
 def hstack(parts):

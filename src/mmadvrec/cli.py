@@ -206,8 +206,11 @@ def run_campaign(params, enc, fv, ft, targets, acfg, k_hit, cache=None):
         i = int(i)
         hit_before = metrics.hit_at_k(params, enc, i, k_hit, cache=cache)
         pert, trace = attacks.run_attack(params, enc, fv, ft, i, acfg, cache=cache)
-        hit_after = metrics.hit_at_k(params, enc, i, k_hit,
-                                     delta=(pert.delta_v, pert.delta_t), cache=cache)
+        if acfg.k == k_hit:  # the trace's last hit count is on the final deltas
+            hit_after = 100.0 * trace[-1][2] / enc.table.num_users
+        else:
+            hit_after = metrics.hit_at_k(params, enc, i, k_hit,
+                                         delta=(pert.delta_v, pert.delta_t), cache=cache)
         rows.append([i, acfg.variant, acfg.with_align, acfg.eps_pct,
                      hit_before, hit_after, metrics.gain_hit(hit_before, hit_after)])
         trace_rows += [[i, *rec] for rec in trace]

@@ -162,12 +162,14 @@ class Config:
         return self.values[key]
 
     def floats(self, key, like):
-        """The comma-separated floats of grid ``key``, each held to the
-        bounds of the scalar key ``like`` that it stands for."""
+        """The comma-separated floats of grid ``key``, at least one, each held
+        to the bounds of the scalar key ``like`` that it stands for."""
         try:
             values = [float(x) for x in str(self[key]).split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad list for {key!r}") from exc
+        if not values:
+            raise ConfigError(f"{key!r} lists no value")
         _check_finite(key, values)
         _check_bounds(key, values, *BOUNDS[like])
         return values

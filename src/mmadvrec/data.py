@@ -19,8 +19,10 @@ File formats:
 
 from __future__ import annotations
 
+import codecs
 import os
 import struct
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -60,8 +62,10 @@ class InteractionTable:
     search of the sorted row.
 
     Built from the (users[k], items[k]) pairs of two id arrays, in any order
-    and with repeats; an id outside ``[0, num_users)`` or ``[0, num_items)``
-    is a DataError. Immutable after construction; ``split_leave_one_out``
+    and with repeats; pairs that already arrive strictly ascending, as a
+    saved table's and a split's do, skip the sort. An id outside
+    ``[0, num_users)`` or ``[0, num_items)`` is a DataError. Immutable after
+    construction, and its arrays are its own copies; ``split_leave_one_out``
     returns a new table with one held-out item per eligible user recorded in
     ``holdout`` (-1 for users without one).
     """
@@ -71,9 +75,9 @@ class InteractionTable:
         self.num_items = int(num_items)
         if self.num_users + 1 > np.iinfo(np.intp).max // 8:  # indptr's int64 entries
             raise DataError(f"{self.num_users} users are too many to index in one array")
-        try:
-            users = np.asarray(users, dtype=np.int64)
-            items = np.asarray(items, dtype=np.int64)
+        try:  # copies, so that freezing them leaves the caller's arrays alone
+            users = np.array(users, dtype=np.int64)
+            items = np.array(items, dtype=np.int64)
         except OverflowError as exc:
             raise DataError(f"an id does not fit in int64 ({exc})") from exc
         if users.ndim != 1 or users.shape != items.shape:
@@ -86,16 +90,19 @@ class InteractionTable:
         if outside.any():
             raise DataError(f"user {users[np.argmax(outside)]} holds an item id "
                             f"outside [0, {self.num_items})")
-        order = np.lexsort((items, users))
-        users, items = users[order], items[order]
-        first = np.ones(items.size, dtype=bool)
-        first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
-        self.users, self.items = users[first], items[first]
+        du, di = np.diff(users), np.diff(items)  # ids are in range, so no overflow
+        if not ((du > 0) | ((du == 0) & (di > 0))).all():
+            order = np.lexsort((items, users))  # not strictly ascending: sort, then dedupe
+            users, items = users[order], items[order]
+            first = np.ones(items.size, dtype=bool)
+            first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+            users, items = users[first], items[first]
+        self.users, self.items = users, items
         self.indptr = np.zeros(self.num_users + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.users, minlength=self.num_users), out=self.indptr[1:])
         if holdout is None:
             holdout = np.full(self.num_users, -1, dtype=np.int64)
-        self.holdout = np.asarray(holdout, dtype=np.int64)
+        self.holdout = np.array(holdout, dtype=np.int64)
         for a in (self.users, self.items, self.indptr, self.holdout):
             a.flags.writeable = False
         self.user_items = _UserItems(self.indptr, self.items)
@@ -172,7 +179,53 @@ def load_interactions(path, num_items=None):
     Duplicate pairs collapse to one interaction. Non-integer ids are densely
     remapped in first-appearance order and the mapping is persisted next to
     the input as ``<path>.users.idmap`` / ``<path>.items.idmap``.
+
+    A file of plain ``digits<TAB>digits`` lines (plus blank and '#' lines)
+    is read once and parsed by numpy's C reader; any other file goes through
+    the line loop, which gives the same table for the files both accept.
     """
+    with open(path, "rb") as fh:
+        pairs = _numeric_pairs(fh.read())
+    if pairs is None:
+        users, items = _line_pairs(path)
+        num_users, top_item = max(users) + 1, max(items) + 1
+    else:
+        users, items = pairs[:, 0], pairs[:, 1]
+        num_users, top_item = int(users.max()) + 1, int(items.max()) + 1
+    return InteractionTable(num_users, top_item if num_items is None else num_items,
+                            users, items)
+
+
+def _numeric_pairs(raw):
+    """The (n, 2) int64 pairs of a UTF-8 TSV whose lines, past '#' lines,
+    are only blank or ``digits<TAB>digits``; None for any other bytes: those
+    with a CR, a sign, padding, a string or an id past int64, or no pair."""
+    try:
+        raw.decode("utf-8")  # a comment line that is not UTF-8 fails the loop
+    except UnicodeDecodeError:
+        return None
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8):]
+    if b"\r" in raw:  # a line break to the text-mode loop, but not here
+        return None
+    # cut the '#' lines: every part after a "\n#" starts inside one
+    parts = raw.split(b"\n#")
+    body = b"\n".join(p.partition(b"\n")[2] if k or p.startswith(b"#") else p
+                      for k, p in enumerate(parts))
+    if body.translate(None, b"0123456789\t\n"):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns, not raises, on no data
+        try:
+            pairs = np.loadtxt(body.decode("ascii").split("\n"), dtype=np.int64,
+                               delimiter="\t", ndmin=2)
+        except (ValueError, UserWarning):  # an empty field, or past int64
+            return None
+    return pairs if pairs.shape[1] == 2 else None
+
+
+def _line_pairs(path):
+    """Every line's (user, item) ids as two lists, string ids remapped."""
     raw_users, raw_items = [], []
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -197,9 +250,7 @@ def load_interactions(path, num_items=None):
         _write_idmap(str(path) + ".users.idmap", user_map)
     if item_map is not None:
         _write_idmap(str(path) + ".items.idmap", item_map)
-
-    num_items = max(items) + 1 if num_items is None else num_items
-    return InteractionTable(max(users) + 1, num_items, users, items)
+    return users, items
 
 
 def _densify(raw):

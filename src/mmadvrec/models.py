@@ -154,8 +154,8 @@ class DatasetEncoding:
     def _smooth(self, feats):
         """Âᵀ(Â feats): scatter to the users, then back to the items."""
         t, w = self.table, self.weights[:, None]
-        by_user = _bincount_rows(t.users, w * feats[t.items], t.num_users)
-        return _bincount_rows(t.items, w * by_user[t.users], t.num_items)
+        by_user = ad.bincount_rows(t.users, w * feats[t.items], t.num_users)
+        return ad.bincount_rows(t.items, w * by_user[t.users], t.num_items)
 
     def delta_column(self, i):
         """Per-item weights of a unit perturbation on item i's raw feature:
@@ -176,15 +176,9 @@ class DatasetEncoding:
         return col
 
 
-def _bincount_rows(index, rows, n):
-    """(n, d) sums: row k adds up every ``rows[j]`` with ``index[j] == k``."""
-    return np.column_stack([np.bincount(index, weights=rows[:, c], minlength=n)
-                            for c in range(rows.shape[1])])
-
-
 def _user_means(table, feats):
     """Per user, the mean feature row of their items (zeros without any)."""
-    sums = _bincount_rows(table.users, feats[table.items], table.num_users)
+    sums = ad.bincount_rows(table.users, feats[table.items], table.num_users)
     return sums / np.maximum(np.diff(table.indptr), 1)[:, None]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import sys
 from pathlib import Path
@@ -41,6 +42,26 @@ def trained_concat(tiny_dataset):
 @pytest.fixture(scope="session")
 def trained_graph(tiny_dataset):
     return _trained(tiny_dataset, "graph")
+
+
+def digest(*arrays):
+    """sha256 of the arrays' values, floats as little-endian float64 and
+    every other dtype as little-endian int64."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return h.hexdigest()
+
+
+def pinned_synth(**extra):
+    """(table, fv, ft, split) of the small fixed synthetic config that the
+    pinned-digest tests hash, with ``extra`` SynthConfig fields."""
+    cfg = data.SynthConfig(**{**dict(num_users=60, num_items=40, latent_dim=4, feat_dim_v=5,
+                                     feat_dim_t=5, interactions_per_user=6,
+                                     interaction_noise=0.3, unpopular_count=8, n_unpop=3),
+                              **extra})
+    table, fv, ft = data.synth_generate(cfg, seed=11)
+    return table, fv, ft, data.split_leave_one_out(table, seed=12)
 
 
 def param_bytes(params):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mmadvrec import attacks, autodiff as ad, data, metrics, models
+from mmadvrec import attacks, autodiff as ad, cli, data, metrics, models
 from mmadvrec.attacks import (AttackConfig, Perturbation, Promotion, ascent_gradients,
                               budget_rows, promoted_user_set, promotion, run_attack,
                               to_sphere)
@@ -361,3 +361,32 @@ def test_attack_gathers_once_and_runs_one_forward_per_step(scene, monkeypatch, v
     assert len(trace) == steps
     assert _CountedRows.gathers == 1
     assert forwards == [[i]] * (steps + 1)
+
+
+@pytest.mark.parametrize("variant, k_hit", [("pgd", 10), ("fgsm", 10), ("pgd", 7)])
+def test_campaign_hit_after_is_the_hit_rate_of_the_final_deltas(scene, monkeypatch,
+                                                                 variant, k_hit):
+    """``hit_after`` is the hit rate of the returned deltas at ``k_hit``.
+    When ``k_hit`` is the attack's own k, the trace's last hit count gives
+    it, so a target takes one hit test before the attack and one per step."""
+    params, enc, fv, ft, cache, targets = scene
+    targets = [int(i) for i in targets[:3]]
+    cfg = AttackConfig(variant=variant, eps_pct=0.10, pgd_steps=3, k=10)
+    calls = []
+    counted = metrics.hit_count
+
+    def counting(params, enc, i, k, **kwargs):
+        calls.append(k)
+        return counted(params, enc, i, k, **kwargs)
+
+    monkeypatch.setattr(metrics, "hit_count", counting)
+    monkeypatch.setattr(attacks, "hit_count", counting)
+    rows, _, _ = cli.run_campaign(params, enc, fv, ft, targets, cfg, k_hit, cache=cache)
+    steps = 1 if variant == "fgsm" else cfg.pgd_steps
+    per_target = [k_hit] + [cfg.k] * steps + ([k_hit] if k_hit != cfg.k else [])
+    assert calls == per_target * len(targets)
+    monkeypatch.undo()
+    for row, i in zip(rows, targets):
+        pert, _ = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
+        assert row[5] == hit_at_k(params, enc, i, k_hit, delta=(pert.delta_v, pert.delta_t),
+                                  cache=cache)

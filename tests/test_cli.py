@@ -414,7 +414,9 @@ def test_run_id_does_not_depend_on_where_files_live(workspace, tmp_path):
                                               ("alpha", "sweep.alphas", "0.1,-2"),
                                               ("lambda", "sweep.lambdas", "1,nan"),
                                               ("eps", "sweep.eps_a", "0.05,inf"),
-                                              ("eps", "sweep.eps_a", "0.05,abc")])
+                                              ("eps", "sweep.eps_a", "0.05,abc"),
+                                              ("eps", "sweep.eps_d", ","),
+                                              ("alpha", "sweep.alphas", " , ")])
 def test_sweep_rejects_a_bad_grid_value_before_training(workspace, monkeypatch, capsys,
                                                         kind, key, value):
     trained = []
@@ -478,7 +480,7 @@ def test_every_float_key_refuses_non_finite_values():
     for key, like in (("sweep.eps_d", "defense.eps_d_pct"), ("sweep.eps_a", "attack.eps_a_pct"),
                       ("sweep.lambdas", "defense.lambda"), ("sweep.alphas", "defense.alpha")):
         assert Config({key: "0.1, 1"}).floats(key, like) == [0.1, 1.0]
-        for value in ("0.1,nan", "inf", "0.1,-inf", "0.1,-1"):
+        for value in ("0.1,nan", "inf", "0.1,-inf", "0.1,-1", ",", ""):
             with pytest.raises(ConfigError, match=key):
                 Config({key: value}).floats(key, like)
 

@@ -1,9 +1,10 @@
-import hashlib
+import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,7 +12,7 @@ from mmadvrec import data
 from mmadvrec.config import Config, ConfigError
 from mmadvrec.data import DataError, DatasetStats, FeatureMatrix, InteractionTable, SynthConfig
 
-from conftest import damaged_features, table_from_lists
+from conftest import damaged_features, digest, pinned_synth, table_from_lists
 
 
 @st.composite
@@ -211,6 +212,104 @@ def test_tsv_loads_to_its_pairs_and_roundtrips(tmp_path_factory, case, cold):
     _assert_same_table(data.load_interactions(again, num_items=num_items), t)
 
 
+PLAIN_IDS = st.sampled_from([str(n) for n in range(31)] + ["00", "007", str(2 ** 63 - 1)])
+ODD_IDS = st.sampled_from(["+3", "-3", "-0", " 4", "4 ", "\xa04", "4\u2003", "\u0663", "\uff13",
+                           "1_0", str(2 ** 63 - 1), str(2 ** 63), str(2 ** 64 + 5), "5#x",
+                           "a", "\u00e9", ""])
+PLAIN_EXTRA = [b"", b"# user\titem", b"#x\t\xc3\xa9"]
+ODD_EXTRA = [b"   ", b"\t", b"  #c", b"\x0c", b"1\t2\t3", b"5", b"#\xff", b"\xff\t1"]
+
+
+@st.composite
+def numeric_or_not_tsv(draw):
+    """The bytes of a plain TSV (ASCII digit pairs, blank and '#' lines, LF
+    ends, maybe a BOM) with up to three of the cases that the numeric parse
+    must leave to the line loop: an id with a sign, padding, non-ASCII digits
+    or whitespace, past int64, or an inline '#'; an indented '#', a
+    whitespace-only, short, long or non-UTF-8 line; a CR or CRLF end."""
+    lines = [f"{draw(PLAIN_IDS)}\t{draw(PLAIN_IDS)}".encode()
+             for _ in range(draw(st.integers(0, 8)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(PLAIN_EXTRA)))
+    ends = [b"\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        odd = draw(st.sampled_from(["id", "line", "end"]))
+        if odd == "end" and at < len(lines):
+            ends[at] = draw(st.sampled_from([b"\r", b"\r\n"]))
+            continue
+        if odd == "id":
+            pair = [draw(PLAIN_IDS), draw(ODD_IDS)]
+            line = "\t".join(pair if draw(st.booleans()) else pair[::-1]).encode()
+        else:
+            line = draw(st.sampled_from(ODD_EXTRA))
+        lines.insert(at, line)
+        ends.insert(at, b"\n")
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    text = b"".join(line + end for line, end in zip(lines, ends))
+    return bom + (text if draw(st.booleans()) else text.removesuffix(ends[-1] if ends else b""))
+
+
+def _is_plain(raw):
+    """The rule for the numeric parse: UTF-8 without CR, and at least one
+    line, every line past the '#' ones blank or ASCII digits<TAB>digits
+    within int64."""
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return False
+    pairs = [line for line in text.split("\n") if line and not line.startswith("#")]
+    return "\r" not in text and bool(pairs) and all(
+        re.fullmatch(r"[0-9]+\t[0-9]+", line)
+        and max(int(x) for x in line.split("\t")) < 2 ** 63 for line in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_or_not_tsv(), st.sampled_from([None, 20]))
+@example(b"#\xff\n1\t2\n", None)  # a comment line that is not UTF-8
+@example(b"# c\r1\t2\n3\t4\n", None)  # a CR ends the comment for the loop
+@example(b"5\n6\n", None)  # one column
+@example(b"0\t5#x\n", None)  # an inline '#'
+@example(b"-3\t1\n0\t2\n", None)  # a sign
+@example(b"\xef\xbb\xbf# c\n\n", None)  # no pair
+@example(b"0\t9223372036854775808\n", None)  # past int64
+@example(b"\xef\xbb\xbf0\t9223372036854775807\n1\t0\n", 20)  # the int64 edge
+def test_numeric_parse_matches_the_line_loop(tmp_path_factory, raw, num_items):
+    """The numeric parse takes exactly the plain files, and the loader gives
+    the same table, sidecars and DataError text with it as the line loop
+    alone."""
+    assert (data._numeric_pairs(raw) is not None) == _is_plain(raw)
+    path = tmp_path_factory.mktemp("tsv") / "in.tsv"
+    path.write_bytes(raw)
+
+    def load():
+        try:
+            t = data.load_interactions(path, num_items=num_items)
+            got = (t.num_users, t.num_items, t.indptr.tobytes(), t.users.tobytes(),
+                   t.items.tobytes(), t.holdout.tobytes())
+        except DataError as exc:
+            got = str(exc)
+        sidecars = {p.name: p.read_bytes() for p in path.parent.glob("*.idmap")}
+        for p in path.parent.glob("*.idmap"):
+            p.unlink()
+        return got, sidecars
+
+    fast = load()
+    with mock.patch.object(data, "_numeric_pairs", lambda raw: None):
+        assert load() == fast
+
+
+def test_table_keeps_its_own_copies_of_sorted_input():
+    users = np.array([0, 0, 1, 2], dtype=np.int64)
+    items = np.array([1, 3, 0, 2], dtype=np.int64)
+    holdout = np.array([-1, 2, -1], dtype=np.int64)
+    t = InteractionTable(3, 4, users, items, holdout=holdout)
+    assert t.users.tolist() == users.tolist() and t.items.tolist() == items.tolist()
+    for mine, theirs in ((t.users, users), (t.items, items), (t.holdout, holdout)):
+        assert not np.shares_memory(mine, theirs)
+        assert not mine.flags.writeable and theirs.flags.writeable
+
+
 def test_table_sparsity_matches_published_counts():
     stats = DatasetStats.compute(19445, 7037, 160792)
     # exact formula; printed table value is 99.883
@@ -390,13 +489,6 @@ def test_split_matches_the_per_user_loop_bitwise(case, seed):
     assert split.holdout.tobytes() == holdout.tobytes()
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize("extra, synth_digest, split_digest", [
     ({}, "3df9cdc3dcb6ce2292cc0f5cf6192e3638c50d534d25acb53f99afe4945bb83b",
      "9297b785884229f492c017a7b4610e3c5f73c45859535fc35d5debf76409061f"),
@@ -408,13 +500,9 @@ def test_synth_and_split_outputs_are_pinned(extra, synth_digest, split_digest):
     """sha256 of the generated table and features, and of the split, at a
     small fixed config; the digests were taken from the per-user set and
     per-user loop versions of both functions."""
-    cfg = SynthConfig(**{**dict(num_users=60, num_items=40, latent_dim=4, feat_dim_v=5,
-                                feat_dim_t=5, interactions_per_user=6, interaction_noise=0.3,
-                                unpopular_count=8, n_unpop=3), **extra})
-    table, fv, ft = data.synth_generate(cfg, seed=11)
-    split = data.split_leave_one_out(table, seed=12)
-    assert _digest(table.indptr, table.items, fv.values, ft.values) == synth_digest
-    assert _digest(split.indptr, split.items, split.holdout) == split_digest
+    table, fv, ft, split = pinned_synth(**extra)
+    assert digest(table.indptr, table.items, fv.values, ft.values) == synth_digest
+    assert digest(split.indptr, split.items, split.holdout) == split_digest
 
 
 def test_split_excludes_singletons():

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from mmadvrec import autodiff as ad, data, metrics, models
 from mmadvrec.models import DatasetEncoding, Forward, Scorer
 
-from conftest import damaged_checkpoint, param_bytes, table_from_lists
+from conftest import (damaged_checkpoint, digest, param_bytes, pinned_synth,
+                      table_from_lists)
 from oracles import rel_err
 
 
@@ -145,6 +146,23 @@ def test_user_means_and_smoothing_match_per_user_loops_bitwise(tiny_dataset):
         _check_against_loops(table, np.random.default_rng(table.num_interactions))
 
     drawn()
+
+
+@pytest.mark.parametrize("extra, kind, want", [
+    ({}, "concat", "9055b193bcb290ae6cdbd9c9e5bc04ffac357f2c8f9312a179aae5124538dc06"),
+    ({}, "graph", "a05a04c421b275f89ff2aa30b3872bfb9c705d72def569d44240b4704ff5b747"),
+    ({"unpopular_count": 0, "interaction_noise": 0.0}, "concat",
+     "86b9880dbe582eb687ffcf4a85ae593f30182707d642b89eb39e75df042af845"),
+    ({"unpopular_count": 0, "interaction_noise": 0.0}, "graph",
+     "8e0c9bf06794ee68cf59829ab61f94942bbb98256a6d4360988f89e19fe10905")],
+    ids=["pool-concat", "pool-graph", "no_pool-concat", "no_pool-graph"])
+def test_encoding_outputs_are_pinned(extra, kind, want):
+    """sha256 of the encoding's arrays on the split of the pinned synthetic
+    config; the digests were taken from the per-column bincount version."""
+    _, fv, ft, split = pinned_synth(**extra)
+    enc = DatasetEncoding(split, fv, ft, kind)
+    arrays = [enc.eff_v, enc.eff_t, enc.self_coef, enc.user_mean_v, enc.user_mean_t]
+    assert digest(*arrays, *([enc.weights] if kind == "graph" else [])) == want
 
 
 def test_graph_encoding_memory_grows_with_interactions():
