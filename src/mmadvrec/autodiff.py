@@ -6,17 +6,20 @@ traced operations, a backward pass run with ``create_graph=True`` produces
 gradients that are themselves differentiable, which is what the coordinated
 max phase needs (it differentiates a function of first-order gradients).
 
-Shapes are restricted to scalars (0-d), vectors and matrices; broadcasting is
-exact-shape or scalar-only.
+Shapes are restricted to scalars (0-d), vectors and matrices. Ops take
+tensors only, and the two operands of an elementwise op have equal shapes;
+there is no broadcasting. A vjp receives the cotangent and its node, so a
+derivative written in terms of the output (tanh' = 1 - tanh^2) reads it from
+there, and no node refers to itself.
 
-Transposes: a constant made by ``tensor`` or ``constant`` holds a private
-copy of its data that nothing changes, so its transpose is computed once,
-kept on the node and returned by every later ``transpose`` of it, including
-the one in each backward through ``matmul``; the kept transpose is such a
-constant too. It is C-contiguous, as every transpose is, so products with
-it round as before. A tensor that wraps an array it does not own, such as
-``Forward``'s views of the parameters that the optimiser updates in place,
-is transposed afresh each time.
+Transposes: a constant holds a private copy of its data that nothing
+changes, so its transpose is computed once, kept on the node and returned
+by every later ``transpose`` of it, including the one in each backward
+through ``matmul``; the kept transpose is such a constant too. It is
+C-contiguous, as every transpose is, so products with it round as before.
+A tensor that wraps an array it does not own, such as ``Forward``'s views
+of the parameters that the optimiser updates in place, is transposed afresh
+each time.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-import weakref
 
 import numpy as np
 
@@ -68,8 +70,9 @@ class Tensor:
     """Immutable float64 array plus the bookkeeping needed for backprop.
 
     ``_links`` holds (parent, vjp) pairs for parents that require grad; the
-    vjp closure maps the cotangent of this node to the cotangent contribution
-    of that parent, expressed in traced ops so it stays differentiable.
+    vjp closure maps the cotangent of this node and the node itself to the
+    cotangent contribution of that parent, expressed in traced ops so it
+    stays differentiable. A node requires grad if it has links or is a leaf.
     ``_owns_data`` marks a constant whose data is its own copy, and
     ``_transposed`` keeps that constant's transpose once it is asked for.
     """
@@ -77,7 +80,7 @@ class Tensor:
     _owns_data = False
     _transposed = None
 
-    def __init__(self, data, requires_grad=False, _links=()):
+    def __init__(self, data, _links=()):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"only scalars, vectors and matrices supported, got shape {arr.shape}")
@@ -85,7 +88,7 @@ class Tensor:
             arr = np.copy(arr, order="C")
         self.data = arr
         self._links = tuple(_links)
-        self.requires_grad = bool(requires_grad) or bool(self._links)
+        self.requires_grad = bool(self._links)
         self._id = next(_ids)
 
     @property
@@ -109,182 +112,134 @@ class Tensor:
         return f"Tensor({self.data!r}{grad_tag})"
 
 
-def tensor(data, requires_grad=False):
+def constant(data):
     """Wrap external data in a tensor; the data is copied, so later caller
     mutation cannot corrupt a recorded graph."""
-    out = Tensor(np.array(data, dtype=np.float64), requires_grad=requires_grad)
+    out = Tensor(np.array(data, dtype=np.float64))
     out._owns_data = True
     return out
 
 
 def leaf(data):
     """A differentiable input node (copies the data)."""
-    return tensor(data, requires_grad=True)
-
-
-def constant(data):
-    return tensor(data)
-
-
-def zeros(shape):
-    return Tensor(np.zeros(shape))
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    out = constant(data)
+    out.requires_grad = True
+    return out
 
 
 def _node(data, links):
     if not _grad_enabled():
         return Tensor(data)
-    return Tensor(data, _links=[(p, fn) for p, fn in links if p.requires_grad])
+    return Tensor(data, [(p, fn) for p, fn in links if p.requires_grad])
 
 
-def _align_pair(a, b):
-    """Resolve exact-shape or scalar broadcast; returns operands as tensors."""
-    a, b = _wrap(a), _wrap(b)
-    if a.shape == b.shape:
-        return a, b
-    if a.ndim == 0:
-        return fill(a, b.shape), b
-    if b.ndim == 0:
-        return a, fill(b, a.shape)
-    raise ShapeError(f"shape mismatch {a.shape} vs {b.shape} (only scalar broadcast supported)")
+def _check_pair(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape} (no broadcasting)")
 
 
 # ---------------------------------------------------------------------------
 # primitives
 
 def fill(s, shape):
-    """Broadcast a scalar to the given shape."""
-    s = _wrap(s)
-    if s.ndim != 0:
-        raise ShapeError(f"fill expects a scalar, got shape {s.shape}")
-    shape = tuple(shape)
+    """Broadcast a scalar to the given shape: the adjoint of ``sum_all``."""
     if shape == ():
         return s
-    data = np.full(shape, s.data)
-    return _node(data, [(s, lambda g: sum_all(g))])
+    return _node(np.full(shape, s.data), [(s, lambda g, _: sum_all(g))])
 
 
 def add(a, b):
-    a, b = _align_pair(a, b)
-    return _node(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+    _check_pair(a, b)
+    return _node(a.data + b.data, [(a, lambda g, _: g), (b, lambda g, _: g)])
 
 
 def sub(a, b):
-    a, b = _align_pair(a, b)
-    return _node(a.data - b.data, [(a, lambda g: g), (b, lambda g: neg(g))])
+    _check_pair(a, b)
+    return _node(a.data - b.data, [(a, lambda g, _: g), (b, lambda g, _: neg(g))])
 
 
 def mul(a, b):
-    a, b = _align_pair(a, b)
-    return _node(a.data * b.data, [(a, lambda g: mul(g, b)), (b, lambda g: mul(g, a))])
+    _check_pair(a, b)
+    return _node(a.data * b.data, [(a, lambda g, _: mul(g, b)), (b, lambda g, _: mul(g, a))])
 
 
 def div(a, b):
-    a, b = _align_pair(a, b)
+    _check_pair(a, b)
     if np.any(b.data == 0.0):
         raise DomainError("division by zero")
-    out = _node(a.data / b.data, [(a, lambda g: div(g, b)),
-                                  (b, lambda g: neg(div(mul(g, a), mul(b, b))))])
-    return out
+    return _node(a.data / b.data, [(a, lambda g, _: div(g, b)),
+                                   (b, lambda g, _: neg(div(mul(g, a), mul(b, b))))])
 
 
 def neg(a):
-    a = _wrap(a)
-    return _node(-a.data, [(a, lambda g: neg(g))])
-
-
-def _self_linked(data, parent, vjp_of_out):
-    """Build a node whose vjp references the node itself (e.g. tanh' = 1 - tanh^2).
-
-    The vjp holds the node weakly: a strong reference would make a cycle, and
-    every graph through the node would stay in memory until the cyclic
-    garbage collector ran. ``grad`` holds each node it calls a vjp of."""
-    out = Tensor(data)
-    if _grad_enabled() and parent.requires_grad:
-        ref = weakref.ref(out)
-        out._links = ((parent, lambda g: vjp_of_out(g, ref())),)
-        out.requires_grad = True
-    return out
+    return _node(-a.data, [(a, lambda g, _: neg(g))])
 
 
 def sqrt(a):
-    a = _wrap(a)
     if np.any(a.data < 0.0):
         raise DomainError("sqrt of negative input")
-    return _self_linked(np.sqrt(a.data), a,
-                        lambda g, out: div(g, mul(constant(2.0), out)))
+    return _node(np.sqrt(a.data),
+                 [(a, lambda g, out: div(g, mul(Tensor(np.full(out.shape, 2.0)), out)))])
 
 
 def sigmoid(a):
-    a = _wrap(a)
     x = a.data
     e = np.exp(-np.abs(x))
     val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _self_linked(val, a,
-                        lambda g, out: mul(g, mul(out, sub(constant(1.0), out))))
+    return _node(val,
+                 [(a, lambda g, out: mul(g, mul(out, sub(Tensor(np.ones(out.shape)), out))))])
 
 
 def tanh(a):
-    a = _wrap(a)
-    return _self_linked(np.tanh(a.data), a,
-                        lambda g, out: mul(g, sub(constant(1.0), mul(out, out))))
+    return _node(np.tanh(a.data),
+                 [(a, lambda g, out: mul(g, sub(Tensor(np.ones(out.shape)), mul(out, out))))])
 
 
 def softplus(a):
     """ln(1 + e^x), evaluated stably; its derivative is sigmoid(x)."""
-    a = _wrap(a)
     x = a.data
     val = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return _node(val, [(a, lambda g: mul(g, sigmoid(a)))])
+    return _node(val, [(a, lambda g, _: mul(g, sigmoid(a)))])
 
 
 def sum_all(a):
-    a = _wrap(a)
     shape = a.shape
-    return _node(np.sum(a.data), [(a, lambda g: fill(g, shape))])
+    return _node(np.sum(a.data), [(a, lambda g, _: fill(g, shape))])
 
 
 def sum_rows(a):
     """Row sums of a matrix: (n, d) -> (n,)."""
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"sum_rows expects a matrix, got shape {a.shape}")
     d = a.shape[1]
-    return _node(np.sum(a.data, axis=1), [(a, lambda g: broadcast_col(g, d))])
+    return _node(np.sum(a.data, axis=1), [(a, lambda g, _: broadcast_col(g, d))])
 
 
 def sum_cols(a):
     """Column sums of a matrix: (n, d) -> (d,)."""
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"sum_cols expects a matrix, got shape {a.shape}")
     n = a.shape[0]
-    return _node(np.sum(a.data, axis=0), [(a, lambda g: broadcast_row(g, n))])
+    return _node(np.sum(a.data, axis=0), [(a, lambda g, _: broadcast_row(g, n))])
 
 
 def broadcast_col(v, d):
     """Tile a vector (n,) as d identical columns: -> (n, d)."""
-    v = _wrap(v)
     if v.ndim != 1:
         raise ShapeError(f"broadcast_col expects a vector, got shape {v.shape}")
     data = np.repeat(v.data[:, None], d, axis=1)
-    return _node(data, [(v, lambda g: sum_rows(g))])
+    return _node(data, [(v, lambda g, _: sum_rows(g))])
 
 
 def broadcast_row(v, n):
     """Tile a vector (d,) as n identical rows: -> (n, d)."""
-    v = _wrap(v)
     if v.ndim != 1:
         raise ShapeError(f"broadcast_row expects a vector, got shape {v.shape}")
     data = np.repeat(v.data[None, :], n, axis=0)
-    return _node(data, [(v, lambda g: sum_cols(g))])
+    return _node(data, [(v, lambda g, _: sum_cols(g))])
 
 
 def transpose(a):
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
     if a._owns_data and not a.requires_grad:
@@ -292,20 +247,18 @@ def transpose(a):
             a._transposed = Tensor(a.data.T)
             a._transposed._owns_data = True
         return a._transposed
-    return _node(a.data.T, [(a, lambda g: transpose(g))])
+    return _node(a.data.T, [(a, lambda g, _: transpose(g))])
 
 
 def matmul(a, b):
-    a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return _node(a.data @ b.data, [(a, lambda g: matmul(g, transpose(b))),
-                                   (b, lambda g: matmul(transpose(a), g))])
+    return _node(a.data @ b.data, [(a, lambda g, _: matmul(g, transpose(b))),
+                                   (b, lambda g, _: matmul(transpose(a), g))])
 
 
 def take_rows(m, idx):
     """Gather rows of a matrix by an integer index array."""
-    m = _wrap(m)
     if m.ndim != 2:
         raise ShapeError(f"take_rows expects a matrix, got shape {m.shape}")
     idx = np.asarray(idx, dtype=np.int64)
@@ -314,7 +267,7 @@ def take_rows(m, idx):
     if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
         raise ShapeError("take_rows index out of range")
     n = m.shape[0]
-    return _node(m.data[idx], [(m, lambda g: scatter_rows(g, idx, n))])
+    return _node(m.data[idx], [(m, lambda g, _: scatter_rows(g, idx, n))])
 
 
 def bincount_rows(index, rows, n):
@@ -328,40 +281,36 @@ def bincount_rows(index, rows, n):
 
 def scatter_rows(g, idx, num_rows):
     """Adjoint of take_rows: scatter-add rows into a zero matrix."""
-    g = _wrap(g)
     idx = np.asarray(idx, dtype=np.int64)
     if g.ndim != 2 or g.shape[0] != idx.shape[0]:
         raise ShapeError(f"scatter_rows shape mismatch {g.shape} vs {idx.shape}")
-    return _node(bincount_rows(idx, g.data, num_rows), [(g, lambda gg: take_rows(gg, idx))])
+    return _node(bincount_rows(idx, g.data, num_rows), [(g, lambda gg, _: take_rows(gg, idx))])
 
 
 def hstack(parts):
     """Concatenate matrices with equal row counts along columns."""
-    parts = [_wrap(p) for p in parts]
     rows = {p.shape[0] for p in parts}
     if any(p.ndim != 2 for p in parts) or len(rows) != 1:
         raise ShapeError("hstack expects matrices with equal row counts")
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
     links = []
     for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        links.append((p, lambda g, lo=int(lo), hi=int(hi): slice_cols(g, lo, hi)))
+        links.append((p, lambda g, _, lo=int(lo), hi=int(hi): slice_cols(g, lo, hi)))
     return _node(np.concatenate([p.data for p in parts], axis=1), links)
 
 
 def slice_cols(m, lo, hi):
-    m = _wrap(m)
     if m.ndim != 2 or not (0 <= lo <= hi <= m.shape[1]):
         raise ShapeError(f"bad column slice [{lo}:{hi}] of shape {m.shape}")
     d = m.shape[1]
-    return _node(m.data[:, lo:hi], [(m, lambda g: pad_cols(g, lo, d))])
+    return _node(m.data[:, lo:hi], [(m, lambda g, _: pad_cols(g, lo, d))])
 
 
 def pad_cols(m, lo, total):
-    m = _wrap(m)
     data = np.zeros((m.shape[0], total))
     data[:, lo:lo + m.shape[1]] = m.data
     hi = lo + m.shape[1]
-    return _node(data, [(m, lambda g: slice_cols(g, lo, hi))])
+    return _node(data, [(m, lambda g, _: slice_cols(g, lo, hi))])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +331,6 @@ def cosine(a, b):
     If either input has 2-norm below NORM_TOLERANCE the result is a constant
     zero, so its gradient contribution is zero.
     """
-    a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape or a.ndim == 0:
         raise ShapeError(f"cosine expects equal-shape vectors or matrices, "
                          f"got {a.shape}, {b.shape}")
@@ -434,13 +382,13 @@ def grad(loss, wrt, create_graph=False):
             if node._id in wanted:
                 grads[node._id] = g  # keep for result extraction
             for parent, vjp in node._links:
-                contrib = vjp(g)
+                contrib = vjp(g, node)
                 prev = grads.get(parent._id)
                 grads[parent._id] = contrib if prev is None else add(prev, contrib)
     out = []
     for w in wrt:
         g = grads.get(w._id)
-        out.append(g if g is not None else zeros(w.shape))
+        out.append(g if g is not None else Tensor(np.zeros(w.shape)))
     return out
 
 

@@ -113,10 +113,9 @@ def _read_last_epoch(log_path):
 
 
 def _manifest(cfg, command, inputs, outputs, out_dir, name):
-    man = RunManifest.create(command, cfg, [p for p in inputs if os.path.exists(p)])
+    man = RunManifest.create(command, cfg, inputs)
     man.outputs = sorted(outputs)
     man.write(os.path.join(out_dir, name))
-    return man
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +162,27 @@ def _fit(cfg, args, defend):
     command = "defend" if defend else "train"
     ckpt = os.path.join(out, "defended.ckpt" if defend else "pretrained.ckpt")
     log_path = os.path.join(out, f"{command}_log.csv")
-    if defend:
-        inputs.append(args.checkpoint or os.path.join(out, "pretrained.ckpt"))
     start_epoch, old_rows = 1, []
     if args.resume and os.path.exists(ckpt) and os.path.exists(log_path):
+        inputs.append(ckpt)
         params = models.load_checkpoint(ckpt)
         last, old_rows = _read_last_epoch(log_path)
         start_epoch = last + 1
     elif defend:
+        inputs.append(args.checkpoint or os.path.join(out, "pretrained.ckpt"))
         params = models.load_checkpoint(inputs[-1])
     else:
         params = _init_params(cfg, split, fv, ft)
+    # checksums of the inputs as read, before this run writes its checkpoint
+    man = RunManifest.create(command, cfg, inputs)
     label = "defend" if defend else "pretrain"
     tcfg = _train_config(cfg, defend=defend, seed_label=f"{label}-{start_epoch}")
     fit = training.uat_mc_train if defend else training.pretrain
     best, log = fit(params, enc, fv, ft, tcfg, start_epoch=start_epoch)
     models.save_checkpoint(best, ckpt)
     _write_train_log(log_path, log, extra_rows=old_rows)
-    _manifest(cfg, command, inputs, [ckpt, log_path], out, f"manifest_{command}.json")
+    man.outputs = sorted([ckpt, log_path])
+    man.write(os.path.join(out, f"manifest_{command}.json"))
     recall, ndcg = metrics.recall_ndcg(best, enc, k=cfg["eval.k_rank"])
     what = (f"defended ({tcfg.mode}, lambda={tcfg.lambda_}, alpha={tcfg.effective_alpha})"
             if defend else "pretrained")
@@ -354,8 +356,12 @@ def cmd_report(cfg, args):
         path = os.path.join(run_dir, "metrics.csv")
         if not os.path.exists(path):
             continue
+        if not reports.verify_csv(path):
+            raise DataError(f"{path}: fails its sha256 line")
         h, rows, _ = reports.read_csv(path)
-        header = header or h
+        if header is not None and h != header:
+            raise DataError(f"{path}: columns {h} differ from the first file's {header}")
+        header = h
         combined.extend(rows)
     if header is None:
         raise DataError("no metrics.csv found in the given run directories")

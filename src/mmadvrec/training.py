@@ -273,6 +273,4 @@ def _train(params, enc, feats_v, feats_t, config, adversarial, start_epoch=1):
                 align_sum / n_batches, recall)
         if evals_since_best > config.patience:
             break
-    if best_recall == -np.inf:
-        best = params.clone()
     return best, log

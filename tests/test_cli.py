@@ -151,6 +151,24 @@ def test_resume_refuses_a_log_it_cannot_extend(workspace, tmp_path, capsys, dama
     assert log.read_bytes() == before
 
 
+@pytest.mark.parametrize("command, ckpt", [("train", "pretrained.ckpt"),
+                                           ("defend", "defended.ckpt")])
+def test_resumed_run_manifest_lists_the_checkpoint_it_read(workspace, tmp_path, command, ckpt):
+    for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe",
+                 "pretrained.ckpt", "train_log.csv"):
+        shutil.copy(os.path.join(workspace["out"], name), tmp_path / name)
+    args = ["--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+            "--set", f"data.out_dir={tmp_path}"]
+    if command == "defend":
+        assert cli.main(["defend", *args]) == cli.EXIT_OK
+    before = config.file_checksum(tmp_path / ckpt)
+    assert cli.main([command, *args, "--resume"]) == cli.EXIT_OK
+    man = json.load(open(tmp_path / f"manifest_{command}.json"))
+    ckpts = {p: c for p, c in man["input_checksums"].items() if p.endswith(".ckpt")}
+    assert ckpts == {os.path.join(str(tmp_path), ckpt): before}
+    assert config.file_checksum(tmp_path / ckpt) != before  # the run wrote over it
+
+
 def test_diagnose_outputs(workspace):
     out = workspace["out"]
     assert run(workspace, "diagnose") == 0
@@ -221,6 +239,24 @@ def test_report_merges_metrics(workspace):
     out = workspace["out"]
     assert run(workspace, "report") == 0
     assert os.path.exists(os.path.join(out, "summary.csv"))
+
+
+@pytest.mark.parametrize("damage", ["cut in its sha256 line", "other columns"])
+def test_report_refuses_a_damaged_metrics_file(workspace, tmp_path, capsys, damage):
+    header = ["run_id", "defense", "gain"]
+    first, second, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
+    for d in (first, second, out):
+        d.mkdir()
+    reports.write_csv(first / "metrics.csv", header, [["abc", "none", 1.5]])
+    if damage == "other columns":
+        reports.write_csv(second / "metrics.csv", header[:2], [["def", "uat_mc"]])
+    else:
+        raw = (first / "metrics.csv").read_bytes()
+        (second / "metrics.csv").write_bytes(raw[:raw.rindex(b"# sha256=") + 20])
+    assert run(workspace, "report", "--runs", str(first), str(second),
+               "--set", f"data.out_dir={out}") == cli.EXIT_DATA
+    assert str(second / "metrics.csv") in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
 
 
 def test_unknown_config_key_rejected(workspace):
