@@ -164,7 +164,7 @@ def _fit(cfg, args, defend):
     log_path = os.path.join(out, f"{command}_log.csv")
     start_epoch, old_rows = 1, []
     if args.resume and os.path.exists(ckpt) and os.path.exists(log_path):
-        inputs.append(ckpt)
+        inputs += [ckpt, log_path]
         params = models.load_checkpoint(ckpt)
         last, old_rows = _read_last_epoch(log_path)
         start_epoch = last + 1

@@ -30,6 +30,9 @@ import numpy as np
 
 FEATURE_MAGIC = b"MMFE"
 FEATURE_VERSION = 1
+# the bound of ``InteractionTable`` on its number of users
+ID_SPAN_FLOOR = 1 << 20
+ID_SPAN_PER_INTERACTION = 64
 
 
 class DataError(Exception):
@@ -67,14 +70,18 @@ class InteractionTable:
     ``[0, num_users)`` or ``[0, num_items)`` is a DataError. Immutable after
     construction, and its arrays are its own copies; ``split_leave_one_out``
     returns a new table with one held-out item per eligible user recorded in
-    ``holdout`` (-1 for users without one).
+    ``holdout`` (-1 for users without one). ``item_major`` adds the
+    item-major (CSC) order on its first call.
+
+    A table of n interactions may have at most max(ID_SPAN_FLOOR,
+    ID_SPAN_PER_INTERACTION * n) users, so a huge user id is a DataError
+    raised before any per-user array is allocated. The item catalog is not
+    bounded here: the table allocates nothing per item.
     """
 
     def __init__(self, num_users, num_items, users, items, holdout=None):
         self.num_users = int(num_users)
         self.num_items = int(num_items)
-        if self.num_users + 1 > np.iinfo(np.intp).max // 8:  # indptr's int64 entries
-            raise DataError(f"{self.num_users} users are too many to index in one array")
         try:  # copies, so that freezing them leaves the caller's arrays alone
             users = np.array(users, dtype=np.int64)
             items = np.array(items, dtype=np.int64)
@@ -82,6 +89,10 @@ class InteractionTable:
             raise DataError(f"an id does not fit in int64 ({exc})") from exc
         if users.ndim != 1 or users.shape != items.shape:
             raise DataError("users and items must be 1-d arrays of one length")
+        span = max(ID_SPAN_FLOOR, ID_SPAN_PER_INTERACTION * users.size)
+        if self.num_users > span:
+            raise DataError(f"{self.num_users} user ids are too many for {users.size} "
+                            f"interactions (at most {span})")
         outside = (users < 0) | (users >= self.num_users)
         if outside.any():
             raise DataError(f"user id {users[np.argmax(outside)]} outside "
@@ -106,6 +117,7 @@ class InteractionTable:
         for a in (self.users, self.items, self.indptr, self.holdout):
             a.flags.writeable = False
         self.user_items = _UserItems(self.indptr, self.items)
+        self._item_major = None
 
     @property
     def num_interactions(self):
@@ -122,8 +134,27 @@ class InteractionTable:
     def item_counts(self):
         return np.bincount(self.items, minlength=self.num_items)
 
+    def item_major(self):
+        """(item_ptr, order): item i's interactions are
+        ``order[item_ptr[i]:item_ptr[i + 1]]``, in user order (the CSC
+        layout). Built on the first call and kept."""
+        if self._item_major is None:
+            ptr = np.zeros(self.num_items + 1, dtype=np.int64)
+            np.cumsum(self.item_counts(), out=ptr[1:])
+            order = np.argsort(self.items, kind="stable")
+            ptr.flags.writeable = order.flags.writeable = False
+            self._item_major = ptr, order
+        return self._item_major
+
     def stats(self):
         return DatasetStats.compute(self.num_users, self.num_items, self.num_interactions)
+
+
+def segment_positions(starts, lens):
+    """The positions of the segments [starts[j], starts[j] + lens[j]), one
+    segment after another: given CSR row starts and lengths, every entry of
+    those rows."""
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
 
 class _UserItems(Sequence):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataError, read_matrix, read_struct
+from .data import DataError, read_matrix, read_struct, segment_positions
 
 CHECKPOINT_MAGIC = b"UATM"
 CHECKPOINT_VERSION = 1
@@ -115,9 +115,9 @@ class DatasetEncoding:
     item's self coefficient (ÂᵀÂ)[i, i]; ``delta_column`` gives the column of
     ÂᵀÂ that propagates a perturbation. All three are computed from the
     table's CSR arrays: ``weights`` holds Â's entry of each interaction, and
-    ``item_order`` with ``item_ptr`` lists each item's interactions (CSC
-    order), so the memory grows with the number of interactions, not with
-    U·I or I². Isolated items keep their raw feature (self coefficient 1).
+    the table's ``item_major`` order lists each item's interactions, so the
+    memory grows with the number of interactions, not with U·I or I².
+    Isolated items keep their raw feature (self coefficient 1).
     """
 
     def __init__(self, table, feats_v, feats_t, kind):
@@ -133,9 +133,6 @@ class DatasetEncoding:
             deg_u = np.diff(table.indptr)
             deg_i = table.item_counts()
             self.weights = 1.0 / np.sqrt(deg_u[table.users] * deg_i[table.items])
-            self.item_order = np.argsort(table.items, kind="stable")
-            self.item_ptr = np.zeros(table.num_items + 1, dtype=np.int64)
-            np.cumsum(deg_i, out=self.item_ptr[1:])
             isolated = deg_i == 0
             self.eff_v = self._smooth(self.raw_v)
             self.eff_t = self._smooth(self.raw_t)
@@ -162,13 +159,13 @@ class DatasetEncoding:
         Âᵀ(Â[:, i]), summed over the CSR rows of i's consumers (a unit column
         under the concat model and for an isolated item)."""
         t = self.table
-        if self.kind == "graph" and self.item_ptr[i] < self.item_ptr[i + 1]:
-            own = self.item_order[self.item_ptr[i]:self.item_ptr[i + 1]]  # i's interactions
+        ptr, order = t.item_major()
+        if self.kind == "graph" and ptr[i] < ptr[i + 1]:
+            own = order[ptr[i]:ptr[i + 1]]  # i's interactions
             consumers = t.users[own]
             starts = t.indptr[consumers]
             lens = t.indptr[consumers + 1] - starts
-            # every consumer's CSR row, one after another
-            rows = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            rows = segment_positions(starts, lens)  # every consumer's CSR row
             return np.bincount(t.items[rows], minlength=t.num_items,
                                weights=np.repeat(self.weights[own], lens) * self.weights[rows])
         col = np.zeros(t.num_items)
@@ -283,7 +280,8 @@ class Scorer:
             self.user_matrix = fw.user_embedding_batch(np.arange(enc.table.num_users)).numpy()
 
     def scores(self):
-        """The clean U x I score matrix, computed on each call."""
+        """The clean U x I score matrix, computed on each call; the program
+        itself scores blocks of rows (``metrics.RankCache.masked_rows``)."""
         return self.user_matrix @ self.item_matrix.T
 
     def perturbed_rows(self, i, delta_v, delta_t):

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_gen_data_outputs(workspace):
     for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe",
                  "stats.json", "manifest_gen_data.json"):
         assert os.path.exists(os.path.join(out, name))
-    stats = json.load(open(os.path.join(out, "stats.json")))
+    stats = json.loads(Path(out, "stats.json").read_text(encoding="utf-8"))
     expect = (1 - stats["num_interactions"]
               / (stats["num_users"] * stats["num_items"])) * 100
     assert abs(stats["sparsity_pct"] - expect) < 1e-9
@@ -68,8 +69,8 @@ def test_gen_data_deterministic(workspace, tmp_path):
     cfg2.write_text(BASE_CFG + f"data.out_dir = {out2}\n", encoding="utf-8")
     assert cli.main(["gen-data", "--config", str(cfg2)]) == 0
     for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe"):
-        a = open(os.path.join(workspace["out"], name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(workspace["out"], name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b
 
 
@@ -105,21 +106,21 @@ def test_attack_outputs_and_rows(workspace):
 def test_attack_rerun_byte_identical(workspace, tmp_path):
     out = workspace["out"]
     assert run(workspace, "attack") == 0
-    first = {n: open(os.path.join(out, n), "rb").read()
+    first = {n: Path(out, n).read_bytes()
              for n in ("attack_results.csv", "attack_trace.csv", "metrics.csv")}
     assert run(workspace, "attack") == 0
     for n, blob in first.items():
-        assert open(os.path.join(out, n), "rb").read() == blob
+        assert Path(out, n).read_bytes() == blob
 
 
 def test_defend_rerun_byte_identical(workspace):
     out = workspace["out"]
     assert run(workspace, "defend") == 0
-    ck = open(os.path.join(out, "defended.ckpt"), "rb").read()
-    log = open(os.path.join(out, "defend_log.csv"), "rb").read()
+    ck = Path(out, "defended.ckpt").read_bytes()
+    log = Path(out, "defend_log.csv").read_bytes()
     assert run(workspace, "defend") == 0
-    assert open(os.path.join(out, "defended.ckpt"), "rb").read() == ck
-    assert open(os.path.join(out, "defend_log.csv"), "rb").read() == log
+    assert Path(out, "defended.ckpt").read_bytes() == ck
+    assert Path(out, "defend_log.csv").read_bytes() == log
 
 
 def test_train_resume_continues_epochs(workspace):
@@ -141,7 +142,7 @@ def test_resume_refuses_a_log_it_cannot_extend(workspace, tmp_path, capsys, dama
         reports.write_csv(log, ["epoch", "clean_loss", "adv_loss", "align_mean",
                                 "val_recall10", "seconds"], [[1, 0.5, 0.0, 0.0, 0.25, 0.0]])
     else:  # cut inside its last row, before the sha256 line
-        raw = open(os.path.join(workspace["out"], "train_log.csv"), "rb").read()
+        raw = Path(workspace["out"], "train_log.csv").read_bytes()
         log.write_bytes(raw[:raw.rindex(b"\n", 0, raw.rindex(b"# sha256")) - 5])
     before = log.read_bytes()
     assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
@@ -163,10 +164,35 @@ def test_resumed_run_manifest_lists_the_checkpoint_it_read(workspace, tmp_path, 
         assert cli.main(["defend", *args]) == cli.EXIT_OK
     before = config.file_checksum(tmp_path / ckpt)
     assert cli.main([command, *args, "--resume"]) == cli.EXIT_OK
-    man = json.load(open(tmp_path / f"manifest_{command}.json"))
+    man = json.loads((tmp_path / f"manifest_{command}.json").read_text(encoding="utf-8"))
     ckpts = {p: c for p, c in man["input_checksums"].items() if p.endswith(".ckpt")}
     assert ckpts == {os.path.join(str(tmp_path), ckpt): before}
     assert config.file_checksum(tmp_path / ckpt) != before  # the run wrote over it
+
+
+@pytest.mark.parametrize("command, ckpt, log", [("train", "pretrained.ckpt", "train_log.csv"),
+                                                ("defend", "defended.ckpt", "defend_log.csv")])
+def test_resumed_run_manifest_lists_the_log_it_extends(workspace, tmp_path, command, ckpt, log):
+    """Two resumes from one checkpoint that extend different logs get
+    different run ids: the manifest lists the log with its checksum from
+    before the run. The second resume extends the log the first wrote."""
+    for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe",
+                 "pretrained.ckpt", "train_log.csv"):
+        shutil.copy(os.path.join(workspace["out"], name), tmp_path / name)
+    args = ["--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+            "--set", f"data.out_dir={tmp_path}"]
+    if command == "defend":
+        assert cli.main(["defend", *args]) == cli.EXIT_OK
+    start = (tmp_path / ckpt).read_bytes()
+    run_ids = []
+    for _ in range(2):
+        (tmp_path / ckpt).write_bytes(start)
+        before = config.file_checksum(tmp_path / log)
+        assert cli.main([command, *args, "--resume"]) == cli.EXIT_OK
+        man = json.loads((tmp_path / f"manifest_{command}.json").read_text(encoding="utf-8"))
+        assert man["input_checksums"][os.path.join(str(tmp_path), log)] == before
+        run_ids.append(man["run_id"])
+    assert run_ids[0] != run_ids[1]
 
 
 def test_diagnose_outputs(workspace):
@@ -320,7 +346,7 @@ def test_count_keys_reject_non_positive_values():
 
 def test_truncated_checkpoint_is_data_error(workspace, tmp_path):
     ckpt = tmp_path / "cut.ckpt"
-    ckpt.write_bytes(open(os.path.join(workspace["out"], "pretrained.ckpt"), "rb").read(30))
+    ckpt.write_bytes(Path(workspace["out"], "pretrained.ckpt").read_bytes()[:30])
     assert run(workspace, "attack", "--checkpoint", str(ckpt),
                "--set", f"data.out_dir={tmp_path}") == cli.EXIT_DATA
 
@@ -328,9 +354,9 @@ def test_truncated_checkpoint_is_data_error(workspace, tmp_path):
 def test_feature_header_cut_is_data_error(workspace, tmp_path):
     src = workspace["out"]
     for name in ("interactions.tsv", "features_t.mmfe"):
-        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+        (tmp_path / name).write_bytes(Path(src, name).read_bytes())
     (tmp_path / "features_v.mmfe").write_bytes(
-        open(os.path.join(src, "features_v.mmfe"), "rb").read(12))
+        Path(src, "features_v.mmfe").read_bytes()[:12])
     assert cli.main(["attack", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
                      "--set", f"data.out_dir={tmp_path}",
                      "--checkpoint", os.path.join(src, "pretrained.ckpt")]) == cli.EXIT_DATA
@@ -339,7 +365,7 @@ def test_feature_header_cut_is_data_error(workspace, tmp_path):
 def test_feature_file_of_zero_columns_is_data_error(workspace, tmp_path):
     src = workspace["out"]
     for name in ("interactions.tsv", "features_t.mmfe"):
-        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+        (tmp_path / name).write_bytes(Path(src, name).read_bytes())
     (tmp_path / "features_v.mmfe").write_bytes(
         b"MMFE" + (1).to_bytes(4, "little") + (2 ** 64 - 1).to_bytes(8, "little") + bytes(8))
     assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
@@ -385,9 +411,9 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
 def test_interactions_that_are_not_utf8_are_data_error(workspace, tmp_path, capsys):
     src = workspace["out"]
     for name in ("features_v.mmfe", "features_t.mmfe"):
-        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+        (tmp_path / name).write_bytes(Path(src, name).read_bytes())
     (tmp_path / "interactions.tsv").write_bytes(
-        open(os.path.join(src, "interactions.tsv"), "rb").read() + b"1\t\xff\n")
+        Path(src, "interactions.tsv").read_bytes() + b"1\t\xff\n")
     assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
                      "--set", f"data.out_dir={tmp_path}"]) == cli.EXIT_DATA
     assert "interactions.tsv" in capsys.readouterr().err
@@ -397,7 +423,7 @@ def test_interactions_with_a_user_id_past_any_array_size_are_data_error(workspac
                                                                        capsys):
     src = workspace["out"]
     for name in ("features_v.mmfe", "features_t.mmfe"):
-        (tmp_path / name).write_bytes(open(os.path.join(src, name), "rb").read())
+        (tmp_path / name).write_bytes(Path(src, name).read_bytes())
     (tmp_path / "interactions.tsv").write_text("4611686018427387904\t0\n0\t1\n",
                                                encoding="utf-8")
     assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={tmp_path}",

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,29 @@ def test_duplicates_drop_without_overflow_at_large_ids():
     assert t.items.tolist() == [big - 1, 0, big - 1]
     assert t.users.tolist() == [1, 2, 2]
     assert t.indptr.tolist() == [0, 0, 1, 3]
+
+
+def test_a_huge_user_id_is_refused_before_any_per_user_array(tmp_path):
+    """Two interactions cannot span two million user ids: the loader
+    refuses the file without allocating an array of that many entries."""
+    p = tmp_path / "inter.tsv"
+    p.write_text("2000000\t0\n0\t1\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="too many"):
+            data.load_interactions(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    span = data.ID_SPAN_FLOOR
+    assert data.InteractionTable(span, 2, [span - 1], [0]).num_users == span
+    with pytest.raises(DataError, match="too many"):
+        data.InteractionTable(span + 1, 2, [span], [0])
+    ids = np.arange(2 * span // data.ID_SPAN_PER_INTERACTION)  # the bound grows past the floor
+    assert data.InteractionTable(2 * span, 1, ids, ids * 0).num_users == 2 * span
+    with pytest.raises(DataError, match="too many"):
+        data.InteractionTable(2 * span + 1, 1, ids, ids * 0)
 
 
 def test_load_basic_and_dedup(tmp_path):

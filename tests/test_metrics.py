@@ -153,13 +153,15 @@ def test_gain_sentinel_and_roundtrip():
 def test_recall_ndcg_trivial_ranks():
     params, enc = small_instance(6, 8, seed=40)
     cache = RankCache(params, enc)
-    # force every holdout to rank first
+    # force every holdout to rank first: with the identity as user matrix,
+    # user u's clean scores are column u of the item matrix
+    items = np.full((8, 6), -1.0)
     for u in range(6):
         h = int(enc.table.holdout[u])
         if h >= 0:
-            cache.masked[u, :] = -1.0
-            cache.masked[u, enc.table.user_items[u]] = -np.inf
-            cache.masked[u, h] = 1.0
+            items[h, u] = 1.0
+    cache.scorer.user_matrix = np.eye(6)
+    cache.scorer.item_matrix = items
     r, n = recall_ndcg(params, enc, k=3, cache=cache)
     assert r == 1.0 and n == 1.0
 

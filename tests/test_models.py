@@ -251,7 +251,7 @@ def test_scorer_tables_are_batched_forward(setup):
 def test_rank_all_exclude_seen(setup):
     params, enc = setup
     u = 1
-    vec = metrics.RankCache(params, enc).masked[u]
+    vec = metrics.RankCache(params, enc).masked_rows(np.array([u]))[0]
     seen = enc.table.user_items[u]
     assert np.all(np.isneginf(vec[seen]))
     unseen = np.setdiff1d(np.arange(enc.table.num_items), seen)
@@ -265,7 +265,7 @@ def test_rank_matches_brute_force_pairwise():
     split = data.split_leave_one_out(table, seed=6)
     enc = DatasetEncoding(split, fv, ft, "concat")
     params = models.init_params(6, 10, 4, 4, kind="concat", id_dim=4, fuse_dim=3, seed=7)
-    masked = metrics.RankCache(params, enc).masked
+    masked = metrics.RankCache(params, enc).masked_rows(np.arange(6))
     for u in range(6):
         vec = masked[u]
         pool = [i for i in range(10) if i not in enc.table.user_set(u)]

@@ -14,28 +14,30 @@ from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.models import DatasetEncoding
 
-from conftest import table_from_lists
-
 # a small pool of scores forces exact ties; free floats cover the rest
 TIES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 SCORES = st.one_of(TIES, st.floats(-3.0, 3.0, allow_nan=False))
 
 
-def cache_with(masked, user_matrix=None):
-    """A RankCache whose masked matrix and user matrix are replaced before
-    any query. The user matrix defaults to the U x U identity, so a moved
+def cache_with(masked, users=None, items=None):
+    """A RankCache over the clean scores ``masked``, whose -inf cells are the
+    users' training items: they become the cache's interaction table. Its
+    user and item matrices are replaced before any query, by default with
+    the U x U identity and ``masked.T`` (0 at the seen cells), so a moved
     item's replacement row is its score column itself: the product is
-    exact, and every drawn score and tie reaches the hit test bit for bit."""
+    exact, and every drawn score and tie reaches the hit test bit for bit.
+    ``users`` and ``items`` replace them when ``masked`` is their product."""
     num_users, num_items = masked.shape
-    table = table_from_lists(num_items, [[0]] * num_users)
+    table = data.InteractionTable(num_users, num_items, *np.nonzero(np.isinf(masked)))
     fv = data.FeatureMatrix("v", np.zeros((num_items, 1)))
     ft = data.FeatureMatrix("t", np.zeros((num_items, 1)))
     enc = DatasetEncoding(table, fv, ft, "concat")
     params = models.init_params(num_users, num_items, 1, 1, kind="concat",
                                 id_dim=1, fuse_dim=1, seed=0)
     cache = RankCache(params, enc)
-    cache.masked = masked
-    cache.scorer.user_matrix = np.eye(num_users) if user_matrix is None else user_matrix
+    if users is None:
+        users, items = np.eye(num_users), np.where(np.isinf(masked), 0.0, masked).T
+    cache.scorer.user_matrix, cache.scorer.item_matrix = users, items
     return cache
 
 
@@ -148,12 +150,16 @@ def test_hit_mask_reuses_tables_across_k(case, k2):
 @settings(max_examples=100, deadline=None)
 @given(deep_hit_cases(), st.data())
 def test_hit_mask_bound_follows_target_and_moved_set(case, draw):
-    """The bound kept between calls is keyed by (target, k, moved ids):
-    alternating them on one cache must give each call its own bound."""
+    """The bound kept between calls is keyed by k and the excluded set (the
+    target and the moved ids), and the seen users by (target, moved ids):
+    alternating them on one cache must give each call its own, and a clean
+    test shares its bound with a test that moves only the target."""
     masked, i, k, moved, new = case
     j = draw.draw(st.integers(0, masked.shape[1] - 1))
+    own = np.array([[0.5] * masked.shape[0]])
     calls = [(i, k, moved, new), (j, k, moved, new), (i, k, moved[1:], new[1:]),
-             (i, k + 1, moved, new), (i, k, moved[:0], new[:0])]
+             (i, k + 1, moved, new), (i, k, moved[:0], new[:0]), (i, k, np.array([i]), own),
+             (j, k, np.array([i]), own)]
     cache = cache_with(masked)
     for target, kk, ids, rows in calls + calls[::-1]:
         assert np.array_equal(cache.hit_mask(target, kk, (ids, rows)),
@@ -183,7 +189,7 @@ def test_hit_mask_allocates_less_than_one_moved_block():
     items = rng.normal(size=(num_items, d)) / np.sqrt(d)
     masked = users @ items.T
     masked[rng.random(masked.shape) < 0.01] = -np.inf
-    cache = cache_with(masked, users)
+    cache = cache_with(masked, users, items)
     others = rng.choice(np.delete(np.arange(num_items), i), size=m - 1, replace=False)
     moved = np.sort(np.append(others, i))
     rows = items[moved] + 0.5 * rng.normal(size=(m, d)) / np.sqrt(d)
@@ -225,14 +231,14 @@ def embedded_hit_cases(draw):
         moved.add(i)
     moved = np.array(sorted(moved), dtype=np.int64)
     k = draw(st.one_of(st.integers(1, 4), st.integers(1, num_items + 1)))
-    return users, masked, i, k, moved, block(moved.size)
+    return users, items, masked, i, k, moved, block(moved.size)
 
 
 @settings(max_examples=300, deadline=None)
 @given(embedded_hit_cases())
 def test_hit_mask_matches_brute_force_on_exact_embeddings(case):
-    users, masked, i, k, moved, rows = case
-    cache = cache_with(masked, users)
+    users, items, masked, i, k, moved, rows = case
+    cache = cache_with(masked, users, items)
     got = cache.hit_mask(i, k, (moved, rows))
     assert np.array_equal(got, brute_hits(masked, i, k, moved, rows @ users.T))
 
@@ -289,14 +295,20 @@ def test_thresholds_reject_k_outside_catalog():
 
 
 def test_masked_matches_per_user_mask(trained_graph):
+    """``masked_rows`` gives the rows of the full U x I product bit for bit,
+    each user's items at -inf, for a block, a gather and a lone row (whose
+    one-row product would take the matrix-vector path)."""
     params, enc = trained_graph
     cache = RankCache(params, enc)
     want = models.Scorer(params, enc).scores().copy()
     for u in range(enc.table.num_users):
         want[u, enc.table.user_items[u]] = -np.inf
-    assert np.array_equal(cache.masked, want)
-    # the cache's one U x I array is ``masked``: its scorer keeps no score copy
-    assert not any(np.shape(a) == want.shape for a in vars(cache.scorer).values())
+    num_users = want.shape[0]
+    assert cache.masked_rows(slice(0, num_users)).tobytes() == want.tobytes()
+    gather = np.arange(num_users)[::-3]
+    assert cache.masked_rows(gather).tobytes() == want[gather].tobytes()
+    for u in range(num_users):
+        assert cache.masked_rows(np.array([u])).tobytes() == want[u].tobytes()
 
 
 def test_promoted_user_set_matches_membership(tiny_dataset):
@@ -306,3 +318,33 @@ def test_promoted_user_set_matches_membership(tiny_dataset):
                         dtype=np.int64)
         got = attacks.promoted_user_set(split, i)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_rank_cache_never_allocates_a_user_by_item_array():
+    """Building a cache, Recall@K, thresholds and hit tests (clean, and
+    after a graph perturbation that moves many rows) score blocks of users,
+    so none of them allocates the U x I float64 array of every score."""
+    cfg = data.SynthConfig(num_users=4000, num_items=300, latent_dim=6, feat_dim_v=8,
+                           feat_dim_t=8, interactions_per_user=30, unpopular_count=10,
+                           n_unpop=5)
+    table, fv, ft = data.synth_generate(cfg, seed=3)
+    split = data.split_leave_one_out(table, seed=4)
+    enc = DatasetEncoding(split, fv, ft, "graph")
+    params = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
+                                kind="graph", id_dim=8, fuse_dim=4, seed=5)
+    i = int(np.argmax(split.item_counts() == cfg.n_unpop))
+    rng = np.random.default_rng(6)  # a large move, so most users are candidates
+    delta = 100 * rng.normal(size=fv.dim), 100 * rng.normal(size=ft.dim)
+    tracemalloc.start()
+    try:
+        cache = RankCache(params, enc)
+        metrics.recall_ndcg(params, enc, k=10, cache=cache)
+        cache.thresholds_excluding(i, 10, np.arange(split.num_users))
+        before = metrics.hit_count(params, enc, i, 10, cache=cache)
+        after = metrics.hit_count(params, enc, i, 10, delta=delta, cache=cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert before >= 0 and after > 0
+    assert np.count_nonzero(enc.delta_column(i)) > 50
+    assert peak < split.num_users * split.num_items * 8
