@@ -391,29 +391,3 @@ def grad(loss, wrt, create_graph=False):
         out.append(g if g is not None else Tensor(np.zeros(w.shape)))
     return out
 
-
-# ---------------------------------------------------------------------------
-# finite differences (independent oracle and cross-validation route)
-
-def fd_gradient(f, xs, step=1e-5):
-    """Central finite differences of a scalar function of numpy arrays.
-
-    f takes a list of arrays and returns a float; returns one array of
-    partials per input.
-    """
-    xs = [np.array(x, dtype=np.float64) for x in xs]
-    grads = []
-    for k, x in enumerate(xs):
-        g = np.zeros_like(x)
-        flat = x.reshape(-1)
-        gflat = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            fp = f([np.array(v) for v in xs])
-            flat[j] = orig - step
-            fm = f([np.array(v) for v in xs])
-            flat[j] = orig
-            gflat[j] = (fp - fm) / (2.0 * step)
-        grads.append(g)
-    return grads

@@ -150,11 +150,13 @@ class InteractionTable:
         return DatasetStats.compute(self.num_users, self.num_items, self.num_interactions)
 
 
-def segment_positions(starts, lens):
-    """The positions of the segments [starts[j], starts[j] + lens[j]), one
-    segment after another: given CSR row starts and lengths, every entry of
-    those rows."""
-    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+def segment_positions(ptr, ids):
+    """(positions, lengths) of the CSR rows ``ids`` of pointer array ``ptr``:
+    every entry of those rows, one row after another, and each row's
+    length."""
+    starts = ptr[ids]
+    lens = ptr[ids + 1] - starts
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens), lens
 
 
 class _UserItems(Sequence):

@@ -87,9 +87,8 @@ class RankCache:
             block = np.concatenate((block, block))
         sc = (block @ self.scorer.item_matrix.T)[:n]
         users = np.arange(t.num_users)[users] if isinstance(users, slice) else users
-        starts = t.indptr[users]
-        lens = t.indptr[users + 1] - starts
-        sc[np.repeat(np.arange(n), lens), t.items[segment_positions(starts, lens)]] = -np.inf
+        rows, lens = segment_positions(t.indptr, users)
+        sc[np.repeat(np.arange(n), lens), t.items[rows]] = -np.inf
         return sc
 
     def _top(self, k):
@@ -183,9 +182,8 @@ class RankCache:
             scores, _, ptr, where = self._top(k)
             excluded = np.zeros(self.enc.table.num_items, dtype=bool)
             excluded[excluded_ids] = True
-            starts = ptr[excluded_ids]
             depth = scores.shape[1]
-            held = where[segment_positions(starts, ptr[excluded_ids + 1] - starts)] // depth
+            held = where[segment_positions(ptr, excluded_ids)[0]] // depth
             at = k - 1 + np.bincount(held, minlength=scores.shape[0])
             bound = np.where(at < depth, scores[np.arange(at.size), np.minimum(at, depth - 1)],
                              -np.inf)
@@ -203,11 +201,9 @@ class RankCache:
             ptr, order = t.item_major()
             consumers = t.users[order[ptr[i]:ptr[i + 1]]]
             others = ids[ids != i]
-            starts = ptr[others]
-            lens = ptr[others + 1] - starts
+            rows, lens = segment_positions(ptr, others)
             seen = np.zeros((t.num_users, others.size), dtype=bool)
-            seen[t.users[order[segment_positions(starts, lens)]],
-                 np.repeat(np.arange(others.size), lens)] = True
+            seen[t.users[order[rows]], np.repeat(np.arange(others.size), lens)] = True
             own = np.flatnonzero(ids == i)
             self._moved = key, (int(own[0]) if own.size else None, consumers, seen,
                                 np.union1d(ids, [i]))

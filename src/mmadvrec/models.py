@@ -162,10 +162,7 @@ class DatasetEncoding:
         ptr, order = t.item_major()
         if self.kind == "graph" and ptr[i] < ptr[i + 1]:
             own = order[ptr[i]:ptr[i + 1]]  # i's interactions
-            consumers = t.users[own]
-            starts = t.indptr[consumers]
-            lens = t.indptr[consumers + 1] - starts
-            rows = segment_positions(starts, lens)  # every consumer's CSR row
+            rows, lens = segment_positions(t.indptr, t.users[own])  # every consumer's CSR row
             return np.bincount(t.items[rows], minlength=t.num_items,
                                weights=np.repeat(self.weights[own], lens) * self.weights[rows])
         col = np.zeros(t.num_items)
@@ -219,8 +216,8 @@ class Forward:
 
     def item_embedding_batch(self, idx, delta_v=None, delta_t=None, weights=None):
         """Fused embeddings of items ``idx``. A delta holds one row per item,
-        or one (1, d) row that moves every item; each row's move is scaled by
-        its weight, by default the item's self coefficient."""
+        and each row's move is scaled by its weight, by default the item's
+        self coefficient."""
         idx = np.asarray(idx, dtype=np.int64)
         coefs = self.enc.self_coef[idx] if weights is None else weights
         e = ad.take_rows(self.nodes["item_embeds"], idx)
@@ -239,11 +236,9 @@ class Forward:
 
 
 def _weighted(delta, coefs):
-    """Per-row feature moves: coefs[b] times delta row b, or times the one
-    shared (1, d) row. Unit weights leave the delta node as it is: the same
-    values, and fewer nodes for every backward to walk."""
-    if delta.shape[0] != coefs.size:
-        return ad.matmul(ad.constant(coefs[:, None]), delta)
+    """Per-row feature moves: coefs[b] times delta row b. Unit weights leave
+    the delta node as it is: the same values, and fewer nodes for every
+    backward to walk."""
     if np.all(coefs == 1.0):
         return delta
     return ad.mul(delta, ad.constant(np.repeat(coefs[:, None], delta.shape[1], axis=1)))
@@ -289,10 +284,10 @@ class Scorer:
         every row its feature delta column reaches, moved by its weight."""
         col = self.enc.delta_column(i)
         affected = np.nonzero(col)[0]
+        dv, dt = (ad.constant(np.repeat(np.reshape(d, (1, -1)), affected.size, axis=0))
+                  for d in (delta_v, delta_t))
         with ad.no_grad():
-            rows = self._forward.item_embedding_batch(
-                affected, ad.constant(np.reshape(delta_v, (1, -1))),
-                ad.constant(np.reshape(delta_t, (1, -1))), weights=col[affected])
+            rows = self._forward.item_embedding_batch(affected, dv, dt, weights=col[affected])
         return affected, rows.numpy()
 
 

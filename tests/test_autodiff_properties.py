@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mmadvrec import autodiff as ad
 
 from oracles import rel_err
+from reference import fd_gradient, richardson_gradient
 
 # each step maps the running (n, m) matrix h to a new (n, m) matrix
 STEPS = ("add", "sub", "mul", "matmul", "transpose", "take_rows", "hstack",
@@ -83,22 +84,12 @@ def close(got, want):
     return float(np.max(np.abs(got - want))) <= 1e-5 * scale
 
 
-def richardson_gradient(f, xs, step=1e-4):
-    """Central differences extrapolated towards step 0,
-    (4 D(step/2) - D(step)) / 3, which cancels their step^2 error term:
-    plain central differences of a gradient are too coarse for a 1e-5
-    tolerance where a cosine head nears 1."""
-    coarse = ad.fd_gradient(f, xs, step=step)
-    fine = ad.fd_gradient(f, xs, step=step / 2)
-    return [(4.0 * a - b) / 3.0 for a, b in zip(fine, coarse)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_first_order_matches_finite_differences(program):
     inputs = program[2]
     _, grads = first_order(program, inputs)
-    fds = ad.fd_gradient(lambda xs: value(program, xs), inputs)
+    fds = fd_gradient(lambda xs: value(program, xs), inputs)
     for g, fd in zip(grads, fds):
         assert g.shape == fd.shape
         assert close(g.numpy(), fd), rel_err(g.numpy(), fd)

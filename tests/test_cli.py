@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -439,6 +440,32 @@ def test_report_of_a_metrics_file_that_is_not_utf8_is_data_error(workspace, tmp_
     assert not reports.verify_csv(tmp_path / "metrics.csv")
     (tmp_path / "metrics.csv").write_bytes(b"a\n# sha256=\xff\n")
     assert not reports.verify_csv(tmp_path / "metrics.csv")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["train"], "data.path is not set"),
+    (["attack", "--set", "data.path={data}", "--set", "attack.popularity_threshold=1",
+      "--checkpoint", "{data}/pretrained.ckpt"], "no unpopular items qualify"),
+    (["report", "--runs", "{tmp}/empty", "{tmp}/empty"], "no metrics.csv found"),
+    (["report", "--runs", "{tmp}/latin1"], "not UTF-8 text")],
+    ids=["no-data-path", "no-target-qualifies", "no-metrics-file", "signed-but-not-utf8"])
+def test_data_error_exits_3_with_one_line_and_no_traceback(workspace, tmp_path, capsys,
+                                                           args, message):
+    """The workspace config leaves data.path unset; a metrics.csv whose
+    sha256 line is valid still needs a UTF-8 body."""
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "latin1").mkdir()
+    body = b"run_id,gain_pct\n\xe9t\xe9,1.0\n"
+    (tmp_path / "latin1" / "metrics.csv").write_bytes(
+        body + b"# sha256=" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+    argv = [a.format(data=workspace["out"], tmp=tmp_path) for a in args]
+    assert cli.main([argv[0], "--config", workspace["cfg"],
+                     "--set", f"data.out_dir={tmp_path / 'out'}", *argv[1:]]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:") and message in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert list((tmp_path / "out").glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("key, value, block", [("synth.feat_dim_v", "8", "proj_v"),

@@ -9,51 +9,15 @@ from mmadvrec.metrics import RankCache, gain_hit, hit_at_k, recall_ndcg, select_
 from mmadvrec.models import DatasetEncoding
 
 from conftest import table_from_lists
+from reference import rank_and_kth
 
 
-# ---------------------------------------------------------------------------
-# brute-force oracles (exhaustive pairwise ranking)
-
-def oracle_topk_membership(scores_row, seen, i, k, num_items):
-    """Is item i within the top-k of the unseen pool, ties to lower ids?"""
-    if i in seen:
-        return False
-    higher = 0
-    for j in range(num_items):
-        if j == i or j in seen:
-            continue
-        if scores_row[j] > scores_row[i] or (scores_row[j] == scores_row[i] and j < i):
-            higher += 1
-    return higher <= k - 1
-
-
-def oracle_hit_pct(params, enc, i, k):
-    sc = models.Scorer(params, enc)
-    raw = sc.scores()
-    hits = 0
-    for u in range(enc.table.num_users):
-        seen = enc.table.user_set(u)
-        hits += oracle_topk_membership(raw[u], seen, i, k, enc.table.num_items)
-    return 100.0 * hits / enc.table.num_users
-
-
-def oracle_recall_ndcg(params, enc, k):
-    sc = models.Scorer(params, enc).scores()
-    recalls, ndcgs = [], []
-    for u in range(enc.table.num_users):
-        h = int(enc.table.holdout[u])
-        if h < 0:
-            continue
-        seen = enc.table.user_set(u)
-        rank = 1
-        for j in range(enc.table.num_items):
-            if j == h or j in seen:
-                continue
-            if sc[u][j] > sc[u][h] or (sc[u][j] == sc[u][h] and j < h):
-                rank += 1
-        recalls.append(1.0 if rank <= k else 0.0)
-        ndcgs.append(1.0 / math.log2(rank + 1) if rank <= k else 0.0)
-    return float(np.mean(recalls)), float(np.mean(ndcgs))
+def masked_scores(params, enc):
+    """The full clean score matrix, each user's training items at -inf."""
+    masked = models.Scorer(params, enc).scores()
+    for u, items in enumerate(enc.table.user_items):
+        masked[u, items] = -np.inf
+    return masked
 
 
 def small_instance(num_users, num_items, seed):
@@ -119,10 +83,12 @@ def test_hit_matches_oracle_exhaustive():
     for seed in range(6):
         params, enc = small_instance(8, 12, seed=10 + seed)
         cache = RankCache(params, enc)
+        masked = masked_scores(params, enc)
         for i in range(enc.table.num_items):
             for k in (1, 3, 5):
+                rank, _ = rank_and_kth(masked, i, k)
                 assert hit_at_k(params, enc, i, k, cache=cache) == pytest.approx(
-                    oracle_hit_pct(params, enc, i, k), abs=0)
+                    100.0 * np.count_nonzero(rank <= k - 1) / enc.table.num_users, abs=0)
 
 
 def test_hit_monotone_in_k():
@@ -191,11 +157,15 @@ def test_recall_ndcg_rank_two():
 def test_recall_ndcg_matches_oracle_exhaustive():
     for seed in range(6):
         params, enc = small_instance(8, 12, seed=50 + seed)
+        users = np.nonzero(enc.table.holdout >= 0)[0]
+        masked = masked_scores(params, enc)[users]
         for k in (1, 3, 10):
+            rank, _ = rank_and_kth(masked, enc.table.holdout[users], k)
+            inside = rank <= k - 1
             got = recall_ndcg(params, enc, k=k)
-            want = oracle_recall_ndcg(params, enc, k=k)
-            assert got[0] == pytest.approx(want[0], abs=0)
-            assert got[1] == pytest.approx(want[1], abs=1e-12)
+            assert got[0] == pytest.approx(inside.mean(), abs=0)
+            assert got[1] == pytest.approx(np.where(inside, 1.0 / np.log2(rank + 2.0), 0.0).mean(),
+                                           abs=1e-12)
 
 
 def test_recall_requires_split():

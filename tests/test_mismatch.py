@@ -10,6 +10,7 @@ from mmadvrec.mismatch import (UserContribution, directional_contribution, jacca
 
 import oracles
 from oracles import rel_err
+from reference import fd_gradient
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,8 @@ def test_per_user_gradient_fd_two_user_toy(scene):
             margin = float(cache.scorer.user_matrix[u] @ h.numpy()[0] - t)
             return float(1.0 / (1.0 + np.exp(-margin)))
 
-        fgv, fgt = ad.fd_gradient(f, [np.zeros(enc.raw_v.shape[1]),
-                                      np.zeros(enc.raw_t.shape[1])], step=1e-5)
+        fgv, fgt = fd_gradient(f, [np.zeros(enc.raw_v.shape[1]),
+                                   np.zeros(enc.raw_t.shape[1])], step=1e-5)
         assert rel_err(grads[idx][0], fgv) < 1e-6
         assert rel_err(grads[idx][1], fgt) < 1e-6
 

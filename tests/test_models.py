@@ -11,18 +11,8 @@ from mmadvrec.models import DatasetEncoding, Forward, Scorer
 
 from conftest import (damaged_checkpoint, digest, param_bytes, pinned_synth,
                       table_from_lists)
-from oracles import rel_err
-
-
-def brute_force_rank(scores, i, pool):
-    """1 + number of pool items beating i (ties to the lower id)."""
-    higher = 0
-    for j in pool:
-        if j == i:
-            continue
-        if scores[j] > scores[i] or (scores[j] == scores[i] and j < i):
-            higher += 1
-    return higher + 1
+from oracles import Reference, rel_err
+from reference import fd_gradient, rank_and_kth
 
 
 @pytest.fixture(params=["concat", "graph"])
@@ -75,27 +65,6 @@ def test_zero_projections_reduce_to_id_embedding(tiny_dataset):
     assert np.all(h[4:] == 0.0)
 
 
-def _loop_user_means(table, feats):
-    """Per-user loop oracle of ``models._user_means``."""
-    out = np.zeros((table.num_users, feats.shape[1]))
-    for u in range(table.num_users):
-        items = table.user_items[u]
-        if items.size:
-            out[u] = feats[items].mean(axis=0)
-    return out
-
-
-def _loop_smoothing_matrix(table):
-    """Per-user loop oracle of the dense smoothing matrix ÂᵀÂ."""
-    a_hat = np.zeros((table.num_users, table.num_items))
-    deg_i = table.item_counts().astype(np.float64)
-    for u in range(table.num_users):
-        items = table.user_items[u]
-        if items.size:
-            a_hat[u, items] = 1.0 / np.sqrt(items.size * deg_i[items])
-    return a_hat.T @ a_hat
-
-
 @st.composite
 def edge_case_tables(draw):
     """Small random tables plus every edge case of the smoothing: a user with
@@ -108,24 +77,23 @@ def edge_case_tables(draw):
 
 
 def _check_against_loops(table, rng):
-    """``_user_means`` bitwise, and the graph encoding's smoothing within
-    1e-12 of the dense loop oracle, with the same delta-column support."""
+    """The concat encoding's user means bitwise, and the graph encoding's
+    smoothing within 1e-12, of the dense per-user loops of
+    ``oracles.Reference``, with the same delta-column support."""
     n = table.num_items
     raw_v, raw_t = (rng.normal(size=(n, 5)) * rng.lognormal(size=(n, 1)) for _ in range(2))
-    assert np.array_equal(models._user_means(table, raw_v), _loop_user_means(table, raw_v))
-    enc = DatasetEncoding(table, data.FeatureMatrix("v", raw_v), data.FeatureMatrix("t", raw_t),
-                          "graph")
-    smooth = _loop_smoothing_matrix(table)
-    isolated = table.item_counts() == 0
-    for got, raw in ((enc.eff_v, raw_v), (enc.eff_t, raw_t)):
-        want = smooth @ raw
-        want[isolated] = raw[isolated]
-        assert rel_err(got, want) <= 1e-12
-    assert rel_err(enc.self_coef, np.where(isolated, 1.0, np.diag(smooth))) <= 1e-12
-    unit = np.eye(n)
+    feats = data.FeatureMatrix("v", raw_v), data.FeatureMatrix("t", raw_t)
+    concat = DatasetEncoding(table, *feats, "concat")
+    ref = Reference(table.user_items, n, raw_v, raw_t, "concat")
+    assert np.array_equal(concat.user_mean_v, ref.user_mean_v)
+    assert np.array_equal(concat.user_mean_t, ref.user_mean_t)
+    enc = DatasetEncoding(table, *feats, "graph")
+    ref = Reference(table.user_items, n, raw_v, raw_t, "graph")
+    assert rel_err(enc.eff_v, ref.eff_v) <= 1e-12
+    assert rel_err(enc.eff_t, ref.eff_t) <= 1e-12
+    assert rel_err(enc.self_coef, ref.self_coef) <= 1e-12
     for i in range(n):
-        want = unit[i] if isolated[i] else smooth[:, i]
-        col = enc.delta_column(i)
+        col, want = enc.delta_column(i), ref.delta_column(i)
         assert rel_err(col, want) <= 1e-12
         # Scorer.perturbed_rows moves exactly the rows in this support
         assert np.array_equal(np.nonzero(col)[0], np.nonzero(want)[0])
@@ -265,14 +233,12 @@ def test_rank_matches_brute_force_pairwise():
     split = data.split_leave_one_out(table, seed=6)
     enc = DatasetEncoding(split, fv, ft, "concat")
     params = models.init_params(6, 10, 4, 4, kind="concat", id_dim=4, fuse_dim=3, seed=7)
-    masked = metrics.RankCache(params, enc).masked_rows(np.arange(6))
-    for u in range(6):
-        vec = masked[u]
-        pool = [i for i in range(10) if i not in enc.table.user_set(u)]
-        for i in pool:
-            rank = brute_force_rank(vec, i, pool)
-            assert rank == 1 + int(np.sum(
-                (vec[pool] > vec[i]) | ((vec[pool] == vec[i]) & (np.array(pool) < i))))
+    cache = metrics.RankCache(params, enc)
+    masked = cache.masked_rows(np.arange(6))
+    for i in range(10):
+        for k in (1, 2, 4, 9):
+            rank, _ = rank_and_kth(masked, i, k)
+            assert np.array_equal(cache.hit_mask(i, k), rank <= k - 1)
 
 
 def test_rank_all_with_override(setup):
@@ -340,7 +306,7 @@ def test_score_grad_wrt_delta_fd(setup):
     def f(vs):
         return score(fw, 1, 6, ad.constant(vs[0]), ad.constant(vs[1])).item()
 
-    fgv, fgt = ad.fd_gradient(f, [dv0, dt0], step=1e-5)
+    fgv, fgt = fd_gradient(f, [dv0, dt0], step=1e-5)
     assert rel_err(gv.numpy(), fgv) < 1e-6
     assert rel_err(gt.numpy(), fgt) < 1e-6
 

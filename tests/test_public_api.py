@@ -3,7 +3,8 @@ program itself (``src/``) or by the benchmark (``perfbench/``), and so is
 every public method or property of a public class, every optional
 parameter of a public function or method, every plain-default field of a
 public dataclass and every config key, so no API or option stays alive only
-for its own tests."""
+for its own tests. The references the tests and the benchmark check against
+import nothing from the package."""
 
 import ast
 import re
@@ -17,12 +18,10 @@ PACKAGE = ROOT / "src" / "mmadvrec"
 # module.name -> why it needs no caller in src/ or perfbench/
 ALLOWED = {
     "cli.main": "the console entry point named in pyproject.toml",
-    "autodiff.fd_gradient": "the finite-difference oracle the gradient tests compare against",
 }
 
 # module.function.parameter -> why no call site in src/ or perfbench/ sets it
 ALLOWED_PARAMETERS = {
-    "autodiff.fd_gradient.step": "fd_gradient serves only the gradient tests, which set its step",
     "cli.main.argv": "the console entry point reads sys.argv; the CLI tests pass a list",
 }
 
@@ -254,3 +253,19 @@ def test_every_config_key_is_read_by_the_program_or_the_benchmark():
 def test_every_bounded_or_enum_key_is_a_schema_key():
     assert sorted(set(config.BOUNDS) - set(config.SCHEMA)) == []
     assert sorted(set(config.CHOICES) - set(config.SCHEMA)) == []
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_references_import_nothing_from_the_package():
+    """The tests' exact references and the benchmark's oracles recompute what
+    they check without the program, so no fault of the program can hide in
+    the reference it is compared against."""
+    for path in (ROOT / "tests" / "reference.py", ROOT / "perfbench" / "oracles.py"):
+        assert [m for m in _imported_modules(path) if m.split(".")[0] == "mmadvrec"] == []

@@ -14,21 +14,25 @@ from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.models import DatasetEncoding
 
+from reference import rank_and_kth
+
 # a small pool of scores forces exact ties; free floats cover the rest
 TIES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 SCORES = st.one_of(TIES, st.floats(-3.0, 3.0, allow_nan=False))
 
 
-def cache_with(masked, users=None, items=None):
+def cache_with(masked, users=None, items=None, holdout=None):
     """A RankCache over the clean scores ``masked``, whose -inf cells are the
-    users' training items: they become the cache's interaction table. Its
-    user and item matrices are replaced before any query, by default with
-    the U x U identity and ``masked.T`` (0 at the seen cells), so a moved
-    item's replacement row is its score column itself: the product is
-    exact, and every drawn score and tie reaches the hit test bit for bit.
-    ``users`` and ``items`` replace them when ``masked`` is their product."""
+    users' training items: they become the cache's interaction table, with
+    ``holdout`` as its held-out items. Its user and item matrices are
+    replaced before any query, by default with the U x U identity and
+    ``masked.T`` (0 at the seen cells), so a moved item's replacement row is
+    its score column itself: the product is exact, and every drawn score and
+    tie reaches the hit test bit for bit. ``users`` and ``items`` replace
+    them when ``masked`` is their product."""
     num_users, num_items = masked.shape
-    table = data.InteractionTable(num_users, num_items, *np.nonzero(np.isinf(masked)))
+    table = data.InteractionTable(num_users, num_items, *np.nonzero(np.isinf(masked)),
+                                  holdout=holdout)
     fv = data.FeatureMatrix("v", np.zeros((num_items, 1)))
     ft = data.FeatureMatrix("t", np.zeros((num_items, 1)))
     enc = DatasetEncoding(table, fv, ft, "concat")
@@ -98,25 +102,13 @@ def deep_hit_cases(draw):
     return masked, i, k, moved, new.reshape(moved.size, num_users)
 
 
-def brute_hits(masked, i, k, moved, new):
-    """Apply the moved score columns (``new[c]`` is item ``moved[c]``'s), sort
-    each row by (score desc, id asc) and read off the target's position."""
+def reference_hits(masked, i, k, moved, new):
+    """Hits of item i by ``reference.rank_and_kth`` after the moved score
+    columns replace theirs (``new[c]`` is item ``moved[c]``'s; a seen cell
+    stays -inf)."""
     sc = masked.copy()
-    for c, j in enumerate(moved):
-        sc[:, j] = np.where(np.isinf(masked[:, j]), -np.inf, new[c])
-    ids = np.arange(sc.shape[1])
-    out = []
-    for row in sc:
-        order = np.lexsort((ids, -row))
-        position = int(np.nonzero(order == i)[0][0])
-        out.append(bool(np.isfinite(row[i]) and position <= k - 1))
-    return np.array(out)
-
-
-def seed_thresholds(masked, i, k, users):
-    """The np.delete + partition formula the cache replaced."""
-    drop = np.delete(masked[users], i, axis=1)
-    return np.partition(drop, drop.shape[1] - k, axis=1)[:, drop.shape[1] - k]
+    sc[:, moved] = np.where(np.isinf(masked[:, moved]), -np.inf, new.T)
+    return rank_and_kth(sc, i, k)[0] <= k - 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,7 +117,7 @@ def test_hit_mask_matches_brute_force_sort(case):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
     got = cache.hit_mask(i, k, (moved, new))
-    assert np.array_equal(got, brute_hits(masked, i, k, moved, new))
+    assert np.array_equal(got, reference_hits(masked, i, k, moved, new))
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,7 +126,7 @@ def test_hit_mask_matches_brute_force_on_truncated_tables(case):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
     got = cache.hit_mask(i, k, (moved, new))
-    assert np.array_equal(got, brute_hits(masked, i, k, moved, new))
+    assert np.array_equal(got, reference_hits(masked, i, k, moved, new))
 
 
 @settings(max_examples=50, deadline=None)
@@ -144,7 +136,7 @@ def test_hit_mask_reuses_tables_across_k(case, k2):
     cache = cache_with(masked)
     for kk in (k, k2, k):
         assert np.array_equal(cache.hit_mask(i, kk, (moved, new)),
-                              brute_hits(masked, i, kk, moved, new))
+                              reference_hits(masked, i, kk, moved, new))
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +155,7 @@ def test_hit_mask_bound_follows_target_and_moved_set(case, draw):
     cache = cache_with(masked)
     for target, kk, ids, rows in calls + calls[::-1]:
         assert np.array_equal(cache.hit_mask(target, kk, (ids, rows)),
-                              brute_hits(masked, target, kk, ids, rows))
+                              reference_hits(masked, target, kk, ids, rows))
 
 
 def test_hit_mask_takes_moved_ids_with_their_scores():
@@ -171,7 +163,7 @@ def test_hit_mask_takes_moved_ids_with_their_scores():
     cache = cache_with(masked)
     moved, new = np.array([1]), np.array([[3.0, -1.0]])
     assert np.array_equal(cache.hit_mask(0, 1, (moved, new)),
-                          brute_hits(masked, 0, 1, moved, new))
+                          reference_hits(masked, 0, 1, moved, new))
     # ids alone, no rows, no row per id, and the U x m score columns the
     # rows replaced: each is a rows block of the wrong shape
     for bad in (moved, (moved, None), (moved, new[:0]), (moved, new.T)):
@@ -240,7 +232,7 @@ def test_hit_mask_matches_brute_force_on_exact_embeddings(case):
     users, items, masked, i, k, moved, rows = case
     cache = cache_with(masked, users, items)
     got = cache.hit_mask(i, k, (moved, rows))
-    assert np.array_equal(got, brute_hits(masked, i, k, moved, rows @ users.T))
+    assert np.array_equal(got, reference_hits(masked, i, k, moved, rows @ users.T))
 
 
 def test_graph_hit_count_allocates_less_than_one_moved_block():
@@ -274,6 +266,8 @@ def test_graph_hit_count_allocates_less_than_one_moved_block():
 @settings(max_examples=100, deadline=None)
 @given(masked_matrices(), st.data())
 def test_thresholds_match_seed_formula(masked, draw):
+    """Each user's k-th best score with the target left out, as the sorted
+    reference reads it."""
     num_users, num_items = masked.shape
     cache = cache_with(masked)
     i = draw.draw(st.integers(0, num_items - 1))
@@ -284,7 +278,27 @@ def test_thresholds_match_seed_formula(masked, draw):
     users = np.arange(num_users) if subset is None else np.array(subset, dtype=np.int64)
     for k in ks + ks[:1]:
         got = cache.thresholds_excluding(i, k, users)
-        assert np.array_equal(got, seed_thresholds(masked, i, k, users))
+        assert np.array_equal(got, rank_and_kth(masked[users], i, k)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(masked_matrices(), st.data())
+def test_recall_ndcg_match_the_reference_under_ties(masked, draw):
+    """Recall@K exactly and NDCG@K within 1e-12 of the sorted reference, on
+    drawn scores whose exact ties the id rule decides. Every row holds a
+    finite cell; user 0 always has a held-out item, the others may not."""
+    holdout = np.array([draw.draw(st.sampled_from(np.flatnonzero(np.isfinite(row)).tolist()))
+                        if u == 0 or draw.draw(st.booleans()) else -1
+                        for u, row in enumerate(masked)])
+    k = draw.draw(st.integers(1, masked.shape[1]))
+    cache = cache_with(masked, holdout=holdout)
+    users = np.flatnonzero(holdout >= 0)
+    rank, _ = rank_and_kth(masked[users], holdout[users], k)
+    inside = rank <= k - 1
+    recall, ndcg = metrics.recall_ndcg(cache.params, cache.enc, k=k, cache=cache)
+    assert recall == inside.mean()
+    assert ndcg == pytest.approx(np.where(inside, 1.0 / np.log2(rank + 2.0), 0.0).mean(),
+                                 abs=1e-12)
 
 
 def test_thresholds_reject_k_outside_catalog():
