@@ -121,8 +121,9 @@ def constant(data):
 
 
 def leaf(data):
-    """A differentiable input node (copies the data)."""
-    out = constant(data)
+    """A differentiable input node. An array of float64 in C order is viewed,
+    not copied, so the caller must not change it while the graph is in use."""
+    out = Tensor(data)
     out.requires_grad = True
     return out
 
@@ -205,6 +206,14 @@ def softplus(a):
 def sum_all(a):
     shape = a.shape
     return _node(np.sum(a.data), [(a, lambda g, _: fill(g, shape))])
+
+
+def sum_squares(a):
+    """sum(a * a) as one node, with the bits of ``sum_all(mul(a, a))``. Its
+    vjp (2g) a is bitwise the g a + g a that the composite accumulates, since
+    doubling is exact, except where g a is subnormal or 2g overflows."""
+    shape = a.shape
+    return _node(np.sum(a.data * a.data), [(a, lambda g, _: mul(fill(add(g, g), shape), a))])
 
 
 def sum_rows(a):

@@ -185,10 +185,10 @@ class Forward:
     Every encoding is a batch of rows. Training moves each row by its own
     (B, d) delta row; an attacked or surveyed item is a 1-row batch whose
     deltas are (1, d) leaves; ranking runs the same calls under
-    ``ad.no_grad()``. With ``trainable=True`` the parameters become graph
-    leaves (copies) and ``param_leaves()`` lists them for ``ad.grad``;
-    otherwise they are constant nodes that view the parameter arrays, so the
-    parameters must not change while the forward is in use.
+    ``ad.no_grad()``. Its nodes view the parameter arrays, so the parameters
+    must not change while the forward is in use. With ``trainable=True`` they
+    are graph leaves and ``param_leaves()`` lists them for ``ad.grad``: the
+    optimiser changes the arrays in place only after the gradients are taken.
     """
 
     def __init__(self, params, enc, trainable=False):
@@ -270,6 +270,7 @@ class Scorer:
         self.params = params
         self.enc = enc
         self._forward = fw = Forward(params, enc)  # its nodes view params: no copies
+        self._reach = None  # (target, affected rows, their weights, unit weights)
         with ad.no_grad():
             self.item_matrix = fw.item_embedding_batch(np.arange(enc.table.num_items)).numpy()
             self.user_matrix = fw.user_embedding_batch(np.arange(enc.table.num_users)).numpy()
@@ -281,13 +282,17 @@ class Scorer:
 
     def perturbed_rows(self, i, delta_v, delta_t):
         """(row indices, replacement embedding rows) after perturbing item i:
-        every row its feature delta column reaches, moved by its weight."""
-        col = self.enc.delta_column(i)
-        affected = np.nonzero(col)[0]
-        dv, dt = (ad.constant(np.repeat(np.reshape(d, (1, -1)), affected.size, axis=0))
-                  for d in (delta_v, delta_t))
+        every row its feature delta column reaches, moved by its weight. The
+        rows and weights of the last target asked are kept; each row's delta
+        is weighted here, as an outer product, so the forward adds it as is."""
+        if self._reach is None or self._reach[0] != i:
+            col = self.enc.delta_column(i)
+            affected = np.nonzero(col)[0]
+            self._reach = i, affected, col[affected], np.ones(affected.size)
+        _, affected, weights, unit = self._reach
+        dv, dt = (ad.constant(np.outer(weights, d)) for d in (delta_v, delta_t))
         with ad.no_grad():
-            rows = self._forward.item_embedding_batch(affected, dv, dt, weights=col[affected])
+            rows = self._forward.item_embedding_batch(affected, dv, dt, weights=unit)
         return affected, rows.numpy()
 
 

@@ -102,10 +102,11 @@ def bpr_loss(params, enc, triples, forward=None, reduction="sum", deltas=None):
 
 
 def _reg_loss(fw):
+    """||theta||^2: one ``sum_squares`` node per parameter table, added in
+    name order."""
     total = None
     for name in fw.param_names():
-        p = fw.nodes[name]
-        term = ad.sum_all(ad.mul(p, p))
+        term = ad.sum_squares(fw.nodes[name])
         total = term if total is None else ad.add(total, term)
     return total
 
@@ -164,9 +165,12 @@ def min_phase(params, enc, triples, delta_batch, config, optimizer):
 # optimisers
 
 def _check_finite(name, g, arr):
-    # a step by a non-finite gradient leaves a non-finite parameter under
-    # either optimiser, so a finite parameter clears the gradient too
-    if np.isfinite(arr).all():
+    """Raise if a step left a non-finite parameter, naming a non-finite
+    gradient as its cause: a step by one leaves a non-finite parameter under
+    either optimiser. Any inf or nan makes the sum of squares non-finite, and
+    ``vdot`` takes it in one BLAS pass with no overflow warning; only then is
+    the table scanned entry by entry."""
+    if np.isfinite(np.vdot(arr, arr)) or np.isfinite(arr).all():
         return
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite gradient for {name}")

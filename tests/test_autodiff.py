@@ -283,6 +283,23 @@ def test_scatter_rows_equals_add_at_bitwise(num_rows, d, idx, seed):
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (4, 3)])
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_sum_squares_equals_the_composite_bitwise(shape, create_graph):
+    """One node with the value and the gradient bits of sum_all(mul(a, a)),
+    under a cotangent other than 1 and magnitudes from 1e-3 to 1e16."""
+    rng = np.random.default_rng(len(shape))
+    arr = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 17, size=shape)
+    outs = []
+    for head in (ad.sum_squares, lambda a: ad.sum_all(ad.mul(a, a))):
+        a = ad.leaf(arr)
+        loss = ad.mul(ad.constant(0.37), head(a))
+        (g,) = ad.grad(loss, [a], create_graph=create_graph)
+        assert g.requires_grad == create_graph
+        outs.append((loss.numpy().tobytes(), g.numpy().tobytes()))
+    assert outs[0] == outs[1]
+
+
 def test_no_grad_suppresses_recording():
     x = ad.leaf([1.0, 2.0])
     with ad.no_grad():

@@ -16,7 +16,7 @@ from reference import fd_gradient, richardson_gradient
 STEPS = ("add", "sub", "mul", "matmul", "transpose", "take_rows", "hstack",
          "sum_rows", "sum_cols", "tanh", "sigmoid", "softplus")
 # how the running matrix becomes the scalar loss
-HEADS = ("weighted_sum", "cosine_rows", "cosine_cols")
+HEADS = ("weighted_sum", "cosine_rows", "cosine_cols", "sum_squares")
 
 
 @st.composite
@@ -66,6 +66,8 @@ def evaluate(program, tensors):
     if head == "cosine_rows":
         # (1, d) rows: the shape the 1-row attack's gradients have
         return ad.cosine(ad.take_rows(h, [0]), ad.take_rows(ad.add(b, h), [n - 1]))
+    if head == "sum_squares":
+        return ad.sum_squares(h)
     return ad.cosine(ad.sum_cols(h), ad.sum_cols(ad.mul(b, b)))
 
 

@@ -27,12 +27,16 @@ def small_instance(num_users, num_items, seed):
     table, fv, ft = data.synth_generate(cfg, seed=seed)
     split = data.split_leave_one_out(table, seed=seed + 1)
     enc = DatasetEncoding(split, fv, ft, "concat")
-    params = models.init_params(num_users, num_items, 4, 4, kind="concat",
+    params = models.init_params(num_users, num_items, 4, 4, kind="concat", phi="identity",
                                 id_dim=4, fuse_dim=3, seed=seed + 2)
-    # spread the embeddings so rankings are not dominated by content terms
+    # id embeddings on a small integer grid and no content term: every score
+    # is an exact integer, so equal scores are frequent and the id tie rule
+    # decides ranks
     rng = np.random.default_rng(seed + 3)
-    params.user_embeds += 0.3 * rng.normal(size=params.user_embeds.shape)
-    params.item_embeds += 0.3 * rng.normal(size=params.item_embeds.shape)
+    params.user_embeds[:] = rng.integers(-2, 3, size=params.user_embeds.shape)
+    params.item_embeds[:] = rng.integers(-2, 3, size=params.item_embeds.shape)
+    params.proj_v[:] = 0.0
+    params.proj_t[:] = 0.0
     return params, enc
 
 

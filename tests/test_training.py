@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from mmadvrec.models import DatasetEncoding
 from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, max_phase,
                                min_phase, pretrain, uat_mc_train)
 
-from conftest import param_bytes, table_from_lists
+from conftest import digest, param_bytes, pinned_synth, table_from_lists
 from oracles import rel_err
 from reference import fd_gradient
 
@@ -340,6 +341,35 @@ def test_degeneracy_chain_bitwise(tiny_dataset):
         assert param_bytes(c) == param_bytes(d_)
 
 
+@pytest.mark.parametrize("kind, mode, want", [
+    ("concat", None,
+     "8fb30ddc3978a75d55f21f9e39497abab8fa081e086bfb3005fd3ad2e58c9e21"),
+    ("graph", None,
+     "f22829f05e0e03a342547216972fa40466c19f5164d3c1c211b068403e3795bd"),
+    ("concat", "uat_mc",
+     "91f20117b1249a5e01d7d7335eb9a4614d308801aec773e2d34a1e81ca0c7188"),
+    ("concat", "uat",
+     "72d2eb442bc9598f4833f1771aea4e5dd68e27a3f4bcf66f44e10a2a170a470a")],
+    ids=["pretrain-concat", "pretrain-graph", "uat_mc", "uat"])
+def test_training_outputs_are_pinned(kind, mode, want):
+    """sha256 of the returned parameters and the log rows after 2 epochs
+    from init on the pinned synthetic config; the digests were taken from
+    the version whose weight decay summed ``mul(p, p)`` per table and whose
+    trainable forward copied each table into its leaf."""
+    _, fv, ft, split = pinned_synth()
+    enc = DatasetEncoding(split, fv, ft, kind)
+    fresh = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
+                               kind=kind, id_dim=6, fuse_dim=4, seed=13)
+    cfg = DefenseConfig(eta=0.01, beta=1e-3, batch_size=32, max_epochs=2, seed=14,
+                        optimizer="adam")
+    if mode is None:
+        params, log = pretrain(fresh, enc, fv, ft, cfg)
+    else:
+        params, log = uat_mc_train(fresh, enc, fv, ft, replace(cfg, mode=mode))
+    rows = np.array([list(r.values()) for r in log.rows], dtype=np.float64)
+    assert digest(*(params.arrays()[n] for n in sorted(params.arrays())), rows) == want
+
+
 def test_uat_mc_logs_alignment(tiny_dataset, trained_concat):
     params, enc = trained_concat
     fv, ft = tiny_dataset["fv"], tiny_dataset["ft"]
@@ -407,6 +437,24 @@ def test_optimizer_names_a_non_finite_gradient(make, bad):
     grads["proj_t"][1, 2] = 1e300
     with pytest.raises(training.NumericalError, match="parameter proj_t diverged"):
         SGD(1e300).step(params, grads)
+    # entries each finite whose sum overflows: no error and no warning,
+    # and a non-finite entry among them is still named
+    params.proj_t[:] = 1e308
+    grads["proj_t"][1, 2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make().step(params, grads)
+    assert np.all(params.proj_t == 1e308)
+    grads["proj_t"][1, 2] = bad
+    with pytest.raises(training.NumericalError, match="non-finite gradient for proj_t"):
+        make().step(params, grads)
+
+
+def test_trainable_forward_leaves_view_the_parameters(scene):
+    params, enc = scene[:2]
+    fw = models.Forward(params, enc, trainable=True)
+    for name, node in zip(fw.param_names(), fw.param_leaves()):
+        assert node.requires_grad and np.shares_memory(node.numpy(), params.arrays()[name])
 
 
 def test_adam_deterministic_and_distinct_from_sgd(tiny_dataset):
