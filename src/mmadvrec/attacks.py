@@ -20,6 +20,13 @@ with ``budget_rows`` and ``to_sphere`` for its budgets and its step. The
 alignment needs equal visual and textual dimensions; with a positive weight
 on other data it is a data error, and the plain attack's trace then records
 its gradient cosine as NaN.
+
+A step's hit count ``n_rec`` comes from the next forward's margins when the
+target's delta column reaches the target alone (every concat target, an
+isolated graph item): no other score moves, so a hit is a positive margin. A
+margin within rounding of 0 may tie, for the item-id rule to settle, so that
+step takes ``metrics.hit_count``, as a graph target with co-consumers does.
+``hit_before`` stays on ``hit_at_k``: a margin lacks the full product's bits.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ class Promotion:
     audience of sigmoid(target score - top-K threshold), differentiable in
     the (1, d) perturbation rows. The audience's clean user rows and
     thresholds are gathered here once per target, so each evaluation only
-    encodes the moved item."""
+    encodes the moved item. Each evaluation keeps its margins for ``hits``."""
 
     def __init__(self, forward, i, users, rows, thresholds):
         if len(users) == 0:
@@ -89,11 +96,25 @@ class Promotion:
         self.rows = ad.constant(rows)  # its own copy, so its transpose is built once
         self.thresholds = ad.constant(np.reshape(thresholds, (-1, 1)))
         self._mean = ad.constant(1.0 / len(users))
+        # |h| times this exceeds how far u.h summed in two orders (here, and over every
+        # user in RankCache.hit_mask) can part: 2 gamma_d |u||h|, Higham (2002) 3.1
+        self._slack = 4 * rows.shape[1] * np.finfo(float).eps * np.sqrt(
+            np.einsum("ij,ij->i", rows, rows))
 
     def loss(self, dv, dt):
         h_i = self.forward.item_embedding_batch([self.item], dv, dt)
         margins = ad.sub(ad.matmul(self.rows, ad.transpose(h_i)), self.thresholds)
+        h = h_i.numpy()[0]
+        self._last = margins.numpy()[:, 0], math.sqrt(h.dot(h))
         return ad.mul(self._mean, ad.sum_all(ad.sigmoid(margins)))
+
+    def hits(self):
+        """The count of positive margins at the last evaluated deltas: their hits
+        if they move the target's row alone. None if one is within rounding of 0."""
+        margins, h_norm = self._last
+        if np.any(np.abs(margins) <= self._slack * h_norm):
+            return None
+        return int(np.count_nonzero(margins > 0))
 
 
 def promotion(cache, i, users, k):
@@ -173,31 +194,41 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     budget, each along the normalised gradient and projected back onto the
     budget ball. A step's traced forward also gives the loss that the
     previous step reached, so only the last step's loss takes a forward of
-    its own."""
+    its own, and when only the target's row moves, the previous step's
+    ``n_rec`` too; otherwise ``n_rec`` takes ``hit_count`` (see the module
+    docstring)."""
     cache = cache if cache is not None else RankCache(params, enc)
     users = promoted_user_set(enc.table, i)
     eps_v = float(budget_rows(feats_v, [i], config.eps_pct)[0])
     eps_t = float(budget_rows(feats_t, [i], config.eps_pct)[0])
     objective = promotion(cache, i, users, config.k)
+    column = enc.delta_column(i)
+    alone = np.count_nonzero(column) == 1 and column[i] == enc.self_coef[i]
     weight = config.align_weight if config.with_align else 0.0
     scale, steps = (1.0, 1) if config.variant == "fgsm" else (1.25, config.pgd_steps)
     step_v = scale * eps_v / steps
     step_t = scale * eps_t / steps
     delta_v = np.zeros(feats_v.dim)
     delta_t = np.zeros(feats_t.dim)
+
+    def n_rec(delta):  # the hits of ``delta``, the objective's last evaluated deltas
+        hits = objective.hits() if alone else None
+        if hits is None:
+            hits = hit_count(params, enc, i, config.k, delta=delta, cache=cache)
+        return hits
+
     trace = []
-    last = None  # (n_rec, cosine) of the previous step, whose loss this step's forward gives
+    cosine = None  # of the previous step, whose loss and hits this step's forward gives
     for it in range(1, steps + 1):
         dv, dt = ad.leaf(delta_v[None, :]), ad.leaf(delta_t[None, :])
         loss = objective.loss(dv, dt)
-        if last is not None:
-            trace.append((it - 1, loss.item(), *last))
+        if cosine is not None:
+            trace.append((it - 1, loss.item(), n_rec((delta_v, delta_t)), cosine))
         (gv, gt), (gv_p, gt_p), _ = ascent_gradients(loss, [(dv, dt)], weight)
         delta_v = _project(delta_v + to_sphere(gv.numpy(), step_v)[0], eps_v)
         delta_t = _project(delta_t + to_sphere(gt.numpy(), step_t)[0], eps_t)
-        last = (hit_count(params, enc, i, config.k, delta=(delta_v, delta_t), cache=cache),
-                np_cosine(gv_p.numpy()[0], gt_p.numpy()[0]))
+        cosine = np_cosine(gv_p.numpy()[0], gt_p.numpy()[0])
     with ad.no_grad():
         loss = objective.loss(ad.constant(delta_v[None, :]), ad.constant(delta_t[None, :]))
-    trace.append((steps, loss.item(), *last))
+    trace.append((steps, loss.item(), n_rec((delta_v, delta_t)), cosine))
     return Perturbation(delta_v, delta_t, eps_v, eps_t), trace

@@ -25,7 +25,9 @@ bounds, per user, the k-th best clean score outside the target and the
 moved items (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001);
 only users whose target score reaches that bound are ranked, and only they
 score the other moved rows and read their table entries. Which users have
-seen the target or a moved item is read from the interaction table.
+seen the target or a moved item is read from the interaction table. An
+attack step that moves the target's row alone counts its hits from its
+promotion margins instead (``attacks``), unless a margin may tie.
 """
 
 from __future__ import annotations

@@ -336,32 +336,48 @@ class _CountedRows(np.ndarray):
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
-@pytest.mark.parametrize("variant, steps, with_align", [
-    ("pgd", 1, False), ("pgd", 4, False), ("pgd", 3, True), ("fgsm", 1, False)])
-def test_attack_gathers_once_and_runs_one_forward_per_step(scene, monkeypatch, variant,
-                                                           steps, with_align):
+@pytest.mark.parametrize("kind, variant, steps, with_align", [
+    pytest.param(kind, *case, id="-".join(map(str, case)) + ("-graph" if kind == "graph" else ""))
+    for kind in ("concat", "graph")
+    for case in [("pgd", 1, False), ("pgd", 4, False), ("pgd", 3, True), ("fgsm", 1, False)]])
+def test_attack_gathers_once_and_runs_one_forward_per_step(request, scene, monkeypatch, kind,
+                                                           variant, steps, with_align):
     """One attack gathers its audience's user rows once and runs one
-    promotion forward per step plus one for the last step's loss."""
-    params, enc, fv, ft, _, targets = scene
+    promotion forward per step plus one for the last step's loss. On the
+    concat model those forwards' margins give every step's hit count, so no
+    perturbed row is encoded again; a graph target with co-consumers moves
+    other rows too, and each step's hit test encodes them once."""
+    params, enc = request.getfixturevalue(f"trained_{kind}")
+    _, _, fv, ft, _, targets = scene
+    i = int(targets[0])
+    assert (np.count_nonzero(enc.delta_column(i)) > 1) == (kind == "graph")
     cache = RankCache(params, enc)
     cache.scorer.user_matrix = cache.scorer.user_matrix.view(_CountedRows)
     monkeypatch.setattr(_CountedRows, "gathers", 0)
-    forwards = []
-    embed = models.Forward.item_embedding_batch
+    forwards, perturbed = [], []
+    embed, perturb = models.Forward.item_embedding_batch, models.Scorer.perturbed_rows
 
     def counted(self, idx, delta_v=None, delta_t=None, weights=None):
         if weights is None:  # hit tests move rows by their weights; promotion does not
             forwards.append(list(idx))
         return embed(self, idx, delta_v, delta_t, weights)
 
+    def counted_rows(self, *args):
+        perturbed.append(args[0])
+        return perturb(self, *args)
+
     monkeypatch.setattr(models.Forward, "item_embedding_batch", counted)
-    i = int(targets[0])
+    monkeypatch.setattr(models.Scorer, "perturbed_rows", counted_rows)
     cfg = AttackConfig(variant=variant, eps_pct=0.10, pgd_steps=steps, k=10,
                        with_align=with_align)
     _, trace = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
     assert len(trace) == steps
-    assert _CountedRows.gathers == 1
+    if kind == "concat":
+        assert _CountedRows.gathers == 1
+    else:  # a graph step's hit test may gather its candidates' rows as well
+        assert 1 <= _CountedRows.gathers <= 1 + steps
     assert forwards == [[i]] * (steps + 1)
+    assert perturbed == ([i] * steps if kind == "graph" else [])
 
 
 @pytest.mark.parametrize("variant, k_hit", [("pgd", 10), ("fgsm", 10), ("pgd", 7)])
@@ -369,7 +385,9 @@ def test_campaign_hit_after_is_the_hit_rate_of_the_final_deltas(scene, monkeypat
                                                                  variant, k_hit):
     """``hit_after`` is the hit rate of the returned deltas at ``k_hit``.
     When ``k_hit`` is the attack's own k, the trace's last hit count gives
-    it, so a target takes one hit test before the attack and one per step."""
+    it. On the concat model each step's hit count comes from the promotion
+    margins, so a target takes one hit test before the attack and, when
+    ``k_hit`` differs, one after it."""
     params, enc, fv, ft, cache, targets = scene
     targets = [int(i) for i in targets[:3]]
     cfg = AttackConfig(variant=variant, eps_pct=0.10, pgd_steps=3, k=10)
@@ -384,7 +402,7 @@ def test_campaign_hit_after_is_the_hit_rate_of_the_final_deltas(scene, monkeypat
     monkeypatch.setattr(attacks, "hit_count", counting)
     rows, _, _ = cli.run_campaign(params, enc, fv, ft, targets, cfg, k_hit, cache=cache)
     steps = 1 if variant == "fgsm" else cfg.pgd_steps
-    per_target = [k_hit] + [cfg.k] * steps + ([k_hit] if k_hit != cfg.k else [])
+    per_target = [k_hit] + ([k_hit] if k_hit != cfg.k else [])
     assert calls == per_target * len(targets)
     monkeypatch.undo()
     for row, i in zip(rows, targets):

@@ -6,10 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmadvrec import attacks, data, metrics, models
+from mmadvrec import attacks, autodiff as ad, data, metrics, models
 from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.models import DatasetEncoding
@@ -233,6 +233,60 @@ def test_hit_mask_matches_brute_force_on_exact_embeddings(case):
     cache = cache_with(masked, users, items)
     got = cache.hit_mask(i, k, (moved, rows))
     assert np.array_equal(got, reference_hits(masked, i, k, moved, rows @ users.T))
+
+
+def promotion_scene(seed, exact):
+    """A concat model on ``test_metrics.small_instance``'s synthetic data,
+    with one (delta_v, delta_t) pair. With ``exact`` its id rows,
+    projections, features and deltas sit on small integer grids, with the
+    identity and id-only users, so every score is an exact integer and
+    margins of exactly 0 (ties with the threshold, settled by the id rule)
+    are frequent; otherwise tanh and Gaussian draws give real-valued
+    scores."""
+    cfg = data.SynthConfig(num_users=8, num_items=12, interactions_per_user=3,
+                           unpopular_count=0, feat_dim_v=4, feat_dim_t=4, latent_dim=3)
+    table, fv, ft = data.synth_generate(cfg, seed=seed)
+    split = data.split_leave_one_out(table, seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+
+    def draw(shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if exact else rng.normal(size=shape)
+
+    if exact:
+        fv, ft = data.FeatureMatrix("v", draw((12, 4))), data.FeatureMatrix("t", draw((12, 4)))
+    enc = DatasetEncoding(split, fv, ft, "concat")
+    params = models.init_params(8, 12, 4, 4, kind="concat", phi="identity" if exact else "tanh",
+                                user_content="id_only" if exact else "shared",
+                                id_dim=4, fuse_dim=3, seed=seed + 3)
+    for arr in params.arrays().values():
+        arr[:] = draw(arr.shape)
+    return params, enc, (draw(4), draw(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.integers(0, 2**16), st.integers(0, 11), st.integers(1, 11))
+def test_promotion_margins_count_the_hits_of_a_moved_target_row(exact, seed, i, k):
+    """On the concat model a perturbation moves the target's row alone, so
+    the promotion forward's margins count its hits: the users with a
+    positive margin, or ``hit_count`` when a margin is within rounding of 0.
+    The count equals ``RankCache.hit_mask`` after ``perturbed_rows`` and
+    the sorted reference."""
+    params, enc, delta = promotion_scene(seed, exact)
+    users = attacks.promoted_user_set(enc.table, i)
+    assume(users.size > 0)
+    cache = RankCache(params, enc)
+    objective = attacks.promotion(cache, i, users, k)
+    with ad.no_grad():
+        objective.loss(*(ad.constant(d[None, :]) for d in delta))
+    hits = objective.hits()
+    if hits is None:
+        hits = metrics.hit_count(params, enc, i, k, delta=delta, cache=cache)
+    moved = cache.scorer.perturbed_rows(i, *delta)
+    masked = models.Scorer(params, enc).scores()
+    for u, items in enumerate(enc.table.user_items):
+        masked[u, items] = -np.inf
+    want = reference_hits(masked, i, k, moved[0], (cache.scorer.user_matrix @ moved[1].T).T)
+    assert hits == cache.hit_mask(i, k, moved).sum() == want.sum()
 
 
 def test_graph_hit_count_allocates_less_than_one_moved_block():
