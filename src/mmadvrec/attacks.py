@@ -75,9 +75,8 @@ class AttackConfig:
 def promoted_user_set(table, i):
     """Default target audience: every user with no training interaction
     with the item (promotion to existing consumers is pointless)."""
-    ptr, order = table.item_major()
     keep = np.ones(table.num_users, dtype=bool)
-    keep[table.users[order[ptr[i]:ptr[i + 1]]]] = False
+    keep[table.users[table.item_positions([i])[0]]] = False
     return np.nonzero(keep)[0].astype(np.int64)
 
 

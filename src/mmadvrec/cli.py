@@ -88,13 +88,10 @@ def _attack_config(cfg):
         align_weight=cfg["attack.align_weight"], k=cfg["attack.k"])
 
 
-_LOG_COLUMNS = ["epoch", "clean_loss", "adv_loss", "align_mean", "val_recall10"]
-
-
 def _write_train_log(path, log, extra_rows=None):
     rows = list(extra_rows or [])
-    rows.extend([r[c] for c in _LOG_COLUMNS] for r in log.rows)
-    reports.write_csv(path, _LOG_COLUMNS, rows)
+    rows.extend([r[c] for c in log.COLUMNS] for r in log.rows)
+    reports.write_csv(path, log.COLUMNS, rows)
 
 
 def _read_last_epoch(log_path):
@@ -102,9 +99,10 @@ def _read_last_epoch(log_path):
     other columns, or one cut or edited since, cannot be extended row for
     row."""
     header, rows, _ = reports.read_csv(log_path)
-    if header != _LOG_COLUMNS:
+    columns = list(training.TrainLog.COLUMNS)
+    if header != columns:
         raise DataError(f"{log_path}: cannot resume a log with columns {header}, "
-                        f"expected {_LOG_COLUMNS}")
+                        f"expected {columns}")
     if not reports.verify_csv(log_path):
         raise DataError(f"{log_path}: cannot resume a log that fails its sha256 line")
     if not rows:
@@ -303,11 +301,9 @@ def cmd_diagnose(cfg, args):
     return EXIT_OK
 
 
-def _sweep_points(cfg, key, like, base, field):
-    """(value, config) per grid value of ``key``; a value outside the bounds
-    of the scalar key ``like`` is a config error, raised before any point
-    runs."""
-    return [(value, replace(base, **{field: value})) for value in cfg.floats(key, like)]
+def _sweep_points(cfg, key, base, field):
+    """(value, config) per value of grid ``key``."""
+    return [(value, replace(base, **{field: value})) for value in cfg.floats(key)]
 
 
 def cmd_sweep(cfg, args):
@@ -315,10 +311,10 @@ def cmd_sweep(cfg, args):
     dcfg = _train_config(cfg, defend=True, seed_label="sweep-defend")
     acfg = _attack_config(cfg)
     if kind == "eps":
-        defends = _sweep_points(cfg, "sweep.eps_d", "defense.eps_d_pct", dcfg, "eps_d_pct")
-        attack_points = _sweep_points(cfg, "sweep.eps_a", "attack.eps_a_pct", acfg, "eps_pct")
+        defends = _sweep_points(cfg, "sweep.eps_d", dcfg, "eps_d_pct")
+        attack_points = _sweep_points(cfg, "sweep.eps_a", acfg, "eps_pct")
     else:
-        defends = _sweep_points(cfg, f"sweep.{kind}s", f"defense.{kind}", dcfg,
+        defends = _sweep_points(cfg, f"sweep.{kind}s", dcfg,
                                 "lambda_" if kind == "lambda" else "alpha")
     out, inputs, split, fv, ft, enc = _workspace(cfg)
     source = args.checkpoint or os.path.join(out, "pretrained.ckpt")

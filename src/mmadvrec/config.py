@@ -2,7 +2,9 @@
 
 Config files hold one ``key = value`` per line ('#' starts a comment); every
 key must exist in the schema below, so typos fail loudly. CLI ``--set``
-overrides take the same ``key=value`` form.
+overrides take the same ``key=value`` form. Each key's parser in ``SCHEMA``
+states its allowed values, and every value, sweep grids included, is parsed
+when it is set, so a bad one is a ConfigError before any command runs.
 """
 
 from __future__ import annotations
@@ -28,104 +30,105 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _check_finite(key, values):
-    # nan passes every range check (each comparison is false) and inf the
-    # one-sided ones, so a non-finite float is refused before they run
-    for v in values:
-        if not math.isfinite(v):
-            raise ConfigError(f"{key!r} must be finite, got {v}")
+def _number(ctor, low=-math.inf, high=math.inf, open_low=False):
+    """A parser of finite ``ctor`` values in [low, high], or (low, high] with
+    ``open_low``."""
+    interval = f"{'(' if open_low else '['}{low}, {high}{']' if high < math.inf else ')'}"
+
+    def parse(text):
+        value = ctor(text)
+        # nan passes every range check (each comparison is false) and inf the
+        # one-sided ones, so a non-finite value is refused before they run
+        if not abs(value) < math.inf:
+            raise ValueError(f"must be finite, got {value}")
+        if not (low < value <= high or (value == low and not open_low)):
+            raise ValueError(f"must lie in {interval}, got {value}")
+        return value
+    return parse
 
 
-def _check_bounds(key, values, low, high, open_low):
-    for v in values:
-        if not (low < v <= high or (v == low and not open_low)):
-            raise ConfigError(f"{key!r} must lie in {'(' if open_low else '['}{low}, "
-                              f"{high}{']' if high < math.inf else ')'}, got {v}")
+def _one_of(*choices):
+    """A parser of the enum ``choices``, which it keeps as ``.choices``."""
+    def parse(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}")
+        return text
+    parse.choices = choices
+    return parse
 
 
-# key -> (type constructor, default)
+def _grid(scalar):
+    """A parser of a comma-separated grid that lists at least one value, each
+    held to the parser ``scalar`` of the key it stands for. It returns the
+    text as written, so snapshots and run ids hash the grid as given."""
+    def parse(text):
+        text = str(text)
+        if not [scalar(x) for x in text.split(",") if x.strip()]:
+            raise ValueError("lists no value")
+        return text
+    return parse
+
+
+_COUNT = _number(int, 1)  # a count may be 0 only where it is a _SIZE
+_SIZE = _number(int, 0)
+_WEIGHT = _number(float, 0)
+_SHARE = _number(float, 0, 1, open_low=True)
+
+# key -> (parser, default); the parser is the one statement of the key's
+# allowed values, and it raises ValueError or TypeError on any other
 SCHEMA = {
     "seed": (int, 0),
     "data.path": (str, ""),
     "data.out_dir": (str, "out"),
-    "synth.users": (int, 2000),
-    "synth.items": (int, 1000),
-    "synth.latent_dim": (int, 8),
-    "synth.feat_dim_v": (int, 16),
-    "synth.feat_dim_t": (int, 16),
-    "synth.interactions_per_user": (int, 20),
-    "synth.feature_noise": (float, 0.1),
-    "synth.interaction_noise": (float, 0.05),
-    "synth.mixing_overlap": (float, 0.0),
-    "synth.unpopular_count": (int, 100),
-    "synth.n_unpop": (int, 5),
-    "model.kind": (str, "concat"),
-    "model.dim": (int, 32),
-    "model.fuse_dim": (int, 16),
-    "model.nonlinearity": (str, "tanh"),
-    "model.user_content": (str, "shared"),
-    "train.eta": (float, 0.01),
-    "train.beta": (float, 1e-5),
-    "train.batch_size": (int, 256),
-    "train.max_epochs": (int, 30),
-    "train.patience": (int, 5),
-    "train.eval_every": (int, 1),
-    "train.optimizer": (str, "adam"),
-    "train.reduction": (str, "sum"),
-    "defense.mode": (str, "uat_mc"),
-    "defense.lambda": (float, 1.0),
-    "defense.alpha": (float, 1.0),
-    "defense.beta": (float, 1e-5),
-    "defense.eps_d_pct": (float, 0.10),
-    "defense.max_epochs": (int, 10),
-    "attack.variant": (str, "pgd"),
-    "attack.eps_a_pct": (float, 0.10),
-    "attack.pgd_steps": (int, 10),
+    "synth.users": (_COUNT, 2000),
+    "synth.items": (_COUNT, 1000),
+    "synth.latent_dim": (_COUNT, 8),
+    "synth.feat_dim_v": (_COUNT, 16),
+    "synth.feat_dim_t": (_COUNT, 16),
+    "synth.interactions_per_user": (_COUNT, 20),
+    "synth.feature_noise": (_number(float), 0.1),
+    "synth.interaction_noise": (_number(float), 0.05),
+    "synth.mixing_overlap": (_number(float, 0, 1), 0.0),
+    "synth.unpopular_count": (_SIZE, 100),
+    "synth.n_unpop": (_COUNT, 5),
+    "model.kind": (_one_of("concat", "graph"), "concat"),
+    "model.dim": (_COUNT, 32),
+    "model.fuse_dim": (_COUNT, 16),
+    "model.nonlinearity": (_one_of("identity", "tanh"), "tanh"),
+    "model.user_content": (_one_of("shared", "id_only"), "shared"),
+    "train.eta": (_number(float, 0, open_low=True), 0.01),
+    "train.beta": (_WEIGHT, 1e-5),
+    "train.batch_size": (_COUNT, 256),
+    "train.max_epochs": (_COUNT, 30),
+    "train.patience": (_SIZE, 5),
+    "train.eval_every": (_COUNT, 1),
+    "train.optimizer": (_one_of("sgd", "adam"), "adam"),
+    "train.reduction": (_one_of("sum", "mean"), "sum"),
+    "defense.mode": (_one_of("uat", "uat_mc"), "uat_mc"),
+    "defense.lambda": (_WEIGHT, 1.0),
+    "defense.alpha": (_WEIGHT, 1.0),
+    "defense.beta": (_WEIGHT, 1e-5),
+    "defense.eps_d_pct": (_SHARE, 0.10),
+    "defense.max_epochs": (_COUNT, 10),
+    "attack.variant": (_one_of("fgsm", "pgd"), "pgd"),
+    "attack.eps_a_pct": (_SHARE, 0.10),
+    "attack.pgd_steps": (_COUNT, 10),
     "attack.with_align": (_bool, False),
-    "attack.align_weight": (float, 1.0),
-    "attack.k": (int, 50),
-    "attack.targets": (int, 100),
-    "attack.threshold_mode": (str, "exact"),
-    "attack.popularity_threshold": (int, 5),
-    "eval.k_hit": (int, 50),
-    "eval.k_rank": (int, 10),
-    "sweep.kind": (str, "eps"),
-    "sweep.eps_d": (str, "0.025,0.05,0.075,0.10"),
-    "sweep.eps_a": (str, "0.025,0.05,0.075,0.10"),
-    "sweep.lambdas": (str, "1,2,3,4,5,6,7,8,9,10"),
-    "sweep.alphas": (str, "0.1,1,2,3,4,5,6,7,8,9,10"),
-    "diagnose.targets": (int, 100),
-    "diagnose.k_users": (int, 0),  # 0 = 10% of the promotion set
-    "diagnose.bin_width": (float, 0.05),
-}
-
-# (low end, high end, low end excluded) of each bounded key; a count may be
-# 0 only where its low end is 0
-BOUNDS = {key: (1, math.inf, False) for key in (
-    "synth.users", "synth.items", "synth.latent_dim", "synth.feat_dim_v",
-    "synth.feat_dim_t", "synth.interactions_per_user", "synth.n_unpop",
-    "model.dim", "model.fuse_dim", "train.batch_size", "train.max_epochs",
-    "train.eval_every", "defense.max_epochs", "attack.pgd_steps", "attack.k",
-    "attack.targets", "attack.popularity_threshold", "eval.k_hit", "eval.k_rank",
-    "diagnose.targets")}
-BOUNDS.update({key: (0, math.inf, False) for key in (
-    "synth.unpopular_count", "train.patience", "diagnose.k_users", "train.beta",
-    "defense.beta", "defense.lambda", "defense.alpha", "attack.align_weight")})
-BOUNDS.update({key: (0, 1, True) for key in (
-    "defense.eps_d_pct", "attack.eps_a_pct", "diagnose.bin_width")})
-BOUNDS.update({"train.eta": (0, math.inf, True), "synth.mixing_overlap": (0, 1, False)})
-
-# allowed values of each enum key
-CHOICES = {
-    "model.kind": ("concat", "graph"),
-    "model.nonlinearity": ("identity", "tanh"),
-    "model.user_content": ("shared", "id_only"),
-    "train.optimizer": ("sgd", "adam"),
-    "train.reduction": ("sum", "mean"),
-    "defense.mode": ("uat", "uat_mc"),
-    "attack.variant": ("fgsm", "pgd"),
-    "attack.threshold_mode": ("exact", "at_most"),
-    "sweep.kind": ("eps", "lambda", "alpha"),
+    "attack.align_weight": (_WEIGHT, 1.0),
+    "attack.k": (_COUNT, 50),
+    "attack.targets": (_COUNT, 100),
+    "attack.threshold_mode": (_one_of("exact", "at_most"), "exact"),
+    "attack.popularity_threshold": (_COUNT, 5),
+    "eval.k_hit": (_COUNT, 50),
+    "eval.k_rank": (_COUNT, 10),
+    "sweep.kind": (_one_of("eps", "lambda", "alpha"), "eps"),
+    "sweep.eps_d": (_grid(_SHARE), "0.025,0.05,0.075,0.10"),
+    "sweep.eps_a": (_grid(_SHARE), "0.025,0.05,0.075,0.10"),
+    "sweep.lambdas": (_grid(_WEIGHT), "1,2,3,4,5,6,7,8,9,10"),
+    "sweep.alphas": (_grid(_WEIGHT), "0.1,1,2,3,4,5,6,7,8,9,10"),
+    "diagnose.targets": (_COUNT, 100),
+    "diagnose.k_users": (_SIZE, 0),  # 0 = 10% of the promotion set
+    "diagnose.bin_width": (_SHARE, 0.05),
 }
 
 
@@ -142,37 +145,19 @@ class Config:
     def set(self, key, raw):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        ctor, _ = SCHEMA[key]
         try:
-            value = ctor(raw)
+            self.values[key] = SCHEMA[key][0](raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-        if ctor is float:
-            _check_finite(key, [value])
-        if key in BOUNDS:
-            _check_bounds(key, [value], *BOUNDS[key])
-        if key in CHOICES and value not in CHOICES[key]:
-            raise ConfigError(f"{key!r} must be one of {', '.join(CHOICES[key])}, "
-                              f"got {value!r}")
-        self.values[key] = value
 
     def __getitem__(self, key):
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
 
-    def floats(self, key, like):
-        """The comma-separated floats of grid ``key``, at least one, each held
-        to the bounds of the scalar key ``like`` that it stands for."""
-        try:
-            values = [float(x) for x in str(self[key]).split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad list for {key!r}") from exc
-        if not values:
-            raise ConfigError(f"{key!r} lists no value")
-        _check_finite(key, values)
-        _check_bounds(key, values, *BOUNDS[like])
-        return values
+    def floats(self, key):
+        """The comma-separated floats of grid ``key``, checked when it was set."""
+        return [float(x) for x in self[key].split(",") if x.strip()]
 
     def snapshot(self):
         return dict(sorted(self.values.items()))

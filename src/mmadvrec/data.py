@@ -70,7 +70,7 @@ class InteractionTable:
     ``[0, num_users)`` or ``[0, num_items)`` is a DataError. Immutable after
     construction, and its arrays are its own copies; ``split_leave_one_out``
     returns a new table with one held-out item per eligible user recorded in
-    ``holdout`` (-1 for users without one). ``item_major`` adds the
+    ``holdout`` (-1 for users without one). ``item_positions`` adds the
     item-major (CSC) order on its first call.
 
     A table of n interactions may have at most max(ID_SPAN_FLOOR,
@@ -134,17 +134,17 @@ class InteractionTable:
     def item_counts(self):
         return np.bincount(self.items, minlength=self.num_items)
 
-    def item_major(self):
-        """(item_ptr, order): item i's interactions are
-        ``order[item_ptr[i]:item_ptr[i + 1]]``, in user order (the CSC
-        layout). Built on the first call and kept."""
+    def item_positions(self, items):
+        """(positions in ``users`` and ``items``, lengths) of the interactions
+        of ``items``, each item's in user order, as ``segment_positions``
+        gives them; the item-major (CSC) order is built on the first call."""
         if self._item_major is None:
             ptr = np.zeros(self.num_items + 1, dtype=np.int64)
             np.cumsum(self.item_counts(), out=ptr[1:])
-            order = np.argsort(self.items, kind="stable")
-            ptr.flags.writeable = order.flags.writeable = False
-            self._item_major = ptr, order
-        return self._item_major
+            self._item_major = ptr, np.argsort(self.items, kind="stable")
+        ptr, order = self._item_major
+        rows, lens = segment_positions(ptr, np.asarray(items, dtype=np.int64))
+        return order[rows], lens
 
     def stats(self):
         return DatasetStats.compute(self.num_users, self.num_items, self.num_interactions)

@@ -200,12 +200,11 @@ class RankCache:
         key = (i, ids.tobytes())
         if self._moved is None or self._moved[0] != key:
             t = self.enc.table
-            ptr, order = t.item_major()
-            consumers = t.users[order[ptr[i]:ptr[i + 1]]]
+            consumers = t.users[t.item_positions([i])[0]]
             others = ids[ids != i]
-            rows, lens = segment_positions(ptr, others)
+            rows, lens = t.item_positions(others)
             seen = np.zeros((t.num_users, others.size), dtype=bool)
-            seen[t.users[order[rows]], np.repeat(np.arange(others.size), lens)] = True
+            seen[t.users[rows], np.repeat(np.arange(others.size), lens)] = True
             own = np.flatnonzero(ids == i)
             self._moved = key, (int(own[0]) if own.size else None, consumers, seen,
                                 np.union1d(ids, [i]))

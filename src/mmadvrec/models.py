@@ -115,7 +115,7 @@ class DatasetEncoding:
     item's self coefficient (ÂᵀÂ)[i, i]; ``delta_column`` gives the column of
     ÂᵀÂ that propagates a perturbation. All three are computed from the
     table's CSR arrays: ``weights`` holds Â's entry of each interaction, and
-    the table's ``item_major`` order lists each item's interactions, so the
+    the table's ``item_positions`` lists each item's interactions, so the
     memory grows with the number of interactions, not with U·I or I².
     Isolated items keep their raw feature (self coefficient 1).
     """
@@ -159,9 +159,8 @@ class DatasetEncoding:
         Âᵀ(Â[:, i]), summed over the CSR rows of i's consumers (a unit column
         under the concat model and for an isolated item)."""
         t = self.table
-        ptr, order = t.item_major()
-        if self.kind == "graph" and ptr[i] < ptr[i + 1]:
-            own = order[ptr[i]:ptr[i + 1]]  # i's interactions
+        own = t.item_positions([i])[0]  # i's interactions
+        if self.kind == "graph" and own.size:
             rows, lens = segment_positions(t.indptr, t.users[own])  # every consumer's CSR row
             return np.bincount(t.items[rows], minlength=t.num_items,
                                weights=np.repeat(self.weights[own], lens) * self.weights[rows])

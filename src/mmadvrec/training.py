@@ -57,12 +57,12 @@ class DefenseConfig:
 
 @dataclass
 class TrainLog:
+    """One dict per epoch, keyed by ``COLUMNS``, the train log's CSV header."""
+    COLUMNS = ("epoch", "clean_loss", "adv_loss", "align_mean", "val_recall10")
     rows: list = field(default_factory=list)
 
-    def add(self, epoch, clean_loss, adv_loss, align_mean, val_recall):
-        self.rows.append({"epoch": epoch, "clean_loss": clean_loss,
-                          "adv_loss": adv_loss, "align_mean": align_mean,
-                          "val_recall10": val_recall})
+    def add(self, *values):
+        self.rows.append(dict(zip(self.COLUMNS, values, strict=True)))
 
     @property
     def epochs(self):

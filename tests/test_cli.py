@@ -549,7 +549,10 @@ def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
                                         ("diagnose.bin_width", "0"),
                                         ("train.eta", "0"),
                                         ("defense.lambda", "-1"),
-                                        ("synth.mixing_overlap", "1.5")])
+                                        ("synth.mixing_overlap", "1.5"),
+                                        ("sweep.eps_d", "0.1,2"),
+                                        ("sweep.alphas", "nan"),
+                                        ("sweep.eps_a", ",")])
 def test_every_command_refuses_an_out_of_bounds_value(workspace, tmp_path, capsys, key, value):
     for command in ("gen-data", "train", "defend", "attack", "diagnose", "sweep"):
         assert run(workspace, command, "--set", f"data.out_dir={tmp_path}",
@@ -559,23 +562,47 @@ def test_every_command_refuses_an_out_of_bounds_value(workspace, tmp_path, capsy
     assert os.listdir(tmp_path) == []
 
 
+GRIDS = ("sweep.eps_d", "sweep.eps_a", "sweep.lambdas", "sweep.alphas")
+
+
 def test_every_float_key_refuses_non_finite_values():
-    floats = [key for key, (ctor, _) in config.SCHEMA.items() if ctor is float]
+    floats = [key for key, (_, default) in config.SCHEMA.items() if isinstance(default, float)]
     assert "defense.lambda" in floats
     for key in floats:
         for value in ("nan", "inf", "-inf", "NaN"):
             with pytest.raises(ConfigError, match=key):
                 Config({key: value})
-    for key, like in (("sweep.eps_d", "defense.eps_d_pct"), ("sweep.eps_a", "attack.eps_a_pct"),
-                      ("sweep.lambdas", "defense.lambda"), ("sweep.alphas", "defense.alpha")):
-        assert Config({key: "0.1, 1"}).floats(key, like) == [0.1, 1.0]
+    for key in GRIDS:
+        assert Config({key: "0.1, 1"}).floats(key) == [0.1, 1.0]
         for value in ("0.1,nan", "inf", "0.1,-inf", "0.1,-1", ",", ""):
             with pytest.raises(ConfigError, match=key):
-                Config({key: value}).floats(key, like)
+                Config({key: value})
+
+
+def test_every_grid_holds_its_values_to_the_key_it_stands_for():
+    for key, scalar in (("sweep.eps_d", "defense.eps_d_pct"), ("sweep.eps_a", "attack.eps_a_pct"),
+                        ("sweep.lambdas", "defense.lambda"), ("sweep.alphas", "defense.alpha")):
+        assert Config({key: "0.1, 1"})[key] == "0.1, 1"  # kept as written, for the run id
+        for value in ("0", "1", "1.5", "12", "-0.5", "0.001"):
+            try:
+                Config({scalar: value})
+            except ConfigError:
+                with pytest.raises(ConfigError, match=key):
+                    Config({key: f"0.1,{value}"})
+            else:
+                assert Config({key: f"0.1,{value}"}).floats(key) == [0.1, float(value)]
+
+
+def test_every_default_passes_its_own_parser():
+    for key, (parse, default) in config.SCHEMA.items():
+        assert parse(str(default)) == default, key
 
 
 def test_every_enum_key_checks_its_choices():
-    for key, allowed in config.CHOICES.items():
+    enums = {key: parse.choices for key, (parse, _) in config.SCHEMA.items()
+             if hasattr(parse, "choices")}
+    assert "sweep.kind" in enums and "model.kind" in enums
+    for key, allowed in enums.items():
         assert config.SCHEMA[key][1] in allowed
         for value in allowed:
             assert Config({key: value})[key] == value

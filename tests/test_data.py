@@ -42,6 +42,10 @@ def test_csr_layout_matches_per_user_unique(case, seed):
     assert t.num_interactions == sum(sizes)
     assert t.item_counts().tolist() == [sum(i in set(a) for a in lists)
                                         for i in range(num_items)]
+    ids = np.r_[np.arange(num_items)[::-1], 0]  # every item, out of order, one twice
+    positions, lens = t.item_positions(ids)
+    assert lens.tolist() == t.item_counts()[ids].tolist()
+    assert positions.tolist() == [k for i in ids for k in np.flatnonzero(t.items == i)]
     assert len(t.user_items) == len(lists)
     for u, w in enumerate(want):
         row = t.user_items[u]

@@ -213,15 +213,11 @@ def test_parameter_allow_list_names_exist():
 
 
 # the tables in config.py that declare keys rather than read them
-KEY_TABLES = {"SCHEMA", "BOUNDS", "CHOICES"}
+KEY_TABLES = {"SCHEMA"}
 
 
 def _declares_keys(stmt):
-    names = [t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)]
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        receiver = getattr(stmt.value.func, "value", None)
-        names.append(getattr(receiver, "id", None))
-    return bool(KEY_TABLES & set(names))
+    return any(getattr(t, "id", None) in KEY_TABLES for t in getattr(stmt, "targets", []))
 
 
 def _key_patterns():
@@ -248,11 +244,6 @@ def test_every_config_key_is_read_by_the_program_or_the_benchmark():
     unread = sorted(key for key in config.SCHEMA
                     if not any(p.fullmatch(key) for p in patterns))
     assert unread == []
-
-
-def test_every_bounded_or_enum_key_is_a_schema_key():
-    assert sorted(set(config.BOUNDS) - set(config.SCHEMA)) == []
-    assert sorted(set(config.CHOICES) - set(config.SCHEMA)) == []
 
 
 def _imported_modules(path):
