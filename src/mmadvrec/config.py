@@ -22,7 +22,7 @@ class ConfigError(Exception):
 
 
 def _bool(text):
-    t = text.strip().lower()
+    t = str(text).strip().lower()
     if t in ("true", "1", "yes"):
         return True
     if t in ("false", "0", "no"):

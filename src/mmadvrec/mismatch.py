@@ -6,6 +6,10 @@ which users drive each modality. A user's directional contribution weights
 the cosine against the aggregate gradient by that user's share of total
 gradient norm, the top contributors per modality form two user sets, and
 their Jaccard overlap quantifies how far the modalities are pulled apart.
+
+Once per target, as arrays: the encoded row h_i, the audience's margins and
+sigmoid slopes s_u, the contributions and the top sets. Once per user: one
+backward from (s_u u) . h_i, as the benchmark still counts one per user.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ class Histogram:
 
     @property
     def edges(self):
-        n = self.counts.size
-        return np.arange(n + 1) * self.bin_width
+        return np.arange(self.counts.size + 1) * self.bin_width
 
 
 @dataclass
@@ -59,54 +62,54 @@ class SurveyResult:
 
 
 def per_user_gradients(params, enc, i, users, k=50, cache=None):
-    """Per-user gradients of sigmoid(y_ui - y_uK) w.r.t. the two modality
-    deltas at zero perturbation. The users' rows and thresholds are the
-    attack's per-target ones, each user reading a view of its row."""
+    """Per-user (g_v, g_t) gradients of sigmoid(y_ui - y_uK) w.r.t. the modality
+    deltas at zero perturbation, on the attack's per-target ``Promotion``."""
     cache = cache if cache is not None else RankCache(params, enc)
     objective = attacks.promotion(cache, i, users, k)
-    dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
-    dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
+    dv, dt = (ad.leaf(np.zeros((1, raw.shape[1]))) for raw in (enc.raw_v, enc.raw_t))
     h_i = objective.forward.item_embedding_batch([i], dv, dt)  # shared across users
-    out = []
-    for row, thr in zip(objective.rows.numpy(), objective.thresholds.numpy()[:, 0]):
-        score = ad.dot(ad.Tensor(row[None, :]), h_i)
-        g_v, g_t = ad.grad(ad.sigmoid(ad.sub(score, ad.Tensor(thr))), [dv, dt])
-        out.append((g_v.numpy()[0], g_t.numpy()[0]))
-    return out
+    rows = objective.rows.numpy()
+    # each row summed as ad.dot sums it: rows @ h_i.T rounds differently
+    margins = np.sum(rows * h_i.numpy(), axis=1) - objective.thresholds.numpy()[:, 0]
+    out = ad.sigmoid(ad.Tensor(margins)).numpy()  # a constant: no tape
+    # s_u u is bitwise the cotangent that the sigmoid head passes to h_i
+    grads = (ad.grad(ad.dot(ad.Tensor(scaled[None, :]), h_i), [dv, dt])
+             for scaled in (out * (1 - out))[:, None] * rows)
+    return [(g_v.numpy()[0], g_t.numpy()[0]) for g_v, g_t in grads]
 
 
-def directional_contribution(g_u, aggregate, norm_sum):
-    """cos(g_u, G) * ||g_u|| / norm_sum; zero gradient contributes zero."""
+def _norms(grads):
+    """Row 2-norms, one BLAS dot a row, as np.linalg.norm and np_cosine take them."""
+    return np.sqrt([g.dot(g) for g in grads])
+
+
+def directional_contribution(grads, aggregate, norm_sum):
+    """cos(g_u, G) ||g_u|| / norm_sum per row g_u of (U, d) grads; 0 if g_u = 0."""
     if norm_sum <= 0:
         raise ValueError("all user gradients are degenerate (zero norm sum)")
-    return attacks.np_cosine(g_u, aggregate) * math.sqrt(g_u.dot(g_u)) / norm_sum
+    norms, agg_norm = _norms(grads), math.sqrt(aggregate.dot(aggregate))
+    cos = np.divide([g.dot(aggregate) for g in grads], norms * agg_norm, out=np.zeros(len(grads)),
+                    where=(norms >= ad.NORM_TOLERANCE) & (agg_norm >= ad.NORM_TOLERANCE))
+    return cos * norms / norm_sum
 
 
 def user_contributions(params, enc, i, users, k=50, cache=None):
     """UserContribution records for every user in the promotion set."""
     grads = per_user_gradients(params, enc, i, users, k=k, cache=cache)
-    agg_v = np.sum([g for g, _ in grads], axis=0)
-    agg_t = np.sum([g for _, g in grads], axis=0)
-    norm_sum_v = float(sum(np.linalg.norm(g) for g, _ in grads))
-    norm_sum_t = float(sum(np.linalg.norm(g) for _, g in grads))
-    out = []
-    for u, (g_v, g_t) in zip(users, grads):
-        out.append(UserContribution(
-            int(u), g_v, g_t,
-            directional_contribution(g_v, agg_v, norm_sum_v),
-            directional_contribution(g_t, agg_t, norm_sum_t)))
-    return out
+    g_v, g_t = np.array([g for g, _ in grads]), np.array([g for _, g in grads])
+    c_v, c_t = (directional_contribution(g, np.sum(g, axis=0), sum(_norms(g).tolist()))
+                for g in (g_v, g_t))  # each norm sum added in user order
+    return [UserContribution(*rec) for rec in
+            zip(np.asarray(users).tolist(), g_v, g_t, c_v.tolist(), c_t.tolist())]
 
 
 def top_user_sets(contributions, k_users):
     """Top contributors per modality, ties broken by ascending user id."""
     if k_users > len(contributions):
         raise DataError("k_users exceeds the promotion set size")
-    by_v = sorted(contributions, key=lambda c: (-c.c_v, c.user))
-    by_t = sorted(contributions, key=lambda c: (-c.c_t, c.user))
-    users_v = np.array(sorted(c.user for c in by_v[:k_users]), dtype=np.int64)
-    users_t = np.array(sorted(c.user for c in by_t[:k_users]), dtype=np.int64)
-    return users_v, users_t
+    users = np.array([c.user for c in contributions], dtype=np.int64)
+    return tuple(np.sort(users[np.lexsort((users, -np.array(scores)))[:k_users]])
+                 for scores in ([c.c_v for c in contributions], [c.c_t for c in contributions]))
 
 
 def jaccard(a, b):
@@ -122,17 +125,14 @@ def default_k_users(n_users):
 
 def mismatch_survey(params, enc, targets, k_users=None, k=50, bin_width=0.05,
                     cache=None):
-    """One MismatchReport per target plus a Jaccard histogram.
-
-    Per-item failures are recorded and skipped rather than aborting the
-    survey. ``k_users`` defaults to 10% of each item's promotion set.
-    """
+    """One MismatchReport per target plus a Jaccard histogram. A target that
+    fails is recorded in ``skipped`` rather than aborting the survey.
+    ``k_users`` defaults to 10% of each item's promotion set."""
     if len(targets) == 0:
         raise DataError("survey needs at least one target")
     cache = cache if cache is not None else RankCache(params, enc)
     reports, skipped = [], []
-    for i in targets:
-        i = int(i)
+    for i in map(int, targets):
         try:
             users = attacks.promoted_user_set(enc.table, i)
             contribs = user_contributions(params, enc, i, users, k=k, cache=cache)

@@ -1,8 +1,12 @@
 """Exact references the tests compare the program against: finite-difference
-gradients and a brute-force ranking. Like ``perfbench/oracles.py`` (the
-benchmark's tolerance-bound oracles, which the tests import too), nothing
-here imports the package, so a fault in the program cannot reach the
-reference it is checked by."""
+gradients, a brute-force ranking and the mismatch survey as a per-user loop.
+Like ``perfbench/oracles.py`` (the benchmark's tolerance-bound oracles,
+which the tests import too), nothing here imports the package, so a fault
+in the program cannot reach the reference it is checked by. The survey loop
+alone runs on the autodiff it is handed, which the finite differences here
+check: it pins the survey's array algebra bit for bit, not its calculus."""
+
+import math
 
 import numpy as np
 
@@ -60,3 +64,40 @@ def rank_and_kth(masked, targets, k):
         if k <= rest.size:
             kth[u] = row[rest[k - 1]]
     return rank, kth
+
+
+def per_user_survey(ad, objective, dv, dt, users, k_users):
+    """One target's survey as a loop over its audience ``users``: per user, a
+    sigmoid(score - threshold) head, one backward to the (1, d) delta leaves
+    ``dv`` and ``dt``, then a norm, a cosine against the aggregate and a
+    sort key. ``ad`` is the program's autodiff and ``objective`` its
+    Promotion of the target, both passed in so that nothing here imports
+    the package. Returns (g_v, g_t, c_v, c_t, users_v, users_t, jaccard),
+    gradients as (U, d) arrays and contributions as (U,) arrays."""
+    h_i = objective.forward.item_embedding_batch([objective.item], dv, dt)
+    grads = []
+    for row, thr in zip(objective.rows.numpy(), objective.thresholds.numpy()[:, 0]):
+        score = ad.dot(ad.Tensor(row[None, :]), h_i)
+        g_v, g_t = ad.grad(ad.sigmoid(ad.sub(score, ad.Tensor(thr))), [dv, dt])
+        grads.append((g_v.numpy()[0], g_t.numpy()[0]))
+
+    def cosine(a, b):
+        na, nb = math.sqrt(a.dot(a)), math.sqrt(b.dot(b))
+        if na < ad.NORM_TOLERANCE or nb < ad.NORM_TOLERANCE:
+            return 0.0
+        return float(a.dot(b) / (na * nb))
+
+    out = []
+    for m in (0, 1):
+        g = [pair[m] for pair in grads]
+        agg = np.sum(g, axis=0)
+        norm_sum = float(sum(np.linalg.norm(x) for x in g))
+        out.append((np.array(g), np.array([cosine(x, agg) * math.sqrt(x.dot(x)) / norm_sum
+                                           for x in g])))
+    tops = []
+    for _, c in out:
+        ranked = sorted(zip(users.tolist(), c.tolist()), key=lambda uc: (-uc[1], uc[0]))
+        tops.append(np.array(sorted(u for u, _ in ranked[:k_users]), dtype=np.int64))
+    sv, st = set(tops[0].tolist()), set(tops[1].tolist())
+    return (out[0][0], out[1][0], out[0][1], out[1][1], tops[0], tops[1],
+            len(sv & st) / len(sv | st))

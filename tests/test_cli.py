@@ -598,6 +598,18 @@ def test_every_default_passes_its_own_parser():
         assert parse(str(default)) == default, key
 
 
+def test_every_bool_key_takes_a_python_bool():
+    keys = [key for key, (parse, _) in config.SCHEMA.items() if parse is config._bool]
+    assert "attack.with_align" in keys
+    for key in keys:
+        for value in (True, False):
+            assert Config({key: value})[key] is value
+            assert Config({key: f" {str(value).upper()} "})[key] is value
+        for value in ("maybe", 2, None):
+            with pytest.raises(ConfigError, match=key):
+                Config({key: value})
+
+
 def test_every_enum_key_checks_its_choices():
     enums = {key: parse.choices for key, (parse, _) in config.SCHEMA.items()
              if hasattr(parse, "choices")}

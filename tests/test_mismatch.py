@@ -4,11 +4,12 @@ import pytest
 from mmadvrec import attacks, autodiff as ad, metrics, mismatch, models
 from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
-from mmadvrec.mismatch import (UserContribution, directional_contribution, jaccard,
-                               mismatch_survey, per_user_gradients, top_user_sets,
+from mmadvrec.mismatch import (UserContribution, default_k_users, directional_contribution,
+                               jaccard, mismatch_survey, per_user_gradients, top_user_sets,
                                user_contributions)
 
 import oracles
+import reference
 from oracles import rel_err
 from reference import fd_gradient
 
@@ -72,13 +73,15 @@ def test_per_user_gradient_fd_two_user_toy(scene):
 def test_directional_contribution_trivials():
     g = np.array([1.0, 2.0, -1.0])
     n = 5
-    c = directional_contribution(g, n * g, n * np.linalg.norm(g))
-    assert c == pytest.approx(1.0 / n, abs=1e-12)
-    c = directional_contribution(-g, g, 2 * np.linalg.norm(g))
-    assert c == pytest.approx(-0.5, abs=1e-12)
-    assert directional_contribution(np.zeros(3), g, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        directional_contribution(g, g, 0.0)
+    c = directional_contribution(g[None, :], n * g, n * np.linalg.norm(g))
+    assert c.shape == (1,) and c[0] == pytest.approx(1.0 / n, abs=1e-12)
+    c = directional_contribution(np.array([-g, g]), g, 2 * np.linalg.norm(g))
+    assert c == pytest.approx([-0.5, 0.5], abs=1e-12)
+    c = directional_contribution(np.array([np.zeros(3), g]), g, 1.0)
+    assert c[0] == 0.0 and c[1] != 0.0
+    assert directional_contribution(np.array([g]), np.zeros(3), 1.0)[0] == 0.0
+    with pytest.raises(ValueError, match="zero norm sum"):
+        directional_contribution(np.array([g]), g, 0.0)
 
 
 def test_directional_contribution_matches_oracle():
@@ -87,17 +90,17 @@ def test_directional_contribution_matches_oracle():
         grads = rng.normal(size=(5, 4))
         agg = grads.sum(axis=0)
         norm_sum = sum(np.linalg.norm(g) for g in grads)
-        for g, want in zip(grads, oracles.contributions(grads)):
-            assert abs(directional_contribution(g, agg, norm_sum) - want) < 1e-12
+        got = directional_contribution(grads, agg, norm_sum)
+        assert np.max(np.abs(got - oracles.contributions(grads))) < 1e-12
 
 
 def test_contribution_sum_bound_and_collinear_equality():
     # positively collinear gradients: sum of contributions is exactly 1
     base = np.array([2.0, 1.0])
-    contribs = [base * s for s in (0.5, 1.0, 2.0)]
+    contribs = np.array([base * s for s in (0.5, 1.0, 2.0)])
     agg = np.sum(contribs, axis=0)
     norm_sum = sum(np.linalg.norm(g) for g in contribs)
-    total = sum(directional_contribution(g, agg, norm_sum) for g in contribs)
+    total = directional_contribution(contribs, agg, norm_sum).sum()
     assert total == pytest.approx(1.0, abs=1e-12)
     # non-collinear: strictly below 1
     rng = np.random.default_rng(8)
@@ -105,7 +108,7 @@ def test_contribution_sum_bound_and_collinear_equality():
         grads = rng.normal(size=(4, 3))
         agg = grads.sum(axis=0)
         norm_sum = sum(np.linalg.norm(g) for g in grads)
-        total = sum(directional_contribution(g, agg, norm_sum) for g in grads)
+        total = directional_contribution(grads, agg, norm_sum).sum()
         assert total <= 1.0 + 1e-12
 
 
@@ -205,3 +208,64 @@ def test_survey_skips_a_target_with_zero_user_gradients(trained_concat, tiny_dat
     assert result.histogram.mean == result.reports[0].jaccard
     with pytest.raises(DataError, match="at least one target"):
         mismatch_survey(params, enc, [], k=10)
+
+
+def _survey_bits(report):
+    cs = report.contributions
+    got = (np.array([c.g_v for c in cs]), np.array([c.g_t for c in cs]),
+           np.array([c.c_v for c in cs]), np.array([c.c_t for c in cs]),
+           report.users_v, report.users_t, report.jaccard)
+    return [np.asarray(x).tobytes() for x in got]
+
+
+def _oracle_bits(cache, enc, i, users, k, k_users):
+    dv = ad.leaf(np.zeros((1, enc.raw_v.shape[1])))
+    dt = ad.leaf(np.zeros((1, enc.raw_t.shape[1])))
+    want = reference.per_user_survey(ad, attacks.promotion(cache, i, users, k), dv, dt,
+                                     users, k_users)
+    return [np.asarray(x).tobytes() for x in want]
+
+
+@pytest.mark.parametrize("kind", ["concat", "graph"])
+def test_survey_is_bitwise_the_per_user_loop(kind, request, tiny_dataset):
+    """Gradients, contributions, top sets and Jaccard of the array survey
+    equal, bit for bit, those of a sigmoid head, a norm and a cosine per user."""
+    params, enc = request.getfixturevalue(f"trained_{kind}")
+    cache = RankCache(params, enc)
+    targets = metrics.select_targets(tiny_dataset["raw"], 4, n_unpop=4, seed=5)
+    result = mismatch_survey(params, enc, targets, k=10, cache=cache)
+    assert [r.item for r in result.reports] == [int(i) for i in targets]
+    for report in result.reports:
+        users = attacks.promoted_user_set(enc.table, report.item)
+        assert [c.user for c in report.contributions] == users.tolist()
+        k_users = default_k_users(users.size)
+        assert (_survey_bits(report)
+                == _oracle_bits(cache, enc, report.item, users, 10, k_users))
+
+
+def test_survey_with_some_users_saturated_is_bitwise_the_per_user_loop(
+        trained_concat, tiny_dataset):
+    """Every fourth user of the audience beats their threshold by about 1000,
+    so their sigmoid slope is exactly 0: a zero gradient row and a
+    contribution of exactly 0, and the top sets take those ties by user id."""
+    params, enc = trained_concat
+    params = params.clone()
+    i = int(metrics.select_targets(tiny_dataset["raw"], 1, n_unpop=4, seed=5)[0])
+    users = attacks.promoted_user_set(enc.table, i)
+    saturated = users[::4]
+    params.user_embeds[:, 0] = 0.0
+    params.user_embeds[saturated, 0] = 1.0
+    params.item_embeds[i, 0] = 1e3
+    cache = RankCache(params, enc)
+    contribs = user_contributions(params, enc, i, users, k=10, cache=cache)
+    zero = [c.user for c in contribs if not c.g_v.any() and not c.g_t.any()]
+    assert zero == saturated.tolist()
+    assert all(c.c_v == 0.0 and c.c_t == 0.0 for c in contribs if c.user in zero)
+    # cut the visual top set two places into the zero ties
+    k_users = sum(c.c_v > 0 for c in contribs) + 2
+    result = mismatch_survey(params, enc, [i], k_users=k_users, k=10, cache=cache)
+    report = result.reports[0]
+    assert set(zero[:2]) <= set(report.users_v.tolist())
+    assert not set(zero[2:]) & set(report.users_v.tolist())
+    assert (_survey_bits(report)
+            == _oracle_bits(cache, enc, i, users, 10, k_users))
