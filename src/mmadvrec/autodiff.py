@@ -15,11 +15,13 @@ there, and no node refers to itself.
 Transposes: a constant holds a private copy of its data that nothing
 changes, so its transpose is computed once, kept on the node and returned
 by every later ``transpose`` of it, including the one in each backward
-through ``matmul``; the kept transpose is such a constant too. It is
-C-contiguous, as every transpose is, so products with it round as before.
-A tensor that wraps an array it does not own, such as ``Forward``'s views
-of the parameters that the optimiser updates in place, is transposed afresh
-each time.
+through ``matmul``; the kept transpose is such a constant too. A frozen
+``Forward`` holds its projection and propagation weights as such
+constants, so every encode and backward through it shares one transpose of
+each. Only a tensor that wraps an array it does not own is transposed
+afresh each time: a trainable ``Forward``'s leaves, which the optimiser
+updates in place, or a ``Tensor`` over a caller's array. Every transpose is
+C-contiguous, so products with it round alike.
 """
 
 from __future__ import annotations
@@ -70,26 +72,45 @@ class Tensor:
     """Immutable float64 array plus the bookkeeping needed for backprop.
 
     ``_links`` holds (parent, vjp) pairs for parents that require grad; the
-    vjp closure maps the cotangent of this node and the node itself to the
-    cotangent contribution of that parent, expressed in traced ops so it
-    stays differentiable. A node requires grad if it has links or is a leaf.
+    vjp maps the cotangent of this node and the node itself to the cotangent
+    contribution of that parent, expressed in traced ops so it stays
+    differentiable. A node requires grad if it has links or is a leaf.
     ``_owns_data`` marks a constant whose data is its own copy, and
     ``_transposed`` keeps that constant's transpose once it is asked for.
+
+    Ops build their outputs through ``_node``: while recording, an output
+    with an operand that requires grad is linked; any other is a bare node,
+    its value and id with no closures or links. ``_derivative`` keeps a tanh
+    or sigmoid node's derivative, 1 - y y or y (1 - y) of its output y, made
+    with the traced form's float ops by its first backward that does not
+    record and reused by later ones; a ``create_graph`` backward builds the
+    traced form, whose own derivative it needs.
     """
 
-    _owns_data = False
-    _transposed = None
+    __slots__ = ("data", "requires_grad", "_links", "_id", "_owns_data", "_transposed",
+                 "_derivative", "__weakref__")
 
-    def __init__(self, data, _links=()):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim > 2:
             raise ShapeError(f"only scalars, vectors and matrices supported, got shape {arr.shape}")
-        if not arr.flags.c_contiguous:
+        self._set(arr, False)
+
+    def _set(self, arr, requires_grad):
+        if not arr.flags.c_contiguous:  # a transpose, a column slice: products round alike
             arr = np.copy(arr, order="C")
         self.data = arr
-        self._links = tuple(_links)
-        self.requires_grad = bool(self._links)
+        self.requires_grad = requires_grad
+        self._links = ()
         self._id = next(_ids)
+        self._owns_data = False
+        self._transposed = self._derivative = None
+        return self
+
+    def _link(self, *links):
+        """Record the (parent, vjp) pairs of the parents that require grad."""
+        self._links = tuple(link for link in links if link[0].requires_grad)
+        return self
 
     @property
     def shape(self):
@@ -128,10 +149,14 @@ def leaf(data):
     return out
 
 
-def _node(data, links):
-    if not _grad_enabled():
-        return Tensor(data)
-    return Tensor(data, [(p, fn) for p, fn in links if p.requires_grad])
+def _node(data, *parents):
+    """An op's output over ``data``, its float64 result (a numpy scalar from a
+    reduction). It requires grad, and the op then links it, only while
+    recording and if some parent requires grad."""
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
+    recording = any([p.requires_grad for p in parents]) and _grad_enabled()
+    return Tensor.__new__(Tensor)._set(data, recording)
 
 
 def _check_pair(a, b):
@@ -146,106 +171,131 @@ def fill(s, shape):
     """Broadcast a scalar to the given shape: the adjoint of ``sum_all``."""
     if shape == ():
         return s
-    return _node(np.full(shape, s.data), [(s, lambda g, _: sum_all(g))])
+    out = _node(np.full(shape, s.data), s)
+    return out._link((s, lambda g, _: sum_all(g))) if out.requires_grad else out
 
 
 def add(a, b):
     _check_pair(a, b)
-    return _node(a.data + b.data, [(a, lambda g, _: g), (b, lambda g, _: g)])
+    out = _node(a.data + b.data, a, b)
+    return out._link((a, lambda g, _: g), (b, lambda g, _: g)) if out.requires_grad else out
 
 
 def sub(a, b):
     _check_pair(a, b)
-    return _node(a.data - b.data, [(a, lambda g, _: g), (b, lambda g, _: neg(g))])
+    out = _node(a.data - b.data, a, b)
+    return out._link((a, lambda g, _: g), (b, lambda g, _: neg(g))) if out.requires_grad else out
 
 
 def mul(a, b):
     _check_pair(a, b)
-    return _node(a.data * b.data, [(a, lambda g, _: mul(g, b)), (b, lambda g, _: mul(g, a))])
+    out = _node(a.data * b.data, a, b)
+    return (out._link((a, lambda g, _: mul(g, b)), (b, lambda g, _: mul(g, a)))
+            if out.requires_grad else out)
 
 
 def div(a, b):
     _check_pair(a, b)
     if np.any(b.data == 0.0):
         raise DomainError("division by zero")
-    return _node(a.data / b.data, [(a, lambda g, _: div(g, b)),
-                                   (b, lambda g, _: neg(div(mul(g, a), mul(b, b))))])
+    out = _node(a.data / b.data, a, b)
+    return (out._link((a, lambda g, _: div(g, b)),
+                      (b, lambda g, _: neg(div(mul(g, a), mul(b, b)))))
+            if out.requires_grad else out)
 
 
 def neg(a):
-    return _node(-a.data, [(a, lambda g, _: neg(g))])
+    out = _node(-a.data, a)
+    return out._link((a, lambda g, _: neg(g))) if out.requires_grad else out
 
 
 def sqrt(a):
     if np.any(a.data < 0.0):
         raise DomainError("sqrt of negative input")
-    return _node(np.sqrt(a.data),
-                 [(a, lambda g, out: div(g, mul(Tensor(np.full(out.shape, 2.0)), out)))])
+    out = _node(np.sqrt(a.data), a)
+    return (out._link((a, lambda g, y: div(g, mul(Tensor(np.full(y.shape, 2.0)), y))))
+            if out.requires_grad else out)
 
 
 def sigmoid(a):
     x = a.data
     e = np.exp(-np.abs(x))
-    val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _node(val,
-                 [(a, lambda g, out: mul(g, mul(out, sub(Tensor(np.ones(out.shape)), out))))])
+    out = _node(np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), a)
+    return out._link((a, _sigmoid_vjp)) if out.requires_grad else out
+
+
+def _sigmoid_vjp(g, out):
+    if _grad_enabled():
+        return mul(g, mul(out, sub(Tensor(np.ones(out.shape)), out)))
+    if out._derivative is None:
+        out._derivative = _node(out.data * (1.0 - out.data))
+    return mul(g, out._derivative)
 
 
 def tanh(a):
-    return _node(np.tanh(a.data),
-                 [(a, lambda g, out: mul(g, sub(Tensor(np.ones(out.shape)), mul(out, out))))])
+    out = _node(np.tanh(a.data), a)
+    return out._link((a, _tanh_vjp)) if out.requires_grad else out
+
+
+def _tanh_vjp(g, out):
+    if _grad_enabled():
+        return mul(g, sub(Tensor(np.ones(out.shape)), mul(out, out)))
+    if out._derivative is None:
+        out._derivative = _node(1.0 - out.data * out.data)
+    return mul(g, out._derivative)
 
 
 def softplus(a):
     """ln(1 + e^x), evaluated stably; its derivative is sigmoid(x)."""
     x = a.data
-    val = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    return _node(val, [(a, lambda g, _: mul(g, sigmoid(a)))])
+    out = _node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), a)
+    return out._link((a, lambda g, _: mul(g, sigmoid(a)))) if out.requires_grad else out
 
 
 def sum_all(a):
-    shape = a.shape
-    return _node(np.sum(a.data), [(a, lambda g, _: fill(g, shape))])
+    out = _node(np.sum(a.data), a)
+    return out._link((a, lambda g, _: fill(g, a.shape))) if out.requires_grad else out
 
 
 def sum_squares(a):
     """sum(a * a) as one node, with the bits of ``sum_all(mul(a, a))``. Its
     vjp (2g) a is bitwise the g a + g a that the composite accumulates, since
     doubling is exact, except where g a is subnormal or 2g overflows."""
-    shape = a.shape
-    return _node(np.sum(a.data * a.data), [(a, lambda g, _: mul(fill(add(g, g), shape), a))])
+    out = _node(np.sum(a.data * a.data), a)
+    return (out._link((a, lambda g, _: mul(fill(add(g, g), a.shape), a)))
+            if out.requires_grad else out)
 
 
 def sum_rows(a):
     """Row sums of a matrix: (n, d) -> (n,)."""
     if a.ndim != 2:
         raise ShapeError(f"sum_rows expects a matrix, got shape {a.shape}")
-    d = a.shape[1]
-    return _node(np.sum(a.data, axis=1), [(a, lambda g, _: broadcast_col(g, d))])
+    out = _node(np.sum(a.data, axis=1), a)
+    return out._link((a, lambda g, _: broadcast_col(g, a.shape[1]))) if out.requires_grad else out
 
 
 def sum_cols(a):
     """Column sums of a matrix: (n, d) -> (d,)."""
     if a.ndim != 2:
         raise ShapeError(f"sum_cols expects a matrix, got shape {a.shape}")
-    n = a.shape[0]
-    return _node(np.sum(a.data, axis=0), [(a, lambda g, _: broadcast_row(g, n))])
+    out = _node(np.sum(a.data, axis=0), a)
+    return out._link((a, lambda g, _: broadcast_row(g, a.shape[0]))) if out.requires_grad else out
 
 
 def broadcast_col(v, d):
     """Tile a vector (n,) as d identical columns: -> (n, d)."""
     if v.ndim != 1:
         raise ShapeError(f"broadcast_col expects a vector, got shape {v.shape}")
-    data = np.repeat(v.data[:, None], d, axis=1)
-    return _node(data, [(v, lambda g, _: sum_rows(g))])
+    out = _node(np.repeat(v.data[:, None], d, axis=1), v)
+    return out._link((v, lambda g, _: sum_rows(g))) if out.requires_grad else out
 
 
 def broadcast_row(v, n):
     """Tile a vector (d,) as n identical rows: -> (n, d)."""
     if v.ndim != 1:
         raise ShapeError(f"broadcast_row expects a vector, got shape {v.shape}")
-    data = np.repeat(v.data[None, :], n, axis=0)
-    return _node(data, [(v, lambda g, _: sum_cols(g))])
+    out = _node(np.repeat(v.data[None, :], n, axis=0), v)
+    return out._link((v, lambda g, _: sum_cols(g))) if out.requires_grad else out
 
 
 def transpose(a):
@@ -253,17 +303,20 @@ def transpose(a):
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
     if a._owns_data and not a.requires_grad:
         if a._transposed is None:
-            a._transposed = Tensor(a.data.T)
+            a._transposed = _node(a.data.T)
             a._transposed._owns_data = True
         return a._transposed
-    return _node(a.data.T, [(a, lambda g, _: transpose(g))])
+    out = _node(a.data.T, a)
+    return out._link((a, lambda g, _: transpose(g))) if out.requires_grad else out
 
 
 def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-    return _node(a.data @ b.data, [(a, lambda g, _: matmul(g, transpose(b))),
-                                   (b, lambda g, _: matmul(transpose(a), g))])
+    out = _node(a.data @ b.data, a, b)
+    return (out._link((a, lambda g, _: matmul(g, transpose(b))),
+                      (b, lambda g, _: matmul(transpose(a), g)))
+            if out.requires_grad else out)
 
 
 def take_rows(m, idx):
@@ -275,8 +328,9 @@ def take_rows(m, idx):
         raise ShapeError("take_rows index must be 1-d")
     if idx.size and (idx.min() < 0 or idx.max() >= m.shape[0]):
         raise ShapeError("take_rows index out of range")
-    n = m.shape[0]
-    return _node(m.data[idx], [(m, lambda g, _: scatter_rows(g, idx, n))])
+    out = _node(m.data[idx], m)
+    return (out._link((m, lambda g, _: scatter_rows(g, idx, m.shape[0])))
+            if out.requires_grad else out)
 
 
 def bincount_rows(index, rows, n):
@@ -293,7 +347,8 @@ def scatter_rows(g, idx, num_rows):
     idx = np.asarray(idx, dtype=np.int64)
     if g.ndim != 2 or g.shape[0] != idx.shape[0]:
         raise ShapeError(f"scatter_rows shape mismatch {g.shape} vs {idx.shape}")
-    return _node(bincount_rows(idx, g.data, num_rows), [(g, lambda gg, _: take_rows(gg, idx))])
+    out = _node(bincount_rows(idx, g.data, num_rows), g)
+    return out._link((g, lambda gg, _: take_rows(gg, idx))) if out.requires_grad else out
 
 
 def hstack(parts):
@@ -301,25 +356,27 @@ def hstack(parts):
     rows = {p.shape[0] for p in parts}
     if any(p.ndim != 2 for p in parts) or len(rows) != 1:
         raise ShapeError("hstack expects matrices with equal row counts")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-    links = []
-    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        links.append((p, lambda g, _, lo=int(lo), hi=int(hi): slice_cols(g, lo, hi)))
-    return _node(np.concatenate([p.data for p in parts], axis=1), links)
+    out = _node(np.concatenate([p.data for p in parts], axis=1), *parts)
+    if not out.requires_grad:
+        return out
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts]).tolist()
+    return out._link(*((p, lambda g, _, lo=lo, hi=hi: slice_cols(g, lo, hi))
+                       for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])))
 
 
 def slice_cols(m, lo, hi):
     if m.ndim != 2 or not (0 <= lo <= hi <= m.shape[1]):
         raise ShapeError(f"bad column slice [{lo}:{hi}] of shape {m.shape}")
-    d = m.shape[1]
-    return _node(m.data[:, lo:hi], [(m, lambda g, _: pad_cols(g, lo, d))])
+    out = _node(m.data[:, lo:hi], m)
+    return out._link((m, lambda g, _: pad_cols(g, lo, m.shape[1]))) if out.requires_grad else out
 
 
 def pad_cols(m, lo, total):
     data = np.zeros((m.shape[0], total))
     data[:, lo:lo + m.shape[1]] = m.data
-    hi = lo + m.shape[1]
-    return _node(data, [(m, lambda g, _: slice_cols(g, lo, hi))])
+    out = _node(data, m)
+    return (out._link((m, lambda g, _: slice_cols(g, lo, lo + m.shape[1])))
+            if out.requires_grad else out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +441,13 @@ def grad(loss, wrt, create_graph=False):
     wanted = {w._id for w in wrt}
     grads = {loss._id: constant(1.0)}
     with no_grad() if not create_graph else contextlib.nullcontext():
-        for node in sorted(nodes.values(), key=lambda n: -n._id):
-            g = grads.pop(node._id, None)
+        for key in sorted(nodes, reverse=True):  # ids are unique: latest node first
+            g = grads.pop(key, None)
             if g is None:
                 continue
-            if node._id in wanted:
-                grads[node._id] = g  # keep for result extraction
+            node = nodes[key]
+            if key in wanted:
+                grads[key] = g  # keep for result extraction
             for parent, vjp in node._links:
                 contrib = vjp(g, node)
                 prev = grads.get(parent._id)

@@ -83,11 +83,13 @@ def _norms(grads):
     return np.sqrt([g.dot(g) for g in grads])
 
 
-def directional_contribution(grads, aggregate, norm_sum):
-    """cos(g_u, G) ||g_u|| / norm_sum per row g_u of (U, d) grads; 0 if g_u = 0."""
+def directional_contribution(grads, aggregate, norms):
+    """cos(g_u, G) ||g_u|| / sum_v ||g_v|| per row g_u of (U, d) grads, given
+    their (U,) row norms, whose sum is added in user order; 0 if g_u = 0."""
+    norm_sum = sum(norms.tolist())
     if norm_sum <= 0:
         raise ValueError("all user gradients are degenerate (zero norm sum)")
-    norms, agg_norm = _norms(grads), math.sqrt(aggregate.dot(aggregate))
+    agg_norm = math.sqrt(aggregate.dot(aggregate))
     cos = np.divide([g.dot(aggregate) for g in grads], norms * agg_norm, out=np.zeros(len(grads)),
                     where=(norms >= ad.NORM_TOLERANCE) & (agg_norm >= ad.NORM_TOLERANCE))
     return cos * norms / norm_sum
@@ -97,8 +99,7 @@ def user_contributions(params, enc, i, users, k=50, cache=None):
     """UserContribution records for every user in the promotion set."""
     grads = per_user_gradients(params, enc, i, users, k=k, cache=cache)
     g_v, g_t = np.array([g for g, _ in grads]), np.array([g for _, g in grads])
-    c_v, c_t = (directional_contribution(g, np.sum(g, axis=0), sum(_norms(g).tolist()))
-                for g in (g_v, g_t))  # each norm sum added in user order
+    c_v, c_t = (directional_contribution(g, np.sum(g, axis=0), _norms(g)) for g in (g_v, g_t))
     return [UserContribution(*rec) for rec in
             zip(np.asarray(users).tolist(), g_v, g_t, c_v.tolist(), c_t.tolist())]
 

@@ -184,18 +184,23 @@ class Forward:
     Every encoding is a batch of rows. Training moves each row by its own
     (B, d) delta row; an attacked or surveyed item is a 1-row batch whose
     deltas are (1, d) leaves; ranking runs the same calls under
-    ``ad.no_grad()``. Its nodes view the parameter arrays, so the parameters
-    must not change while the forward is in use. With ``trainable=True`` they
-    are graph leaves and ``param_leaves()`` lists them for ``ad.grad``: the
-    optimiser changes the arrays in place only after the gradients are taken.
+    ``ad.no_grad()``. With ``trainable=True`` every parameter is a graph leaf
+    that views its array, and ``param_leaves()`` lists them for ``ad.grad``:
+    the optimiser changes the arrays in place only after the gradients are
+    taken, and each product with a weight transposes it afresh. A frozen
+    forward views the embedding tables, so they must not change while it is
+    in use, and holds the projection and propagation weights as constants of
+    its own, whose transposes are copied once and kept for every later
+    encode and backward.
     """
 
     def __init__(self, params, enc, trainable=False):
         _check_shapes(params, enc)
         self.params = params
         self.enc = enc
-        wrap = ad.leaf if trainable else ad.Tensor
-        self.nodes = {name: wrap(arr) for name, arr in params.arrays().items()}
+        self.nodes = {name: ad.leaf(arr) if trainable else
+                      ad.Tensor(arr) if name.endswith("_embeds") else ad.constant(arr)
+                      for name, arr in params.arrays().items()}
 
     def param_names(self):
         return sorted(self.nodes)
@@ -268,7 +273,7 @@ class Scorer:
     def __init__(self, params, enc):
         self.params = params
         self.enc = enc
-        self._forward = fw = Forward(params, enc)  # its nodes view params: no copies
+        self._forward = fw = Forward(params, enc)  # it views the embedding tables
         self._reach = None  # (target, affected rows, their weights, unit weights)
         with ad.no_grad():
             self.item_matrix = fw.item_embedding_batch(np.arange(enc.table.num_items)).numpy()

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import weakref
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmadvrec import autodiff as ad
+from mmadvrec import models
 
 from oracles import rel_err
 from reference import fd_gradient
@@ -330,3 +332,120 @@ def test_graph_through_self_linked_ops_is_freed_without_the_cycle_collector():
     finally:
         gc.enable()
     assert np.all(np.isfinite(h.numpy()))
+
+
+# op -> (call on tensors, operand shapes); operands are positive, inside
+# sqrt's domain and away from div's pole
+_OPS = {
+    "fill": (lambda s: ad.fill(s, (2, 3)), [()]),
+    "add": (ad.add, [(2, 3), (2, 3)]),
+    "sub": (ad.sub, [(2, 3), (2, 3)]),
+    "mul": (ad.mul, [(2, 3), (2, 3)]),
+    "div": (ad.div, [(2, 3), (2, 3)]),
+    "neg": (ad.neg, [(2, 3)]),
+    "sqrt": (ad.sqrt, [(2, 3)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "tanh": (ad.tanh, [(2, 3)]),
+    "softplus": (ad.softplus, [(2, 3)]),
+    "sum_all": (ad.sum_all, [(2, 3)]),
+    "sum_squares": (ad.sum_squares, [(2, 3)]),
+    "sum_rows": (ad.sum_rows, [(2, 3)]),
+    "sum_cols": (ad.sum_cols, [(2, 3)]),
+    "broadcast_col": (lambda v: ad.broadcast_col(v, 3), [(2,)]),
+    "broadcast_row": (lambda v: ad.broadcast_row(v, 3), [(2,)]),
+    "transpose": (ad.transpose, [(2, 3)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "take_rows": (lambda m: ad.take_rows(m, [2, 0, 2]), [(3, 2)]),
+    "scatter_rows": (lambda g: ad.scatter_rows(g, [2, 0, 2], 4), [(3, 2)]),
+    "hstack": (lambda a, b: ad.hstack([a, b]), [(2, 3), (2, 1)]),
+    "slice_cols": (lambda m: ad.slice_cols(m, 1, 3), [(2, 4)]),
+    "pad_cols": (lambda m: ad.pad_cols(m, 1, 4), [(2, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_every_op_gives_the_same_bits_recording_or_not(name):
+    """Leaves while recording get a linked node; leaves under no_grad and
+    constants get a bare one. All three hold the same bits in C order."""
+    op, shapes = _OPS[name]
+    rng = np.random.default_rng(len(name))
+    arrays = [0.5 + np.abs(rng.normal(size=shape)) for shape in shapes]
+    outs = []
+    for wrap, recording in ((ad.leaf, True), (ad.leaf, False), (ad.constant, True)):
+        with contextlib.nullcontext() if recording else ad.no_grad():
+            out = op(*(wrap(a) for a in arrays))
+        linked = recording and wrap is ad.leaf
+        assert out.requires_grad == linked and bool(out._links) == linked
+        assert out.data.flags.c_contiguous
+        outs.append((out.shape, out.data.strides, out.data.tobytes()))
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("op", [ad.tanh, ad.sigmoid], ids=["tanh", "sigmoid"])
+def test_kept_derivative_leaves_first_and_second_order_gradients_bitwise(op):
+    """A first-order backward keeps the node's derivative and reuses it; a
+    create_graph backward through the same node then gives the first- and
+    second-order gradients of a fresh graph, bit for bit, and the latter
+    agree with finite differences of the first-order gradient."""
+    rng = np.random.default_rng(13)
+    x0, w0 = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+
+    def build():
+        x = ad.leaf(x0)
+        y = op(x)
+        return x, y, ad.sum_all(ad.mul(y, ad.constant(w0)))
+
+    x, y, loss = build()
+    (g1,) = ad.grad(loss, [x])
+    kept = y._derivative
+    assert kept is not None
+    (again,) = ad.grad(loss, [x])
+    assert y._derivative is kept and again.numpy().tobytes() == g1.numpy().tobytes()
+    (g,) = ad.grad(loss, [x], create_graph=True)
+    (h,) = ad.grad(ad.sum_squares(g), [x])
+    fx, _, fresh_loss = build()
+    (fg,) = ad.grad(fresh_loss, [fx], create_graph=True)
+    (fh,) = ad.grad(ad.sum_squares(fg), [fx])
+    assert g1.numpy().tobytes() == g.numpy().tobytes() == fg.numpy().tobytes()
+    assert h.numpy().tobytes() == fh.numpy().tobytes()
+
+    def grad_sum_squares(vs):
+        x = ad.leaf(vs[0])
+        (gx,) = ad.grad(ad.sum_all(ad.mul(op(x), ad.constant(w0))), [x])
+        return float(np.sum(gx.numpy() ** 2))
+
+    (fd,) = fd_gradient(grad_sum_squares, [x0], step=1e-5)
+    assert rel_err(h.numpy(), fd) < 1e-6
+
+
+def test_frozen_forward_copies_each_weight_transpose_once(trained_graph, monkeypatch):
+    """Across two encodes, each with a backward, every transpose of a frozen
+    forward's weight, and of that kept transpose in the backward, returns
+    one kept copy; the encodes keep the bits of a trainable forward, which
+    transposes its leaves afresh."""
+    params, enc = trained_graph
+    fw = models.Forward(params, enc)
+    weights = [fw.nodes[name] for name in ("proj_v", "proj_t", "prop_v", "prop_t")]
+    for name, node in zip(("proj_v", "proj_t", "prop_v", "prop_t"), weights):
+        assert not np.shares_memory(node.numpy(), params.arrays()[name])
+    assert np.shares_memory(fw.nodes["item_embeds"].numpy(), params.item_embeds)
+    calls = []
+    transpose = ad.transpose
+
+    def spy(a):
+        calls.append((a, transpose(a)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ad, "transpose", spy)
+    rows = []
+    for items in ([0, 1, 2], [4]):
+        dv, dt = (ad.leaf(np.zeros((len(items), raw.shape[1]))) for raw in (enc.raw_v, enc.raw_t))
+        rows.append(fw.item_embedding_batch(items, dv, dt))
+        ad.grad(ad.sum_all(rows[-1]), [dv, dt])
+    for w in weights:
+        assert sum(a is w for a, _ in calls) == 2
+    for a, out in calls:
+        assert all(o is out for b, o in calls if b is a)
+    trainable = models.Forward(params, enc, trainable=True)
+    for items, row in zip(([0, 1, 2], [4]), rows):
+        assert row.numpy().tobytes() == trainable.item_embedding_batch(items).numpy().tobytes()

@@ -73,15 +73,15 @@ def test_per_user_gradient_fd_two_user_toy(scene):
 def test_directional_contribution_trivials():
     g = np.array([1.0, 2.0, -1.0])
     n = 5
-    c = directional_contribution(g[None, :], n * g, n * np.linalg.norm(g))
-    assert c.shape == (1,) and c[0] == pytest.approx(1.0 / n, abs=1e-12)
-    c = directional_contribution(np.array([-g, g]), g, 2 * np.linalg.norm(g))
+    c = directional_contribution(np.tile(g, (n, 1)), n * g, np.full(n, np.linalg.norm(g)))
+    assert c.shape == (n,) and c == pytest.approx(np.full(n, 1.0 / n), abs=1e-12)
+    c = directional_contribution(np.array([-g, g]), g, np.full(2, np.linalg.norm(g)))
     assert c == pytest.approx([-0.5, 0.5], abs=1e-12)
-    c = directional_contribution(np.array([np.zeros(3), g]), g, 1.0)
+    c = directional_contribution(np.array([np.zeros(3), g]), g, np.array([0.0, 1.0]))
     assert c[0] == 0.0 and c[1] != 0.0
-    assert directional_contribution(np.array([g]), np.zeros(3), 1.0)[0] == 0.0
+    assert directional_contribution(np.array([g]), np.zeros(3), np.ones(1))[0] == 0.0
     with pytest.raises(ValueError, match="zero norm sum"):
-        directional_contribution(np.array([g]), g, 0.0)
+        directional_contribution(np.zeros((2, 3)), np.zeros(3), np.zeros(2))
 
 
 def test_directional_contribution_matches_oracle():
@@ -89,8 +89,7 @@ def test_directional_contribution_matches_oracle():
     for _ in range(50):
         grads = rng.normal(size=(5, 4))
         agg = grads.sum(axis=0)
-        norm_sum = sum(np.linalg.norm(g) for g in grads)
-        got = directional_contribution(grads, agg, norm_sum)
+        got = directional_contribution(grads, agg, np.linalg.norm(grads, axis=1))
         assert np.max(np.abs(got - oracles.contributions(grads))) < 1e-12
 
 
@@ -99,16 +98,14 @@ def test_contribution_sum_bound_and_collinear_equality():
     base = np.array([2.0, 1.0])
     contribs = np.array([base * s for s in (0.5, 1.0, 2.0)])
     agg = np.sum(contribs, axis=0)
-    norm_sum = sum(np.linalg.norm(g) for g in contribs)
-    total = directional_contribution(contribs, agg, norm_sum).sum()
+    total = directional_contribution(contribs, agg, np.linalg.norm(contribs, axis=1)).sum()
     assert total == pytest.approx(1.0, abs=1e-12)
     # non-collinear: strictly below 1
     rng = np.random.default_rng(8)
     for _ in range(20):
         grads = rng.normal(size=(4, 3))
         agg = grads.sum(axis=0)
-        norm_sum = sum(np.linalg.norm(g) for g in grads)
-        total = directional_contribution(grads, agg, norm_sum).sum()
+        total = directional_contribution(grads, agg, np.linalg.norm(grads, axis=1)).sum()
         assert total <= 1.0 + 1e-12
 
 
