@@ -22,11 +22,12 @@ on other data it is a data error, and the plain attack's trace then records
 its gradient cosine as NaN.
 
 A step's hit count ``n_rec`` comes from the next forward's margins when the
-target's delta column reaches the target alone (every concat target, an
-isolated graph item): no other score moves, so a hit is a positive margin. A
-margin within rounding of 0 may tie, for the item-id rule to settle, so that
-step takes ``metrics.hit_count``, as a graph target with co-consumers does.
-``hit_before`` stays on ``hit_at_k``: a margin lacks the full product's bits.
+target's delta column reaches the target alone (``metrics.Target.alone``:
+every concat target, an isolated graph item): no other score moves, so a hit
+is a positive margin. A margin within rounding of 0 may tie, for the item-id
+rule to settle, so that step takes ``metrics.hit_count``, as a graph target
+with co-consumers does. ``hit_before`` stays on ``hit_at_k``: a margin lacks
+the full product's bits.
 """
 
 from __future__ import annotations
@@ -201,8 +202,7 @@ def run_attack(params, enc, feats_v, feats_t, i, config, cache=None):
     eps_v = float(budget_rows(feats_v, [i], config.eps_pct)[0])
     eps_t = float(budget_rows(feats_t, [i], config.eps_pct)[0])
     objective = promotion(cache, i, users, config.k)
-    column = enc.delta_column(i)
-    alone = np.count_nonzero(column) == 1 and column[i] == enc.self_coef[i]
+    alone = cache.target(i, config.k).alone
     weight = config.align_weight if config.with_align else 0.0
     scale, steps = (1.0, 1) if config.variant == "fgsm" else (1.25, config.pgd_steps)
     step_v = scale * eps_v / steps

@@ -357,6 +357,8 @@ def cmd_report(cfg, args):
         h, rows, _ = reports.read_csv(path)
         if header is not None and h != header:
             raise DataError(f"{path}: columns {h} differ from the first file's {header}")
+        if any(len(row) != len(h) for row in rows):
+            raise DataError(f"{path}: a row's field count differs from its {len(h)} columns")
         header = h
         combined.extend(rows)
     if header is None:
@@ -371,6 +373,12 @@ def cmd_report(cfg, args):
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+def _csv_field(text):
+    if any(c in text for c in ",\n\r"):  # it must stay one field of metrics.csv
+        raise argparse.ArgumentTypeError(f"{text!r} holds a comma or a line break")
+    return text
+
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="mmadvrec",
@@ -387,7 +395,7 @@ def build_parser():
         if needs_resume:
             p.add_argument("--resume", action="store_true")
         if name == "attack":
-            p.add_argument("--label", default="none",
+            p.add_argument("--label", default="none", type=_csv_field,
                            help="defense label recorded in metrics.csv")
         if name == "report":
             p.add_argument("--runs", nargs="*", default=None)

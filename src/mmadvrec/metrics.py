@@ -5,29 +5,22 @@ Ranking convention everywhere: higher score wins, exact ties broken by
 ascending item id, and a user's training items are excluded from their
 candidate pool, matching how recommendation lists are produced.
 
-No user x item array is ever held. Every clean score comes from the
-scorer's embedding matrices: the per-``k`` tables and ``recall_ndcg`` (256
-users at a time) and the hit test's full-row fallback score blocks of users
-as ``user_matrix[block] @ item_matrix.T`` and set each user's training items
-to -inf from the table's CSR rows, and a hit test without a moved target row
-scores the target's clean column as a two-column product. A product of one
-row or one column takes BLAS's matrix-vector path, whose rounding differs
-from the full product's, so no clean score comes from one: a lone row is
-stacked twice before its product, and every clean score has the bits of
-the full U x I product.
+No user x item array is ever held. The per-``k`` tables, ``recall_ndcg`` and
+the hit test's full-row fallback score blocks of users (``masked_rows``), and
+a hit test without a moved target row scores the target's clean column as a
+two-column product. A product of one row or one column takes BLAS's
+matrix-vector path, whose rounding differs from the full product's, so no
+clean score comes from one: every clean score has the bits of the full
+U x I product.
 
-Top-K thresholds and hit tests read a per-``k`` table that ``RankCache``
-builds on the first query for that ``k``: each user's min(2k+1, I) best
-masked clean scores in descending order, with their item ids. A threshold
-is one lookup per user. A hit test after a perturbation takes the moved
-items as embedding rows and scores the target's row for every user. It
-bounds, per user, the k-th best clean score outside the target and the
-moved items (the threshold algorithm of Fagin, Lotem and Naor, PODS 2001);
-only users whose target score reaches that bound are ranked, and only they
-score the other moved rows and read their table entries. Which users have
-seen the target or a moved item is read from the interaction table. An
-attack step that moves the target's row alone counts its hits from its
-promotion margins instead (``attacks``), unless a margin may tie.
+Top-K thresholds and hit tests read per-``k`` tables of each user's
+min(2k+1, I) best masked clean scores (``RankCache``). A hit test reads its
+target's record (``Target``), which bounds per user the k-th best clean
+score outside the target and the moved items (the threshold algorithm of
+Fagin, Lotem and Naor, PODS 2001): only users whose target score reaches
+that bound are ranked, and only they score the other moved rows. An attack
+step that moves the target's row alone counts its hits from its promotion
+margins instead (``attacks``), unless a margin may tie.
 """
 
 from __future__ import annotations
@@ -49,11 +42,10 @@ class RankCache:
     The per-``k`` tables are built on the first threshold or hit query for
     that ``k`` and kept, with an index of where each item sits in them: a
     threshold finds the users whose top k holds the target, and a bound
-    counts each user's excluded entries, without scanning the tables. A
-    hit test keeps the bound of its last (k, excluded
-    set), the excluded set being the target and the moved ids, and the
-    seen users of its last (target, moved ids); so the parameters must never
-    change once the cache is built.
+    counts each user's excluded entries, without scanning the tables.
+    ``target`` keeps the last hit-test record it built. The tables and
+    records hold clean scores, and the scorer's forward views the embedding
+    tables, so the parameters must never change once the cache is built.
 
     The bound: a user's table has depth D = min(2k+1, I). Let c of its
     entries be excluded items (the target or a moved item). Then the
@@ -75,8 +67,7 @@ class RankCache:
         self.enc = enc
         self.scorer = Scorer(params, enc)
         self._tops = {}
-        self._bound = None
-        self._moved = None
+        self._target = None
 
     def masked_rows(self, users):
         """Clean scores of ``users`` (an id array or a slice) for every item,
@@ -130,85 +121,89 @@ class RankCache:
         users = np.asarray(users)
         return np.where(inside[users], scores[users, k], scores[users, k - 1])
 
-    def hit_mask(self, i, k, moved=None):
-        """Boolean per user: does item i rank within the top k candidates?
+    def target(self, i, k):
+        """The hit-test record of item i at ``k``, built from one delta
+        column; the cache keeps the last one asked."""
+        last = self._target
+        if last is None or (last.item, last.k) != (i, k):
+            last = self._target = Target(self, i, k, self.enc.delta_column(i))
+        return last
 
-        ``moved`` is None or the pair (item ids, replacement embedding rows,
-        len(ids) x d) of the items a perturbation changed, as
-        ``Scorer.perturbed_rows`` returns it; the target is among them when
-        its own row moved. The target's row is scored for every user, the
-        other moved rows for candidate users only.
-        """
+    def hit_mask(self, target, rows=None):
+        """Boolean per user: does the record's item rank within its top k?
+        ``rows`` is None for the clean test, or one replacement embedding
+        row per support id, as ``Scorer.perturbed_rows`` returns them."""
         users = self.scorer.user_matrix
-        ids, repl = moved if moved is not None else ((), np.empty((0, users.shape[1])))
-        ids = np.asarray(ids, dtype=np.int64)
-        if np.shape(repl) != (ids.size, users.shape[1]):
-            raise ValueError("moved needs one replacement embedding row per moved item id")
-        scores, tids, _, _ = self._top(k)
-        own, consumers, seen, excluded_ids = self._moved_for(i, ids)
-        excluded, bound = self._bound_for(k, excluded_ids)
-        if own is None:  # the clean column, from a two-column product
-            target = (users @ self.scorer.item_matrix[[i, i]].T)[:, 0]
+        i, k = target.item, target.k
+        if rows is None:
+            own, (excluded, bound) = None, target.clean
+        elif np.shape(rows) != (target.support.size, users.shape[1]):
+            raise ValueError("rows needs one replacement embedding row per support id")
         else:
-            target = (users @ repl[own:own + 1].T)[:, 0]
-        target[consumers] = -np.inf
+            own, (excluded, bound) = target.own, target.moved
+        scores, tids, _, _ = self._top(k)
+        head = self.scorer.item_matrix[[i, i]] if own is None else rows[own:own + 1]
+        col = (users @ head.T)[:, 0]  # a clean column comes from a two-column product
+        col[target.consumers] = -np.inf
         hit = np.zeros(users.shape[0], dtype=bool)
-        rows = np.nonzero(np.isfinite(target) & (target >= bound))[0]
-        if rows.size == 0:
+        cands = np.nonzero(np.isfinite(col) & (col >= bound))[0]
+        if cands.size == 0:
             return hit
-        t = target[rows, None]
-        others = ids != i  # the target is left out, so it never beats itself
+        t = col[cands, None]
         beaters = 0
-        if others.any():
-            moved_cols = users[rows] @ repl[others].T
-            moved_cols[seen[rows]] = -np.inf
-            beaters = _beats(moved_cols, t, ids[others], i).sum(axis=1)
-        row_ids = tids[rows]
-        clean = (_beats(scores[rows], t, row_ids, i) & ~excluded[row_ids]).sum(axis=1)
+        if rows is not None and target.seen.shape[1]:
+            others = target.support != i  # the target never beats itself
+            moved_cols = users[cands] @ rows[others].T
+            moved_cols[target.seen[cands]] = -np.inf
+            beaters = _beats(moved_cols, t, target.support[others], i).sum(axis=1)
+        row_ids = tids[cands]
+        clean = (_beats(scores[cands], t, row_ids, i) & ~excluded[row_ids]).sum(axis=1)
         num_items = excluded.size
         if scores.shape[1] < num_items:
-            deep = t[:, 0] <= scores[rows, -1]
+            deep = t[:, 0] <= scores[cands, -1]
             if deep.any():
                 every = np.arange(num_items)
-                clean[deep] = (_beats(self.masked_rows(rows[deep]), t[deep], every, i)
+                clean[deep] = (_beats(self.masked_rows(cands[deep]), t[deep], every, i)
                                & ~excluded).sum(axis=1)
-        hit[rows] = beaters + clean <= k - 1
+        hit[cands] = beaters + clean <= k - 1
         return hit
 
-    def _bound_for(self, k, excluded_ids):
-        """(excluded items as a mask, per-user bound), kept for the last
-        (k, excluded set) asked: a clean test and a test that moves only the
-        target share one."""
-        key = (k, excluded_ids.tobytes())
-        if self._bound is None or self._bound[0] != key:
-            scores, _, ptr, where = self._top(k)
-            excluded = np.zeros(self.enc.table.num_items, dtype=bool)
+
+class Target:
+    """Everything a hit test of item i at ``k`` reads, built from i's delta
+    column, whose nonzero entries (``support``, with their ``weights``) are
+    the items a perturbation of i moves: ``alone`` (only i's row moves, by
+    its self coefficient), ``own`` (i's index in the support, or None), i's
+    ``consumers``, the U x m mask ``seen`` of who holds each other support
+    item, and the (excluded items as a mask, per-user bound) pairs of the
+    clean test (``clean``, i excluded) and the moved one (``moved``, the
+    support and i). A graph target's build costs about ten hit tests."""
+
+    def __init__(self, cache, i, k, column):
+        scores, _, ptr, where = cache._top(k)
+        t = cache.enc.table
+        self.item, self.k = i, k
+        self.support = np.nonzero(column)[0]
+        self.weights = column[self.support]
+        self.own = int(np.searchsorted(self.support, i)) if i in self.support else None
+        self.alone = bool(self.support.size == 1 and column[i] == cache.enc.self_coef[i])
+        self.consumers = t.users[t.item_positions([i])[0]]
+        others = self.support[self.support != i]
+        positions, lens = t.item_positions(others)
+        self.seen = np.zeros((t.num_users, others.size), dtype=bool)
+        self.seen[t.users[positions], np.repeat(np.arange(others.size), lens)] = True
+
+        def bound(excluded_ids):
+            excluded = np.zeros(t.num_items, dtype=bool)
             excluded[excluded_ids] = True
             depth = scores.shape[1]
             held = where[segment_positions(ptr, excluded_ids)[0]] // depth
             at = k - 1 + np.bincount(held, minlength=scores.shape[0])
-            bound = np.where(at < depth, scores[np.arange(at.size), np.minimum(at, depth - 1)],
-                             -np.inf)
-            self._bound = key, (excluded, bound)
-        return self._bound[1]
+            kth = scores[np.arange(at.size), np.minimum(at, depth - 1)]
+            return excluded, np.where(at < depth, kth, -np.inf)
 
-    def _moved_for(self, i, ids):
-        """(column of the target among the moved ids or None, the target's
-        consumers, U x m mask of which users hold each other moved item, the
-        sorted excluded ids), kept for the last (i, ids) asked. Who holds an
-        item is read from the table's item-major order."""
-        key = (i, ids.tobytes())
-        if self._moved is None or self._moved[0] != key:
-            t = self.enc.table
-            consumers = t.users[t.item_positions([i])[0]]
-            others = ids[ids != i]
-            rows, lens = t.item_positions(others)
-            seen = np.zeros((t.num_users, others.size), dtype=bool)
-            seen[t.users[rows], np.repeat(np.arange(others.size), lens)] = True
-            own = np.flatnonzero(ids == i)
-            self._moved = key, (int(own[0]) if own.size else None, consumers, seen,
-                                np.union1d(ids, [i]))
-        return self._moved[1]
+        self.clean = bound(np.array([i]))
+        self.moved = self.clean if others.size == 0 else bound(np.union1d(self.support, [i]))
 
 
 def _beats(score, target, ids, i):
@@ -219,19 +214,20 @@ def _beats(score, target, ids, i):
 
 def hit_count(params, enc, i, k, delta=None, cache=None):
     """Number of users whose top-k list contains item i (perturbed when
-    delta=(delta_v, delta_t) is given, which moves the embedding rows
-    ``Scorer.perturbed_rows`` returns; no user x item block is scored)."""
+    delta=(delta_v, delta_t) is given, which moves the rows ``perturbed_rows``
+    returns; no user x item block is scored). It reads the cache's record of
+    (i, k), so the hit tests of one target build it once."""
     cache = cache if cache is not None else RankCache(params, enc)
-    moved = None
+    target = cache.target(i, k)
+    rows = None
     if delta is not None:
         dv, dt = (np.asarray(d, dtype=np.float64) for d in delta)
-        moved = cache.scorer.perturbed_rows(i, dv, dt)
-    return int(cache.hit_mask(i, k, moved).sum())
+        rows = cache.scorer.perturbed_rows(target, dv, dt)[1]
+    return int(cache.hit_mask(target, rows).sum())
 
 
 def hit_at_k(params, enc, i, k, delta=None, cache=None):
     """Hit rate as a percentage of all users."""
-    cache = cache if cache is not None else RankCache(params, enc)
     n = hit_count(params, enc, i, k, delta=delta, cache=cache)
     return 100.0 * n / enc.table.num_users
 

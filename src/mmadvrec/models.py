@@ -274,7 +274,6 @@ class Scorer:
         self.params = params
         self.enc = enc
         self._forward = fw = Forward(params, enc)  # it views the embedding tables
-        self._reach = None  # (target, affected rows, their weights, unit weights)
         with ad.no_grad():
             self.item_matrix = fw.item_embedding_batch(np.arange(enc.table.num_items)).numpy()
             self.user_matrix = fw.user_embedding_batch(np.arange(enc.table.num_users)).numpy()
@@ -284,20 +283,15 @@ class Scorer:
         itself scores blocks of rows (``metrics.RankCache.masked_rows``)."""
         return self.user_matrix @ self.item_matrix.T
 
-    def perturbed_rows(self, i, delta_v, delta_t):
-        """(row indices, replacement embedding rows) after perturbing item i:
-        every row its feature delta column reaches, moved by its weight. The
-        rows and weights of the last target asked are kept; each row's delta
-        is weighted here, as an outer product, so the forward adds it as is."""
-        if self._reach is None or self._reach[0] != i:
-            col = self.enc.delta_column(i)
-            affected = np.nonzero(col)[0]
-            self._reach = i, affected, col[affected], np.ones(affected.size)
-        _, affected, weights, unit = self._reach
-        dv, dt = (ad.constant(np.outer(weights, d)) for d in (delta_v, delta_t))
+    def perturbed_rows(self, target, delta_v, delta_t):
+        """(row indices, replacement embedding rows) after perturbing the item
+        of a hit-test record (``metrics.Target``): every row of its support,
+        moved by its weight as an outer product, which the forward adds as is."""
+        dv, dt = (ad.constant(np.outer(target.weights, d)) for d in (delta_v, delta_t))
         with ad.no_grad():
-            rows = self._forward.item_embedding_batch(affected, dv, dt, weights=unit)
-        return affected, rows.numpy()
+            rows = self._forward.item_embedding_batch(target.support, dv, dt,
+                                                      weights=np.ones(target.support.size))
+        return target.support, rows.numpy()
 
 
 # ---------------------------------------------------------------------------

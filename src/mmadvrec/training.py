@@ -247,7 +247,7 @@ def _train(params, enc, feats_v, feats_t, config, adversarial, start_epoch=1):
     optimizer = make_optimizer(config)
     n_batches = max(1, enc.table.num_interactions // config.batch_size)
     log = TrainLog()
-    best = params.clone()
+    best = params  # the first epoch is evaluated and replaces it
     best_recall = -np.inf
     evals_since_best = 0
     for epoch in range(start_epoch, start_epoch + config.max_epochs):

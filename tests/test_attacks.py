@@ -363,7 +363,7 @@ def test_attack_gathers_once_and_runs_one_forward_per_step(request, scene, monke
         return embed(self, idx, delta_v, delta_t, weights)
 
     def counted_rows(self, *args):
-        perturbed.append(args[0])
+        perturbed.append(args[0].item)
         return perturb(self, *args)
 
     monkeypatch.setattr(models.Forward, "item_embedding_batch", counted)
@@ -409,3 +409,23 @@ def test_campaign_hit_after_is_the_hit_rate_of_the_final_deltas(scene, monkeypat
         pert, _ = run_attack(params, enc, fv, ft, i, cfg, cache=cache)
         assert row[5] == hit_at_k(params, enc, i, k_hit, delta=(pert.delta_v, pert.delta_t),
                                   cache=cache)
+
+
+def test_graph_campaign_builds_each_target_record_once(scene, trained_graph, monkeypatch):
+    """At ``attack.k == k_hit`` a graph target's clean test, its attack's
+    ``alone`` test and every step's hit test read one record
+    (``RankCache.target``), so each target's delta column is built once."""
+    params, enc = trained_graph
+    _, _, fv, ft, _, targets = scene
+    targets = [int(i) for i in targets[:3]]
+    calls = []
+    column = models.DatasetEncoding.delta_column
+
+    def counted(self, i):
+        calls.append(i)
+        return column(self, i)
+
+    monkeypatch.setattr(models.DatasetEncoding, "delta_column", counted)
+    cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=3, k=10)
+    cli.run_campaign(params, enc, fv, ft, targets, cfg, cfg.k)
+    assert calls == targets

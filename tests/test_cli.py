@@ -268,7 +268,8 @@ def test_report_merges_metrics(workspace):
     assert os.path.exists(os.path.join(out, "summary.csv"))
 
 
-@pytest.mark.parametrize("damage", ["cut in its sha256 line", "other columns"])
+@pytest.mark.parametrize("damage", ["cut in its sha256 line", "other columns",
+                                    "a row of other length"])
 def test_report_refuses_a_damaged_metrics_file(workspace, tmp_path, capsys, damage):
     header = ["run_id", "defense", "gain"]
     first, second, out = tmp_path / "a", tmp_path / "b", tmp_path / "out"
@@ -277,6 +278,8 @@ def test_report_refuses_a_damaged_metrics_file(workspace, tmp_path, capsys, dama
     reports.write_csv(first / "metrics.csv", header, [["abc", "none", 1.5]])
     if damage == "other columns":
         reports.write_csv(second / "metrics.csv", header[:2], [["def", "uat_mc"]])
+    elif damage == "a row of other length":  # as a label holding a comma wrote it
+        reports.write_csv(second / "metrics.csv", header, [["def", "uat", "mc", 2.5]])
     else:
         raw = (first / "metrics.csv").read_bytes()
         (second / "metrics.csv").write_bytes(raw[:raw.rindex(b"# sha256=") + 20])
@@ -284,6 +287,16 @@ def test_report_refuses_a_damaged_metrics_file(workspace, tmp_path, capsys, dama
                "--set", f"data.out_dir={out}") == cli.EXIT_DATA
     assert str(second / "metrics.csv") in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("label", ["uat,mc", "uat\nmc", "uat\rmc"],
+                         ids=["comma", "newline", "return"])
+def test_attack_refuses_a_label_that_is_not_one_csv_field(workspace, tmp_path, capsys, label):
+    ckpt = Path(workspace["out"], "pretrained.ckpt")
+    assert run(workspace, "attack", "--label", label, "--checkpoint", str(ckpt),
+               "--set", f"data.out_dir={tmp_path}") == cli.EXIT_CONFIG
+    assert "--label" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_rejected(workspace):

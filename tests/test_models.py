@@ -238,7 +238,7 @@ def test_rank_matches_brute_force_pairwise():
     for i in range(10):
         for k in (1, 2, 4, 9):
             rank, _ = rank_and_kth(masked, i, k)
-            assert np.array_equal(cache.hit_mask(i, k), rank <= k - 1)
+            assert np.array_equal(cache.hit_mask(cache.target(i, k)), rank <= k - 1)
 
 
 def test_rank_all_with_override(setup):
@@ -248,8 +248,9 @@ def test_rank_all_with_override(setup):
     i = 7
     dv = 0.3 * rng.normal(size=enc.raw_v.shape[1])
     dt = 0.3 * rng.normal(size=enc.raw_t.shape[1])
-    scorer = Scorer(params, enc)
-    rows, repl = scorer.perturbed_rows(i, dv, dt)
+    cache = metrics.RankCache(params, enc)
+    scorer = cache.scorer
+    rows, repl = scorer.perturbed_rows(cache.target(i, 1), dv, dt)
     assert np.array_equal(rows, np.nonzero(enc.delta_column(i))[0])
     vec = repl @ scorer.user_matrix[2]
     traced = score(Forward(params, enc), 2, i, row(dv), row(dt)).item()
@@ -264,7 +265,8 @@ def test_perturbed_rows_follow_delta_column(setup):
     dv = 0.3 * rng.normal(size=enc.raw_v.shape[1])
     dt = 0.3 * rng.normal(size=enc.raw_t.shape[1])
     col = enc.delta_column(i)
-    rows, repl = Scorer(params, enc).perturbed_rows(i, dv, dt)
+    cache = metrics.RankCache(params, enc)
+    rows, repl = cache.scorer.perturbed_rows(cache.target(i, 1), dv, dt)
     fw = Forward(params, enc)
     for j, got in zip(rows, repl):
         own = fw.item_embedding_batch([j], row(col[j] * dv), row(col[j] * dt),

@@ -102,6 +102,14 @@ def deep_hit_cases(draw):
     return masked, i, k, moved, new.reshape(moved.size, num_users)
 
 
+def target_over(cache, i, k, moved):
+    """Item i's hit-test record at ``k`` over a delta column whose nonzero
+    entries are the ``moved`` ids (sorted), with or without i itself."""
+    column = np.zeros(cache.enc.table.num_items)
+    column[moved] = 1.0
+    return metrics.Target(cache, i, k, column)
+
+
 def reference_hits(masked, i, k, moved, new):
     """Hits of item i by ``reference.rank_and_kth`` after the moved score
     columns replace theirs (``new[c]`` is item ``moved[c]``'s; a seen cell
@@ -116,7 +124,7 @@ def reference_hits(masked, i, k, moved, new):
 def test_hit_mask_matches_brute_force_sort(case):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
-    got = cache.hit_mask(i, k, (moved, new))
+    got = cache.hit_mask(target_over(cache, i, k, moved), new)
     assert np.array_equal(got, reference_hits(masked, i, k, moved, new))
 
 
@@ -125,7 +133,7 @@ def test_hit_mask_matches_brute_force_sort(case):
 def test_hit_mask_matches_brute_force_on_truncated_tables(case):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
-    got = cache.hit_mask(i, k, (moved, new))
+    got = cache.hit_mask(target_over(cache, i, k, moved), new)
     assert np.array_equal(got, reference_hits(masked, i, k, moved, new))
 
 
@@ -135,40 +143,52 @@ def test_hit_mask_reuses_tables_across_k(case, k2):
     masked, i, k, moved, new = case
     cache = cache_with(masked)
     for kk in (k, k2, k):
-        assert np.array_equal(cache.hit_mask(i, kk, (moved, new)),
+        assert np.array_equal(cache.hit_mask(target_over(cache, i, kk, moved), new),
                               reference_hits(masked, i, kk, moved, new))
 
 
 @settings(max_examples=100, deadline=None)
 @given(deep_hit_cases(), st.data())
 def test_hit_mask_bound_follows_target_and_moved_set(case, draw):
-    """The bound kept between calls is keyed by k and the excluded set (the
-    target and the moved ids), and the seen users by (target, moved ids):
-    alternating them on one cache must give each call its own, and a clean
-    test shares its bound with a test that moves only the target."""
+    """``RankCache.target`` keeps its last record, keyed by (target, k):
+    alternating (i, k), (j, k) and (i, k + 1) on one cache must give each
+    call its own record, whose clean test, test of the target's own row and
+    bounds match the reference; a record built over another moved set
+    leaves the kept one as it is, and the clean test shares its bound with
+    a test that moves only the target."""
     masked, i, k, moved, new = case
     j = draw.draw(st.integers(0, masked.shape[1] - 1))
     own = np.array([[0.5] * masked.shape[0]])
-    calls = [(i, k, moved, new), (j, k, moved, new), (i, k, moved[1:], new[1:]),
-             (i, k + 1, moved, new), (i, k, moved[:0], new[:0]), (i, k, np.array([i]), own),
-             (j, k, np.array([i]), own)]
+    calls = [(i, k), (j, k), (i, k + 1)]
     cache = cache_with(masked)
-    for target, kk, ids, rows in calls + calls[::-1]:
-        assert np.array_equal(cache.hit_mask(target, kk, (ids, rows)),
-                              reference_hits(masked, target, kk, ids, rows))
+    for target, kk in calls + calls[::-1]:
+        record = cache.target(target, kk)
+        assert (record.item, record.k) == (target, kk)
+        assert record.moved is record.clean
+        assert np.array_equal(cache.hit_mask(record),
+                              reference_hits(masked, target, kk, moved[:0], new[:0]))
+        assert np.array_equal(cache.hit_mask(record, own),
+                              reference_hits(masked, target, kk, np.array([target]), own))
+        assert np.array_equal(cache.hit_mask(target_over(cache, target, kk, moved), new),
+                              reference_hits(masked, target, kk, moved, new))
+        assert cache.target(target, kk) is record
 
 
 def test_hit_mask_takes_moved_ids_with_their_scores():
     masked = np.array([[1.0, 0.5, 0.0], [0.0, 2.0, 1.0]])
     cache = cache_with(masked)
     moved, new = np.array([1]), np.array([[3.0, -1.0]])
-    assert np.array_equal(cache.hit_mask(0, 1, (moved, new)),
+    target = target_over(cache, 0, 1, moved)
+    assert np.array_equal(cache.hit_mask(target, new),
                           reference_hits(masked, 0, 1, moved, new))
-    # ids alone, no rows, no row per id, and the U x m score columns the
-    # rows replaced: each is a rows block of the wrong shape
-    for bad in (moved, (moved, None), (moved, new[:0]), (moved, new.T)):
+    # no rows is the clean test
+    assert np.array_equal(cache.hit_mask(target),
+                          reference_hits(masked, 0, 1, moved[:0], new[:0]))
+    # ids for rows, no row per id, and the U x m score columns the rows
+    # replaced: each is a rows block of the wrong shape
+    for bad in (moved, new[:0], new.T):
         with pytest.raises(ValueError):
-            cache.hit_mask(0, 1, bad)
+            cache.hit_mask(target, bad)
 
 
 def test_hit_mask_allocates_less_than_one_moved_block():
@@ -187,10 +207,11 @@ def test_hit_mask_allocates_less_than_one_moved_block():
     rows = items[moved] + 0.5 * rng.normal(size=(m, d)) / np.sqrt(d)
     own = rows[moved == i]
     rows[moved == i] = 1.6 * own / np.linalg.norm(own)
-    first = cache.hit_mask(i, 50, (moved, rows))
+    target = target_over(cache, i, 50, moved)
+    first = cache.hit_mask(target, rows)
     tracemalloc.start()
     try:
-        again = cache.hit_mask(i, 50, (moved, rows))
+        again = cache.hit_mask(target, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -231,7 +252,7 @@ def embedded_hit_cases(draw):
 def test_hit_mask_matches_brute_force_on_exact_embeddings(case):
     users, items, masked, i, k, moved, rows = case
     cache = cache_with(masked, users, items)
-    got = cache.hit_mask(i, k, (moved, rows))
+    got = cache.hit_mask(target_over(cache, i, k, moved), rows)
     assert np.array_equal(got, reference_hits(masked, i, k, moved, rows @ users.T))
 
 
@@ -281,12 +302,13 @@ def test_promotion_margins_count_the_hits_of_a_moved_target_row(exact, seed, i, 
     hits = objective.hits()
     if hits is None:
         hits = metrics.hit_count(params, enc, i, k, delta=delta, cache=cache)
-    moved = cache.scorer.perturbed_rows(i, *delta)
+    target = cache.target(i, k)
+    moved = cache.scorer.perturbed_rows(target, *delta)
     masked = models.Scorer(params, enc).scores()
     for u, items in enumerate(enc.table.user_items):
         masked[u, items] = -np.inf
     want = reference_hits(masked, i, k, moved[0], (cache.scorer.user_matrix @ moved[1].T).T)
-    assert hits == cache.hit_mask(i, k, moved).sum() == want.sum()
+    assert hits == cache.hit_mask(target, moved[1]).sum() == want.sum()
 
 
 def test_graph_hit_count_allocates_less_than_one_moved_block():

@@ -321,6 +321,32 @@ def test_early_stopping_returns_the_best_epoch(tiny_dataset):
     assert param_bytes(best) != param_bytes(fresh)
 
 
+def test_one_epoch_copies_the_parameters_twice(tiny_dataset, monkeypatch):
+    """A fit copies the parameters once into its working copy and once per
+    new best epoch into the checkpoint it returns: two copies for one epoch.
+    With no epoch it returns its working copy, equal to the input but not
+    the input itself."""
+    split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
+    enc = DatasetEncoding(split, fv, ft, "concat")
+    fresh = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
+                               kind="concat", id_dim=8, fuse_dim=5, seed=54)
+    copies = []
+    clone = models.ModelParams.clone
+
+    def counted(self):
+        copies.append(self)
+        return clone(self)
+
+    monkeypatch.setattr(models.ModelParams, "clone", counted)
+    cfg = DefenseConfig(eta=0.02, beta=1e-5, batch_size=32, max_epochs=1, seed=55)
+    pretrain(fresh, enc, fv, ft, cfg)
+    assert len(copies) == 2
+    monkeypatch.undo()
+    kept, log = pretrain(fresh, enc, fv, ft, replace(cfg, max_epochs=0))
+    assert kept is not fresh and param_bytes(kept) == param_bytes(fresh)
+    assert log.rows == []
+
+
 def test_degeneracy_chain_bitwise(tiny_dataset):
     split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
     enc = DatasetEncoding(split, fv, ft, "concat")
