@@ -128,7 +128,7 @@ SCHEMA = {
     "sweep.alphas": (_grid(_WEIGHT), "0.1,1,2,3,4,5,6,7,8,9,10"),
     "diagnose.targets": (_COUNT, 100),
     "diagnose.k_users": (_SIZE, 0),  # 0 = 10% of the promotion set
-    "diagnose.bin_width": (_SHARE, 0.05),
+    "diagnose.bin_width": (_number(float, 1e-4, 1), 0.05),  # at most 10,000 bins
 }
 
 

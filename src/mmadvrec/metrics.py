@@ -43,9 +43,10 @@ class RankCache:
     that ``k`` and kept, with an index of where each item sits in them: a
     threshold finds the users whose top k holds the target, and a bound
     counts each user's excluded entries, without scanning the tables.
-    ``target`` keeps the last hit-test record it built. The tables and
-    records hold clean scores, and the scorer's forward views the embedding
-    tables, so the parameters must never change once the cache is built.
+    ``target`` keeps the last hit-test record it built for each ``k``. The
+    tables and records hold clean scores, and the scorer's forward views the
+    embedding tables, so the parameters must never change once the cache is
+    built.
 
     The bound: a user's table has depth D = min(2k+1, I). Let c of its
     entries be excluded items (the target or a moved item). Then the
@@ -67,7 +68,7 @@ class RankCache:
         self.enc = enc
         self.scorer = Scorer(params, enc)
         self._tops = {}
-        self._target = None
+        self._targets = {}
 
     def masked_rows(self, users):
         """Clean scores of ``users`` (an id array or a slice) for every item,
@@ -123,10 +124,10 @@ class RankCache:
 
     def target(self, i, k):
         """The hit-test record of item i at ``k``, built from one delta
-        column; the cache keeps the last one asked."""
-        last = self._target
-        if last is None or (last.item, last.k) != (i, k):
-            last = self._target = Target(self, i, k, self.enc.delta_column(i))
+        column; the cache keeps the last one asked for each k."""
+        last = self._targets.get(k)
+        if last is None or last.item != i:
+            last = self._targets[k] = Target(self, i, k, self.enc.delta_column(i))
         return last
 
     def hit_mask(self, target, rows=None):

@@ -115,9 +115,10 @@ class DatasetEncoding:
     item's self coefficient (ÂᵀÂ)[i, i]; ``delta_column`` gives the column of
     ÂᵀÂ that propagates a perturbation. All three are computed from the
     table's CSR arrays: ``weights`` holds Â's entry of each interaction, and
-    the table's ``item_positions`` lists each item's interactions, so the
-    memory grows with the number of interactions, not with U·I or I².
-    Isolated items keep their raw feature (self coefficient 1).
+    the table's ``item_positions`` lists each item's interactions. The sums
+    run one feature column at a time, each bin adding in interaction order,
+    so memory grows with the interactions, not with U·I, I² or interactions
+    × d. Isolated items keep their raw feature (self coefficient 1).
     """
 
     def __init__(self, table, feats_v, feats_t, kind):
@@ -150,9 +151,9 @@ class DatasetEncoding:
 
     def _smooth(self, feats):
         """Âᵀ(Â feats): scatter to the users, then back to the items."""
-        t, w = self.table, self.weights[:, None]
-        by_user = ad.bincount_rows(t.users, w * feats[t.items], t.num_users)
-        return ad.bincount_rows(t.items, w * by_user[t.users], t.num_items)
+        t, w = self.table, self.weights
+        by_user = [np.bincount(t.users, w * col[t.items], t.num_users) for col in feats.T]
+        return np.stack([np.bincount(t.items, w * col[t.users], t.num_items) for col in by_user], 1)
 
     def delta_column(self, i):
         """Per-item weights of a unit perturbation on item i's raw feature:
@@ -170,9 +171,10 @@ class DatasetEncoding:
 
 
 def _user_means(table, feats):
-    """Per user, the mean feature row of their items (zeros without any)."""
-    sums = ad.bincount_rows(table.users, feats[table.items], table.num_users)
-    return sums / np.maximum(np.diff(table.indptr), 1)[:, None]
+    """Per user, the mean feature row of their items (zeros without any),
+    summed one column at a time: no interactions × d array is made."""
+    sums = [np.bincount(table.users, col[table.items], table.num_users) for col in feats.T]
+    return np.stack(sums, axis=1) / np.maximum(np.diff(table.indptr), 1)[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -411,10 +411,14 @@ def test_campaign_hit_after_is_the_hit_rate_of_the_final_deltas(scene, monkeypat
                                   cache=cache)
 
 
-def test_graph_campaign_builds_each_target_record_once(scene, trained_graph, monkeypatch):
-    """At ``attack.k == k_hit`` a graph target's clean test, its attack's
-    ``alone`` test and every step's hit test read one record
-    (``RankCache.target``), so each target's delta column is built once."""
+@pytest.mark.parametrize("k_over_attack", [0, 2], ids=["same_k", "other_k"])
+def test_graph_campaign_builds_each_target_record_once(scene, trained_graph, monkeypatch,
+                                                       k_over_attack):
+    """A graph target's hit tests at one k read one record
+    (``RankCache.target``): at ``attack.k == k_hit`` the clean test, the
+    attack's ``alone`` test and every step's hit test build one delta
+    column; at another ``k_hit`` the clean test and ``hit_after`` share a
+    second one."""
     params, enc = trained_graph
     _, _, fv, ft, _, targets = scene
     targets = [int(i) for i in targets[:3]]
@@ -427,5 +431,5 @@ def test_graph_campaign_builds_each_target_record_once(scene, trained_graph, mon
 
     monkeypatch.setattr(models.DatasetEncoding, "delta_column", counted)
     cfg = AttackConfig(variant="pgd", eps_pct=0.10, pgd_steps=3, k=10)
-    cli.run_campaign(params, enc, fv, ft, targets, cfg, cfg.k)
-    assert calls == targets
+    cli.run_campaign(params, enc, fv, ft, targets, cfg, cfg.k + k_over_attack)
+    assert calls == [i for i in targets for _ in range(1 if k_over_attack == 0 else 2)]

@@ -1,7 +1,8 @@
-"""Micro-benchmarks of the tape's hot paths on the tiny dataset: one survey
-user's dot product and backward, one plain PGD step and one aligned PGD
-step. The tier-1 run calls each once, as a smoke test (``--benchmark-disable``
-in pyproject.toml's ``addopts``); time them with
+"""Micro-benchmarks on the tiny dataset: the graph encoding every command
+builds at set-up, and the tape's hot paths, one survey user's dot product
+and backward, one plain PGD step and one aligned PGD step. The tier-1 run
+calls each once, as a smoke test (``--benchmark-disable`` in pyproject.toml's
+``addopts``); time them with
 
     PYTHONPATH=src python -m pytest tests/test_benchmarks.py --benchmark-enable
 """
@@ -11,6 +12,9 @@ import pytest
 
 from mmadvrec import attacks, metrics
 from mmadvrec import autodiff as ad
+from mmadvrec.models import DatasetEncoding
+
+from oracles import Reference, rel_err
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +23,18 @@ def objective(trained_concat):
     params, enc = trained_concat
     users = attacks.promoted_user_set(enc.table, 3)
     return attacks.promotion(metrics.RankCache(params, enc), 3, users, 5)
+
+
+def test_graph_encoding_setup(benchmark, tiny_dataset):
+    """The graph smoothing and user means, checked against the dense
+    per-user loops of ``oracles.Reference``."""
+    split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
+    enc = benchmark(DatasetEncoding, split, fv, ft, "graph")
+    ref = Reference(split.user_items, split.num_items, fv.values, ft.values, "graph")
+    for got, want in [(enc.eff_v, ref.eff_v), (enc.eff_t, ref.eff_t),
+                      (enc.self_coef, ref.self_coef), (enc.user_mean_v, ref.user_mean_v),
+                      (enc.user_mean_t, ref.user_mean_t)]:
+        assert rel_err(got, want) <= 1e-12
 
 
 def _deltas(objective):

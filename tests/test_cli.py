@@ -217,7 +217,7 @@ def test_diagnose_outputs(workspace):
     assert items == items2
 
 
-@pytest.mark.parametrize("width", ["0", "-0.5", "1.5"])
+@pytest.mark.parametrize("width", ["0", "-0.5", "1.5", "1e-300", "1e-5"])
 def test_bin_width_outside_the_unit_interval_is_config_error(workspace, monkeypatch, capsys,
                                                              tmp_path, width):
     surveyed = []

@@ -151,6 +151,25 @@ def test_graph_encoding_memory_grows_with_interactions():
     assert peak <= num_users * num_items * 8 / 10
 
 
+def test_encoding_makes_no_interactions_by_d_block():
+    """The sums run one feature column at a time: with 60 interactions per
+    user and 80 per item, one interactions x d float64 block outweighs every
+    n x d output, and the peak allocation stays below half of it."""
+    num_users, num_items, per_user, dim = 400, 300, 60, 16
+    rng = np.random.default_rng(10)
+    table = table_from_lists(num_items, [rng.choice(num_items, size=per_user, replace=False)
+                                         for _ in range(num_users)])
+    fv = data.FeatureMatrix("v", rng.normal(size=(num_items, dim)))
+    ft = data.FeatureMatrix("t", rng.normal(size=(num_items, dim)))
+    tracemalloc.start()
+    try:
+        DatasetEncoding(table, fv, ft, "graph")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.num_interactions * dim * 8 / 2
+
+
 def test_recall_ndcg_evaluates_in_row_blocks():
     """Evaluation on a prebuilt cache copies no U x I block of scores: its
     peak allocation stays below half of one U x I float64 array."""
