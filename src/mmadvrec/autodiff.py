@@ -19,8 +19,8 @@ through ``matmul``; the kept transpose is such a constant too. A frozen
 ``Forward`` holds its projection and propagation weights as such
 constants, so every encode and backward through it shares one transpose of
 each. Only a tensor that wraps an array it does not own is transposed
-afresh each time: a trainable ``Forward``'s leaves, which the optimiser
-updates in place, or a ``Tensor`` over a caller's array. Every transpose is
+afresh each time: a trainable ``Forward``'s weight leaves, which the
+optimiser updates in place, or a ``Tensor`` over a caller's array. Every transpose is
 C-contiguous, so products with it round alike.
 """
 

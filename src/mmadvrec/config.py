@@ -86,8 +86,8 @@ SCHEMA = {
     "synth.feat_dim_v": (_COUNT, 16),
     "synth.feat_dim_t": (_COUNT, 16),
     "synth.interactions_per_user": (_COUNT, 20),
-    "synth.feature_noise": (_number(float), 0.1),
-    "synth.interaction_noise": (_number(float), 0.05),
+    "synth.feature_noise": (_number(float, 0), 0.1),  # a noise scale
+    "synth.interaction_noise": (_number(float, 0, 1), 0.05),  # a flip probability
     "synth.mixing_overlap": (_number(float, 0, 1), 0.0),
     "synth.unpopular_count": (_SIZE, 100),
     "synth.n_unpop": (_COUNT, 5),

@@ -186,9 +186,12 @@ class Forward:
     Every encoding is a batch of rows. Training moves each row by its own
     (B, d) delta row; an attacked or surveyed item is a 1-row batch whose
     deltas are (1, d) leaves; ranking runs the same calls under
-    ``ad.no_grad()``. With ``trainable=True`` every parameter is a graph leaf
-    that views its array, and ``param_leaves()`` lists them for ``ad.grad``:
-    the optimiser changes the arrays in place only after the gradients are
+    ``ad.no_grad()``. With ``trainable=True`` each weight (projection and
+    propagation) is a graph leaf in ``nodes`` that views its array, and each
+    gather from an embedding table is a leaf over the (B, d) rows it takes,
+    recorded in ``gathers`` in order: no tape node has a table's shape, and
+    ``training.min_phase`` adds the rows' gradients into the tables. The
+    optimiser changes the arrays in place only after the gradients are
     taken, and each product with a weight transposes it afresh. A frozen
     forward views the embedding tables, so they must not change while it is
     in use, and holds the projection and propagation weights as constants of
@@ -196,19 +199,28 @@ class Forward:
     encode and backward.
     """
 
+    TABLES = ("user_embeds", "item_embeds")
+
     def __init__(self, params, enc, trainable=False):
         _check_shapes(params, enc)
         self.params = params
         self.enc = enc
-        self.nodes = {name: ad.leaf(arr) if trainable else
-                      ad.Tensor(arr) if name.endswith("_embeds") else ad.constant(arr)
-                      for name, arr in params.arrays().items()}
+        self.gathers = [] if trainable else None  # (table name, ids, rows leaf) per gather
+        arrays = params.arrays()
+        self.nodes = ({name: ad.leaf(arr) for name, arr in arrays.items()
+                       if name not in self.TABLES} if trainable else
+                      {name: ad.Tensor(arr) if name in self.TABLES else ad.constant(arr)
+                       for name, arr in arrays.items()})
 
-    def param_names(self):
-        return sorted(self.nodes)
-
-    def param_leaves(self):
-        return [self.nodes[n] for n in self.param_names()]
+    def _gather(self, name, ids):
+        """Rows ``ids`` of embedding table ``name``: taken from the frozen
+        forward's view of the table, or a new leaf that a trainable forward
+        records."""
+        if self.gathers is None:
+            return ad.take_rows(self.nodes[name], ids)
+        rows = ad.leaf(getattr(self.params, name)[ids])
+        self.gathers.append((name, ids, rows))
+        return rows
 
     def _content(self, feats, delta, coefs, modality):
         """phi(proj (prop) z) per row, z moved by the weighted delta."""
@@ -226,14 +238,14 @@ class Forward:
         self coefficient."""
         idx = np.asarray(idx, dtype=np.int64)
         coefs = self.enc.self_coef[idx] if weights is None else weights
-        e = ad.take_rows(self.nodes["item_embeds"], idx)
+        e = self._gather("item_embeds", idx)
         cv = self._content(self.enc.eff_v[idx], delta_v, coefs, "v")
         ct = self._content(self.enc.eff_t[idx], delta_t, coefs, "t")
         return ad.hstack([e, cv, ct])
 
     def user_embedding_batch(self, users):
         users = np.asarray(users, dtype=np.int64)
-        e = ad.take_rows(self.nodes["user_embeds"], users)
+        e = self._gather("user_embeds", users)
         if self.params.user_content == "id_only":
             return e
         cv = self._content(self.enc.user_mean_v[users], None, None, "v")

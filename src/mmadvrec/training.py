@@ -102,13 +102,27 @@ def bpr_loss(params, enc, triples, forward=None, reduction="sum", deltas=None):
 
 
 def _reg_loss(fw):
-    """||theta||^2: one ``sum_squares`` node per parameter table, added in
-    name order."""
+    """||theta||^2, added in name order: a ``sum_squares`` node per weight
+    leaf, and each embedding table's sum of squares as a constant, whose
+    gradient ``min_phase`` adds off the tape (``_table_grads``)."""
     total = None
-    for name in fw.param_names():
-        term = ad.sum_squares(fw.nodes[name])
+    for name, arr in sorted(fw.params.arrays().items()):
+        term = (ad.sum_squares(fw.nodes[name]) if name in fw.nodes
+                else ad.constant(np.vdot(arr, arr)))
         total = term if total is None else ad.add(total, term)
     return total
+
+
+def _table_grads(params, gathers, row_grads, beta):
+    """Each embedding table's dense gradient, summed in the order a tape with
+    the whole table as a leaf would add it: the decay (beta + beta) theta
+    first, then each gather's rows summed per id, the latest gather first."""
+    out = {name: (beta + beta) * getattr(params, name) if beta > 0 else
+           np.zeros_like(getattr(params, name)) for name in Forward.TABLES}
+    for (name, ids, _), g in zip(reversed(gathers), reversed(row_grads)):
+        uniq, compact = np.unique(ids, return_inverse=True)
+        out[name][uniq] += ad.bincount_rows(compact, g.numpy(), uniq.size)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +170,11 @@ def min_phase(params, enc, triples, delta_batch, config, optimizer):
     value = loss.item()
     if not np.isfinite(value):
         raise NumericalError(f"training loss is {value}")
-    grads = ad.grad(loss, fw.param_leaves())
-    optimizer.step(params, dict(zip(fw.param_names(), (g.numpy() for g in grads))))
+    names = sorted(fw.nodes)
+    grads = ad.grad(loss, [fw.nodes[n] for n in names] + [rows for _, _, rows in fw.gathers])
+    out = dict(zip(names, (g.numpy() for g in grads)))
+    out.update(_table_grads(params, fw.gathers, grads[len(names):], config.beta))
+    optimizer.step(params, dict(sorted(out.items())))
     return clean.item(), adv_value
 
 

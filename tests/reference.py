@@ -1,10 +1,12 @@
 """Exact references the tests compare the program against: finite-difference
-gradients, a brute-force ranking and the mismatch survey as a per-user loop.
-Like ``perfbench/oracles.py`` (the benchmark's tolerance-bound oracles,
-which the tests import too), nothing here imports the package, so a fault
-in the program cannot reach the reference it is checked by. The survey loop
-alone runs on the autodiff it is handed, which the finite differences here
-check: it pins the survey's array algebra bit for bit, not its calculus."""
+gradients, a brute-force ranking, the mismatch survey as a per-user loop and
+a training step whose tape holds the whole embedding tables. Like
+``perfbench/oracles.py`` (the benchmark's tolerance-bound oracles, which the
+tests import too), nothing here imports the package, so a fault in the
+program cannot reach the reference it is checked by. The survey loop and
+the training step alone run on the autodiff and model code they are
+handed, which the finite differences here check: they pin the program's
+array algebra and summation order bit for bit, not its calculus."""
 
 import math
 
@@ -101,3 +103,46 @@ def per_user_survey(ad, objective, dv, dt, users, k_users):
     sv, st = set(tops[0].tolist()), set(tops[1].tolist())
     return (out[0][0], out[1][0], out[0][1], out[1][1], tops[0], tops[1],
             len(sv & st) / len(sv | st))
+
+
+def table_leaf_forward(ad, forward, params, enc):
+    """A trainable forward whose embedding tables are tape leaves: the
+    program's ``forward`` class and ``ad`` are passed in, and each gather is
+    a ``take_rows`` from the whole table's leaf, which views its array."""
+
+    class TableLeaves(forward):
+        def _gather(self, name, ids):
+            return ad.take_rows(self.nodes[name], ids)
+
+    fw = TableLeaves(params, enc, trainable=True)
+    fw.nodes.update((name, ad.leaf(getattr(params, name))) for name in forward.TABLES)
+    return fw
+
+
+def full_table_min_phase(ad, forward, bpr_loss, params, enc, triples, delta_batch, config,
+                         optimizer):
+    """One min-phase step on the tape of ``table_leaf_forward``: clean +
+    lambda * perturbed loss + beta * a ``sum_squares`` node per parameter,
+    added in name order, and one backward to every parameter leaf, whose
+    dense gradients ``optimizer`` takes. The program's ``bpr_loss`` and
+    optimiser are passed in. Returns (clean loss value, perturbed loss
+    value)."""
+    fw = table_leaf_forward(ad, forward, params, enc)
+    clean = bpr_loss(params, enc, triples, forward=fw, reduction=config.reduction)
+    loss, adv_value = clean, 0.0
+    if config.lambda_ > 0:
+        deltas = {k: ad.constant(v) for k, v in vars(delta_batch).items()}
+        adv = bpr_loss(params, enc, triples, forward=fw, reduction=config.reduction,
+                       deltas=deltas)
+        loss = ad.add(loss, ad.mul(ad.constant(config.lambda_), adv))
+        adv_value = adv.item()
+    names = sorted(fw.nodes)
+    if config.beta > 0:
+        total = None
+        for name in names:
+            term = ad.sum_squares(fw.nodes[name])
+            total = term if total is None else ad.add(total, term)
+        loss = ad.add(loss, ad.mul(ad.constant(config.beta), total))
+    grads = ad.grad(loss, [fw.nodes[n] for n in names])
+    optimizer.step(params, {n: g.numpy() for n, g in zip(names, grads)})
+    return clean.item(), adv_value

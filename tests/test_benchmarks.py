@@ -1,7 +1,8 @@
-"""Micro-benchmarks on the tiny dataset: the graph encoding every command
-builds at set-up, and the tape's hot paths, one survey user's dot product
-and backward, one plain PGD step and one aligned PGD step. The tier-1 run
-calls each once, as a smoke test (``--benchmark-disable`` in pyproject.toml's
+"""Micro-benchmarks: on the tiny dataset, the graph encoding every command
+builds at set-up and the tape's hot paths, one survey user's dot product and
+backward, one plain PGD step and one aligned PGD step; on a graph model over
+2000 users x 3000 items, one pretraining step. The tier-1 run calls each
+once, as a smoke test (``--benchmark-disable`` in pyproject.toml's
 ``addopts``); time them with
 
     PYTHONPATH=src python -m pytest tests/test_benchmarks.py --benchmark-enable
@@ -10,11 +11,14 @@ calls each once, as a smoke test (``--benchmark-disable`` in pyproject.toml's
 import numpy as np
 import pytest
 
-from mmadvrec import attacks, metrics
+from mmadvrec import attacks, data, metrics, models
 from mmadvrec import autodiff as ad
 from mmadvrec.models import DatasetEncoding
+from mmadvrec.training import Adam, DefenseConfig, bpr_loss, min_phase
 
+from conftest import param_bytes
 from oracles import Reference, rel_err
+from reference import full_table_min_phase
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +71,33 @@ def test_pgd_step(benchmark, objective, weight):
     grads, first, align = benchmark(step)
     assert (align is None) == (weight == 0.0)
     assert all(np.all(np.isfinite(g.numpy())) for g in grads + first)
+
+
+def test_graph_pretraining_step(benchmark):
+    """One ``min_phase`` with weight decay and Adam on a graph model over 2000
+    users x 3000 items with 32-wide id embeddings, a 256-triple batch: tables
+    large enough for any dense work besides Adam's to show. Each round takes
+    its step from the same parameters, with an optimiser one step in; the
+    last round's parameters must equal two reference steps' bitwise, on the
+    tape whose leaves are the whole tables."""
+    table, fv, ft = data.synth_generate(data.SynthConfig(num_users=2000, num_items=3000), seed=7)
+    split = data.split_leave_one_out(table, seed=8)
+    enc = DatasetEncoding(split, fv, ft, "graph")
+    start = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim, kind="graph",
+                               id_dim=32, fuse_dim=16, seed=9)
+    triples = data.TripleSampler(split, seed=10).sample(256)
+    cfg = DefenseConfig(lambda_=0.0, alpha=0.0, beta=1e-5, optimizer="adam")
+    last = []
+
+    def one_step_in():
+        work, optimizer = start.clone(), Adam(cfg.eta)
+        min_phase(work, enc, triples, None, cfg, optimizer)
+        last[:] = [work]
+        return (work, enc, triples, None, cfg, optimizer), {}
+
+    benchmark.pedantic(min_phase, setup=one_step_in, rounds=50)
+    want, optimizer = start.clone(), Adam(cfg.eta)
+    for _ in range(2):
+        full_table_min_phase(ad, models.Forward, bpr_loss, want, enc, triples, None, cfg,
+                             optimizer)
+    assert param_bytes(last[0]) == param_bytes(want)

@@ -563,6 +563,9 @@ def test_bad_enum_or_range_value_is_config_error(workspace, tmp_path, capsys,
                                         ("train.eta", "0"),
                                         ("defense.lambda", "-1"),
                                         ("synth.mixing_overlap", "1.5"),
+                                        ("synth.interaction_noise", "2"),
+                                        ("synth.interaction_noise", "-1"),
+                                        ("synth.feature_noise", "-0.5"),
                                         ("sweep.eps_d", "0.1,2"),
                                         ("sweep.alphas", "nan"),
                                         ("sweep.eps_a", ",")])

@@ -4,17 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmadvrec import autodiff as ad, data, metrics, models, training
 from mmadvrec.attacks import ascent_gradients, budget_rows, to_sphere
 from mmadvrec.data import DataError
 from mmadvrec.models import DatasetEncoding
-from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, max_phase,
-                               min_phase, pretrain, uat_mc_train)
+from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, make_optimizer,
+                               max_phase, min_phase, pretrain, uat_mc_train)
 
 from conftest import digest, param_bytes, pinned_synth, table_from_lists
 from oracles import rel_err
-from reference import fd_gradient
+from reference import fd_gradient, full_table_min_phase, table_leaf_forward
 
 KEYS = ("dv_pos", "dt_pos", "dv_neg", "dt_neg")
 
@@ -136,14 +137,75 @@ def test_min_phase_lambda_beta_zero_is_plain_bpr_step(scene):
     cfg = DefenseConfig(lambda_=0.0, beta=0.0, eta=0.05, seed=0)
     a = params.clone()
     min_phase(a, enc, triples, None, cfg, SGD(0.05))
-    # manual plain BPR step
+    # manual plain BPR step on a tape whose leaves are the whole tables
     b = params.clone()
-    fw = models.Forward(b, enc, trainable=True)
+    fw = table_leaf_forward(ad, models.Forward, b, enc)
     loss = bpr_loss(b, enc, triples, forward=fw)
-    grads = ad.grad(loss, fw.param_leaves())
-    for name, g in zip(fw.param_names(), grads):
+    names = sorted(fw.nodes)
+    for name, g in zip(names, ad.grad(loss, [fw.nodes[n] for n in names])):
         b.arrays()[name] -= 0.05 * g.numpy()
     assert param_bytes(a) == param_bytes(b)
+
+
+@pytest.fixture(scope="module")
+def encodings(tiny_dataset):
+    split, fv, ft = tiny_dataset["split"], tiny_dataset["fv"], tiny_dataset["ft"]
+    return {kind: DatasetEncoding(split, fv, ft, kind) for kind in ("concat", "graph")}
+
+
+def step_config(phase, **kw):
+    """A min phase's settings: pretraining has no perturbed term; uat and
+    uat_mc weigh it by 1 and differ in the max phase's alignment."""
+    return DefenseConfig(mode="uat" if phase == "uat" else "uat_mc",
+                         lambda_=0.0 if phase == "pretrain" else 1.0, **kw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["concat", "graph"]),
+       phase=st.sampled_from(["pretrain", "uat", "uat_mc"]),
+       optimizer=st.sampled_from(["sgd", "adam"]), reduction=st.sampled_from(["sum", "mean"]),
+       beta=st.sampled_from([0.0, 1e-3]), user_content=st.sampled_from(["shared", "id_only"]),
+       seed=st.integers(0, 2 ** 16))
+def test_min_phase_matches_the_full_table_tape_bitwise(tiny_dataset, encodings, kind, phase,
+                                                       optimizer, reduction, beta,
+                                                       user_content, seed):
+    """Three steps leave the parameters and return the loss values bitwise as
+    the reference step whose tape holds the whole tables, on batches that
+    repeat user and item ids: the table gradients add the decay first, then
+    the gathers' per-id row sums, the latest gather first."""
+    fv, ft, enc = tiny_dataset["fv"], tiny_dataset["ft"], encodings[kind]
+    params = models.init_params(enc.table.num_users, enc.table.num_items, fv.dim, ft.dim,
+                                kind=kind, user_content=user_content, id_dim=6, fuse_dim=4,
+                                seed=seed)
+    cfg = step_config(phase, beta=beta, eta=0.05, optimizer=optimizer, reduction=reduction)
+    got, want = params.clone(), params.clone()
+    opt_got, opt_want = make_optimizer(cfg), make_optimizer(cfg)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        triples = tuple(rng.integers(0, n, 12) for n in (6, 8, 8))
+        deltas = None if phase == "pretrain" else max_phase(got, enc, triples, cfg, fv, ft)[0]
+        assert min_phase(got, enc, triples, deltas, cfg, opt_got) == full_table_min_phase(
+            ad, models.Forward, bpr_loss, want, enc, triples, deltas, cfg, opt_want)
+        assert param_bytes(got) == param_bytes(want)
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "uat_mc"])
+def test_min_phase_builds_no_node_of_a_table_shape(tiny_dataset, encodings, monkeypatch, phase):
+    """Only the optimiser sees the whole embedding tables: no tape node built
+    during a graph step with weight decay and Adam has a table's shape."""
+    fv, ft, enc = tiny_dataset["fv"], tiny_dataset["ft"], encodings["graph"]
+    params = models.init_params(enc.table.num_users, enc.table.num_items, fv.dim, ft.dim,
+                                kind="graph", id_dim=6, fuse_dim=4, seed=5)
+    cfg = step_config(phase, beta=1e-3, optimizer="adam")
+    triples = data.TripleSampler(enc.table, seed=6).sample(16)
+    deltas = None if phase == "pretrain" else max_phase(params, enc, triples, cfg, fv, ft)[0]
+    shapes = []
+    set_node = ad.Tensor._set
+    monkeypatch.setattr(ad.Tensor, "_set", lambda self, arr, requires_grad: (
+        shapes.append(arr.shape) or set_node(self, arr, requires_grad)))
+    min_phase(params, enc, triples, deltas, cfg, Adam(0.01))
+    monkeypatch.undo()
+    assert shapes and {params.user_embeds.shape, params.item_embeds.shape}.isdisjoint(shapes)
 
 
 def test_min_phase_beta_only_shrinks_params(scene):
@@ -162,6 +224,13 @@ def test_min_phase_beta_only_shrinks_params(scene):
     assert np.linalg.norm(zero.user_embeds) < norm_before
 
 
+class Capture:
+    """An optimiser that keeps the gradients of its one step and moves nothing."""
+
+    def step(self, params, grads):
+        self.grads = grads
+
+
 def test_min_phase_fd_on_parameter_coordinate(scene):
     params, enc, fv, ft, split = scene
     triples = data.TripleSampler(split, seed=9).sample(4)
@@ -169,13 +238,9 @@ def test_min_phase_fd_on_parameter_coordinate(scene):
                          DefenseConfig(mode="uat", eps_d_pct=0.1, eta=0.1, seed=0),
                          fv, ft)
     cfg = DefenseConfig(lambda_=0.7, beta=0.01, eta=1.0, seed=0)
-    fw = models.Forward(params, enc, trainable=True)
-    loss = bpr_loss(params, enc, triples, forward=fw)
-    adv = bpr_loss(params, enc, triples, forward=fw, deltas=constants(delta))
-    reg = training._reg_loss(fw)
-    total = ad.add(ad.add(loss, ad.mul(ad.constant(0.7), adv)),
-                   ad.mul(ad.constant(0.01), reg))
-    grads = dict(zip(fw.param_names(), ad.grad(total, fw.param_leaves())))
+    capture = Capture()
+    min_phase(params.clone(), enc, triples, delta, cfg, capture)
+    assert sorted(capture.grads) == sorted(params.arrays())
 
     def value_at(name, index, v):
         work = params.clone()
@@ -187,12 +252,16 @@ def test_min_phase_fd_on_parameter_coordinate(scene):
         return l2.item() + 0.7 * a2.item() + 0.01 * r2
 
     rng = np.random.default_rng(10)
-    for name in ("proj_v", "item_embeds"):
-        index = int(rng.integers(params.arrays()[name].size))
-        x0 = params.arrays()[name].reshape(-1)[index]
+    # a weight, an item row both losses gather, any item coordinate, a gathered user row
+    for name, row in (("proj_v", None), ("item_embeds", triples[1][0]), ("item_embeds", None),
+                      ("user_embeds", triples[0][0])):
+        arr = params.arrays()[name]
+        index = (int(rng.integers(arr.size)) if row is None
+                 else int(row) * arr.shape[1] + int(rng.integers(arr.shape[1])))
+        x0 = arr.reshape(-1)[index]
         h = 1e-5
         fd = (value_at(name, index, x0 + h) - value_at(name, index, x0 - h)) / (2 * h)
-        got = grads[name].numpy().reshape(-1)[index]
+        got = capture.grads[name].reshape(-1)[index]
         assert abs(got - fd) / max(abs(fd), 1e-8) < 1e-5
 
 
@@ -381,7 +450,8 @@ def test_training_outputs_are_pinned(kind, mode, want):
     """sha256 of the returned parameters and the log rows after 2 epochs
     from init on the pinned synthetic config; the digests were taken from
     the version whose weight decay summed ``mul(p, p)`` per table and whose
-    trainable forward copied each table into its leaf."""
+    trainable forward copied each table into its leaf. They hold with the
+    embedding tables off the tape, each gather a leaf of its own."""
     _, fv, ft, split = pinned_synth()
     enc = DatasetEncoding(split, fv, ft, kind)
     fresh = models.init_params(split.num_users, split.num_items, fv.dim, ft.dim,
@@ -477,10 +547,23 @@ def test_optimizer_names_a_non_finite_gradient(make, bad):
 
 
 def test_trainable_forward_leaves_view_the_parameters(scene):
+    """The weights are leaves that view their arrays; each gather from an
+    embedding table is a leaf of its own over the rows it takes, recorded in
+    order, and no node holds a whole table."""
     params, enc = scene[:2]
     fw = models.Forward(params, enc, trainable=True)
-    for name, node in zip(fw.param_names(), fw.param_leaves()):
+    assert sorted(fw.nodes) == ["proj_t", "proj_v"]
+    for name, node in fw.nodes.items():
         assert node.requires_grad and np.shares_memory(node.numpy(), params.arrays()[name])
+    users, items = np.array([3, 0, 3]), np.array([7, 7, 1, 2])
+    fw.user_embedding_batch(users)
+    fw.item_embedding_batch(items)
+    assert [(name, ids.tolist()) for name, ids, _ in fw.gathers] == [
+        ("user_embeds", users.tolist()), ("item_embeds", items.tolist())]
+    for name, ids, rows in fw.gathers:
+        table = params.arrays()[name]
+        assert rows.requires_grad and not rows._links and not np.shares_memory(rows.numpy(), table)
+        assert rows.numpy().tobytes() == table[ids].tobytes()
 
 
 def test_adam_deterministic_and_distinct_from_sgd(tiny_dataset):
