@@ -3,8 +3,12 @@ report.
 
 Every command is a pure function of (config, input files, seed): all
 randomness flows from the root ``seed`` split per component, and outputs are
-byte-stable across reruns. Exit codes: 0 ok, 2 config error, 3 data error,
-4 numerical abort.
+byte-stable across reruns. Every command but ``report`` runs one flow: it
+reads its inputs, creates its ``RunManifest`` (their checksums as read)
+before it writes anything, computes, writes its outputs and then
+``manifest_<command>.json``, which lists them. A command that reads a
+checkpoint reads ``--checkpoint``, else the one ``train`` writes. Exit codes:
+0 ok, 2 config error, 3 data error, 4 numerical abort.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# the checkpoint each fitting command writes; every other command reads
+# --checkpoint, else train's
+CHECKPOINTS = {"train": "pretrained.ckpt", "defend": "defended.ckpt"}
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +96,11 @@ def _attack_config(cfg):
         align_weight=cfg["attack.align_weight"], k=cfg["attack.k"])
 
 
-def _write_train_log(path, log, extra_rows=None):
-    rows = list(extra_rows or [])
-    rows.extend([r[c] for c in log.COLUMNS] for r in log.rows)
-    reports.write_csv(path, log.COLUMNS, rows)
+def _load_checkpoint(args, out, inputs, path=None):
+    """Load ``path``, by default ``--checkpoint`` or else the checkpoint
+    ``train`` writes, and list it among the run's inputs."""
+    inputs.append(path or args.checkpoint or os.path.join(out, CHECKPOINTS["train"]))
+    return models.load_checkpoint(inputs[-1])
 
 
 def _read_last_epoch(log_path):
@@ -110,17 +119,12 @@ def _read_last_epoch(log_path):
     return int(rows[-1][0]), rows
 
 
-def _manifest(cfg, command, inputs, outputs, out_dir, name):
-    man = RunManifest.create(command, cfg, inputs)
-    man.outputs = sorted(outputs)
-    man.write(os.path.join(out_dir, name))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_gen_data(cfg, args):
     out = _out_dir(cfg)
+    man = RunManifest.create(args.command, cfg, [])
     synth_cfg = data.SynthConfig(
         num_users=cfg["synth.users"], num_items=cfg["synth.items"],
         latent_dim=cfg["synth.latent_dim"], feat_dim_v=cfg["synth.feat_dim_v"],
@@ -144,57 +148,51 @@ def cmd_gen_data(cfg, args):
                    "num_interactions": stats.num_interactions,
                    "sparsity_pct": stats.sparsity_pct}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _manifest(cfg, "gen-data", [], [inter, fvp, ftp, statp], out, "manifest_gen_data.json")
+    man.write(out, [inter, fvp, ftp, statp])
     print(f"wrote dataset to {out}: {stats.num_users} users, {stats.num_items} items, "
           f"{stats.num_interactions} interactions, sparsity {stats.sparsity_pct:.3f}%")
     return EXIT_OK
 
 
-def _fit(cfg, args, defend):
-    """The body of ``train`` (BPR from a fresh initialisation) and ``defend``
+def cmd_fit(cfg, args):
+    """``train`` (BPR from a fresh initialisation) and ``defend``
     (adversarial training from a checkpoint). ``--resume`` reloads the
     command's saved (best) checkpoint, keeps its log rows, numbers the new
     epochs after them and seeds the sampler by the first new epoch; the
-    optimiser and early-stopping state start afresh."""
+    optimiser and early-stopping state start afresh. With neither file it
+    starts afresh; with only one it refuses, so as not to overwrite it."""
+    defend = args.command == "defend"
     out, inputs, split, fv, ft, enc = _workspace(cfg)
-    command = "defend" if defend else "train"
-    ckpt = os.path.join(out, "defended.ckpt" if defend else "pretrained.ckpt")
-    log_path = os.path.join(out, f"{command}_log.csv")
+    ckpt = os.path.join(out, CHECKPOINTS[args.command])
+    log_path = os.path.join(out, f"{args.command}_log.csv")
     start_epoch, old_rows = 1, []
-    if args.resume and os.path.exists(ckpt) and os.path.exists(log_path):
-        inputs += [ckpt, log_path]
-        params = models.load_checkpoint(ckpt)
+    missing = [p for p in (ckpt, log_path) if not os.path.exists(p)]
+    if args.resume and len(missing) == 1:
+        raise DataError(f"{missing[0]}: not found; --resume needs the checkpoint and the log")
+    if args.resume and not missing:
+        params = _load_checkpoint(args, out, inputs, ckpt)
+        inputs.append(log_path)
         last, old_rows = _read_last_epoch(log_path)
         start_epoch = last + 1
     elif defend:
-        inputs.append(args.checkpoint or os.path.join(out, "pretrained.ckpt"))
-        params = models.load_checkpoint(inputs[-1])
+        params = _load_checkpoint(args, out, inputs)
     else:
         params = _init_params(cfg, split, fv, ft)
-    # checksums of the inputs as read, before this run writes its checkpoint
-    man = RunManifest.create(command, cfg, inputs)
+    man = RunManifest.create(args.command, cfg, inputs)
     label = "defend" if defend else "pretrain"
     tcfg = _train_config(cfg, defend=defend, seed_label=f"{label}-{start_epoch}")
     fit = training.uat_mc_train if defend else training.pretrain
     best, log = fit(params, enc, fv, ft, tcfg, start_epoch=start_epoch)
     models.save_checkpoint(best, ckpt)
-    _write_train_log(log_path, log, extra_rows=old_rows)
-    man.outputs = sorted([ckpt, log_path])
-    man.write(os.path.join(out, f"manifest_{command}.json"))
+    reports.write_csv(log_path, log.COLUMNS,
+                      old_rows + [[r[c] for c in log.COLUMNS] for r in log.rows])
+    man.write(out, [ckpt, log_path])
     recall, ndcg = metrics.recall_ndcg(best, enc, k=cfg["eval.k_rank"])
     what = (f"defended ({tcfg.mode}, lambda={tcfg.lambda_}, alpha={tcfg.effective_alpha})"
             if defend else "pretrained")
     print(f"{what} {log.epochs} epochs; recall@{cfg['eval.k_rank']} {recall:.4f} "
           f"ndcg {ndcg:.4f}; checkpoint {ckpt}")
     return EXIT_OK
-
-
-def cmd_train(cfg, args):
-    return _fit(cfg, args, defend=False)
-
-
-def cmd_defend(cfg, args):
-    return _fit(cfg, args, defend=True)
 
 
 def run_campaign(params, enc, fv, ft, targets, acfg, k_hit, cache=None):
@@ -234,8 +232,8 @@ def _select_targets(cfg, split, count=None):
 def cmd_attack(cfg, args):
     acfg = _attack_config(cfg)
     out, inputs, split, fv, ft, enc = _workspace(cfg)
-    ckpt = args.checkpoint or os.path.join(out, "pretrained.ckpt")
-    params = models.load_checkpoint(ckpt)
+    params = _load_checkpoint(args, out, inputs)
+    man = RunManifest.create(args.command, cfg, inputs)
     targets = _select_targets(cfg, split)
     cache = metrics.RankCache(params, enc)
     rows, trace_rows, (mb, ma, gain) = run_campaign(
@@ -250,7 +248,6 @@ def cmd_attack(cfg, args):
                       ["target_item", "iteration", "promotion_loss", "n_rec",
                        "grad_cosine"], trace_rows)
     recall, ndcg = metrics.recall_ndcg(params, enc, k=cfg["eval.k_rank"], cache=cache)
-    man = RunManifest.create("attack", cfg, inputs + [ckpt])
     reports.write_csv(metrics_path,
                       ["run_id", "defense", "attack", "eps_d", "eps_a", "lambda",
                        "alpha", "hit_before", "hit_after", "gain", "recall10",
@@ -259,8 +256,7 @@ def cmd_attack(cfg, args):
                         cfg["defense.eps_d_pct"], acfg.eps_pct,
                         cfg["defense.lambda"], cfg["defense.alpha"],
                         mb, ma, gain, recall, ndcg]])
-    man.outputs = sorted([results_path, trace_path, metrics_path])
-    man.write(os.path.join(out, "manifest_attack.json"))
+    man.write(out, [results_path, trace_path, metrics_path])
     print(f"attacked {len(targets)} targets ({acfg.variant}"
           f"{'+align' if acfg.with_align else ''}): hit {mb:.4f}% -> {ma:.4f}% "
           f"(gain {gain:.2f}%)")
@@ -269,8 +265,8 @@ def cmd_attack(cfg, args):
 
 def cmd_diagnose(cfg, args):
     out, inputs, split, _, _, enc = _workspace(cfg)
-    ckpt = args.checkpoint or os.path.join(out, "pretrained.ckpt")
-    params = models.load_checkpoint(ckpt)
+    params = _load_checkpoint(args, out, inputs)
+    man = RunManifest.create(args.command, cfg, inputs)
     targets = _select_targets(cfg, split, count=cfg["diagnose.targets"])
     k_users = cfg["diagnose.k_users"] or None
     result = mismatch.mismatch_survey(params, enc, targets, k_users=k_users,
@@ -294,8 +290,7 @@ def cmd_diagnose(cfg, args):
     reports.write_csv(users_path, ["item", "user", "c_v", "c_t"],
                       [[r.item, c.user, c.c_v, c.c_t]
                        for r in result.reports for c in r.contributions])
-    _manifest(cfg, "diagnose", inputs + [ckpt],
-              [items_path, hist_path, users_path], out, "manifest_diagnose.json")
+    man.write(out, [items_path, hist_path, users_path])
     print(f"surveyed {len(result.reports)} items (skipped {len(result.skipped)}); "
           f"mean jaccard {hist.mean:.4f}")
     return EXIT_OK
@@ -317,8 +312,8 @@ def cmd_sweep(cfg, args):
         defends = _sweep_points(cfg, f"sweep.{kind}s", dcfg,
                                 "lambda_" if kind == "lambda" else "alpha")
     out, inputs, split, fv, ft, enc = _workspace(cfg)
-    source = args.checkpoint or os.path.join(out, "pretrained.ckpt")
-    pretrained = models.load_checkpoint(source)
+    pretrained = _load_checkpoint(args, out, inputs)
+    man = RunManifest.create(args.command, cfg, inputs)
     targets = _select_targets(cfg, split)
     sweep_path = os.path.join(out, "sweep.csv")
     rows = []
@@ -338,8 +333,7 @@ def cmd_sweep(cfg, args):
             rows.append([value, ndcg, gain(acfg)])
     header = ["eps_d", "eps_a", "gain"] if kind == "eps" else [kind, "ndcg10", "gain"]
     reports.write_csv(sweep_path, header, rows)
-    _manifest(cfg, "sweep", inputs + [source], [sweep_path],
-              out, "manifest_sweep.json")
+    man.write(out, [sweep_path])
     print(f"sweep {kind}: {len(rows)} rows -> {sweep_path}")
     return EXIT_OK
 
@@ -403,8 +397,8 @@ def build_parser():
         return p
 
     add("gen-data", cmd_gen_data)
-    add("train", cmd_train, needs_resume=True)
-    add("defend", cmd_defend, needs_checkpoint=True, needs_resume=True)
+    add("train", cmd_fit, needs_resume=True)
+    add("defend", cmd_fit, needs_checkpoint=True, needs_resume=True)
     add("attack", cmd_attack, needs_checkpoint=True)
     add("diagnose", cmd_diagnose, needs_checkpoint=True)
     add("sweep", cmd_sweep, needs_checkpoint=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 from . import __version__
 
@@ -206,11 +207,10 @@ class RunManifest:
     command: str
     provenance: str
     config: dict
-    input_checksums: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
+    input_checksums: dict
 
     @staticmethod
-    def create(command, cfg, input_paths=()):
+    def create(command, cfg, input_paths):
         """The run id hashes the command, the config without its path keys
         and the inputs' contents in input order, so the same run on the same
         bytes gets the same id wherever its files live."""
@@ -222,10 +222,13 @@ class RunManifest:
         return RunManifest(run_id, command, f"mmadvrec-{__version__}",
                            cfg.snapshot(), checksums)
 
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+    def write(self, out_dir, outputs):
+        """Write ``manifest_<command>.json`` (``-`` becomes ``_``) into
+        ``out_dir``, listing the paths of the run's ``outputs``."""
+        name = f"manifest_{self.command.replace('-', '_')}.json"
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             json.dump({"run_id": self.run_id, "command": self.command,
                        "provenance": self.provenance, "config": self.config,
                        "input_checksums": self.input_checksums,
-                       "outputs": self.outputs}, fh, indent=2, sort_keys=True)
+                       "outputs": sorted(outputs)}, fh, indent=2, sort_keys=True)
             fh.write("\n")

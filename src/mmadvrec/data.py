@@ -354,6 +354,8 @@ def load_features(path, modality, expected_items=None):
         if version != FEATURE_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
         values = read_matrix(fh, path, "feature matrix")
+        if fh.read(1):
+            raise DataError(f"{path}: trailing bytes after the feature matrix")
         rows = values.shape[0]
     if expected_items is not None and rows != expected_items:
         raise DataError(f"{path}: {rows} feature rows but dataset has {expected_items} items")

@@ -344,6 +344,8 @@ def load_checkpoint(path):
                 name = raw_name.decode()
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: malformed block name ({exc})") from exc
+            if name in blocks:
+                raise DataError(f"{path}: repeated block {name!r}")
             blocks[name] = read_matrix(fh, path, f"block {name!r}").copy()
     kinds = {v: k for k, v in _KIND_CODES.items()}
     phis = {v: k for k, v in _PHI_CODES.items()}
@@ -351,11 +353,15 @@ def load_checkpoint(path):
     try:
         kind = kinds[kind_code]
         meta = blocks.pop("meta")
-        return ModelParams(kind, phis[int(meta[0, 0])], users[int(meta[0, 1])],
-                           blocks["user_embeds"], blocks["item_embeds"],
-                           blocks["proj_v"], blocks["proj_t"],
-                           blocks.get("prop_v"), blocks.get("prop_t"))
+        props = [blocks.get(name) for name in ("prop_v", "prop_t") if kind == "graph"]
+        params = ModelParams(kind, phis[int(meta[0, 0])], users[int(meta[0, 1])],
+                             blocks["user_embeds"], blocks["item_embeds"],
+                             blocks["proj_v"], blocks["proj_t"], *props)
     except (KeyError, IndexError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc})") from exc
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    unread = sorted(set(blocks) - set(params.arrays()))
+    if unread:
+        raise DataError(f"{path}: unexpected block {unread[0]!r} in a {kind} checkpoint")
+    return params

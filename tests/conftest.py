@@ -80,7 +80,9 @@ def table_from_lists(num_items, lists, holdout=None):
 
 def damaged_features(raw, edit):
     """A feature file's bytes after one edit: "nan" makes the first value
-    NaN, "version N" writes format version N."""
+    NaN, "version N" writes format version N, "trailing" appends 8 bytes."""
+    if edit == "trailing":
+        return raw + bytes(8)
     if edit == "nan":
         return raw[:24] + struct.pack("<d", np.nan) + raw[32:]
     return raw[:4] + struct.pack("<I", int(edit.split()[1])) + raw[8:]
@@ -95,10 +97,14 @@ def damaged_checkpoint(raw, edit):
     """A checkpoint file's bytes after one edit "<action> <target>":
     "version N" writes format version N; "drop", "rename" (to a name that is
     not UTF-8), "nan" (its first value) and "widen" (by one column) change
-    the target block; "meta" replaces the meta block by the named values."""
+    the target block; "meta" replaces the meta block by the named values;
+    "repeat" appends a second target block of other values, and "append" a
+    1 x 1 block of the target name."""
     action, target = edit.split(" ", 1)
     if action == "version":
         return raw[:4] + struct.pack("<I", int(target)) + raw[8:]
+    if action == "append":
+        return raw + _checkpoint_block(target.encode(), [[0.0]])
     name = b"meta" if action == "meta" else target.encode()
     at = 9  # past the magic, the version and the kind code
     while True:
@@ -119,6 +125,8 @@ def damaged_checkpoint(raw, edit):
         block = _checkpoint_block(name, values)
     elif action == "widen":
         block = _checkpoint_block(name, np.hstack([values, values[:, :1]]))
+    elif action == "repeat":
+        return raw + _checkpoint_block(name, values + 1.0)
     else:
         meta = {"(1, 1)": [[0.0]], "nan": [[np.nan, 0.0]], "inf": [[0.0, np.inf]]}[target]
         block = _checkpoint_block(name, meta)

@@ -196,6 +196,76 @@ def test_resumed_run_manifest_lists_the_log_it_extends(workspace, tmp_path, comm
     assert run_ids[0] != run_ids[1]
 
 
+@pytest.mark.parametrize("command, ckpt", [("train", "pretrained.ckpt"),
+                                           ("defend", "defended.ckpt")])
+@pytest.mark.parametrize("keep", ["checkpoint", "log"])
+def test_resume_with_one_of_its_two_files_refuses_and_writes_nothing(workspace, tmp_path, capsys,
+                                                                     command, ckpt, keep):
+    """A fresh run would overwrite the one file there is, so a resume that
+    finds only the checkpoint or only the log exits 3 and names the other."""
+    for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe",
+                 "pretrained.ckpt", "train_log.csv"):
+        shutil.copy(os.path.join(workspace["out"], name), tmp_path / name)
+    args = ["--config", workspace["cfg"], "--set", f"data.path={tmp_path}",
+            "--set", f"data.out_dir={tmp_path}"]
+    if command == "defend":
+        assert cli.main(["defend", *args]) == cli.EXIT_OK
+    missing = tmp_path / (f"{command}_log.csv" if keep == "checkpoint" else ckpt)
+    missing.unlink()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert cli.main([command, *args, "--resume"]) == cli.EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:") and str(missing) in lines[0]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_resume_with_neither_file_starts_afresh(workspace, tmp_path):
+    blobs = []
+    for flags in ([], ["--resume"]):
+        where = tmp_path / str(len(flags))
+        where.mkdir()
+        for name in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe"):
+            shutil.copy(os.path.join(workspace["out"], name), where / name)
+        assert cli.main(["train", "--config", workspace["cfg"], "--set", f"data.path={where}",
+                         "--set", f"data.out_dir={where}", *flags]) == cli.EXIT_OK
+        blobs.append([(where / n).read_bytes() for n in ("pretrained.ckpt", "train_log.csv")])
+    assert blobs[0] == blobs[1]
+
+
+DATASET = ("interactions.tsv", "features_v.mmfe", "features_t.mmfe")
+WITH_CKPT = DATASET + ("pretrained.ckpt",)
+# command -> (the workspace files it reads, extra arguments that keep it small)
+MANIFEST_RUNS = {"gen-data": ((), []), "train": (DATASET, []), "defend": (WITH_CKPT, []),
+                 "attack": (WITH_CKPT, []), "diagnose": (WITH_CKPT, []),
+                 "sweep": (WITH_CKPT, ["--set", "sweep.eps_d=0.05", "--set", "sweep.eps_a=0.05",
+                                       "--set", "attack.targets=2", "--set", "attack.variant=fgsm",
+                                       "--set", "defense.max_epochs=1"])}
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_RUNS))
+def test_every_command_writes_one_manifest_of_what_it_read_and_wrote(workspace, tmp_path,
+                                                                     command):
+    """Each command writes one ``manifest_<command>.json``: it lists every
+    other file the command wrote, and the checksum of each file it read as
+    it was before the run. The command writes to a fresh directory apart
+    from the files it reads, so every file there is one it wrote."""
+    out = tmp_path / "out"
+    names, extra = MANIFEST_RUNS[command]
+    reads = [os.path.join(workspace["out"], n) for n in names]
+    before = {p: config.file_checksum(p) for p in reads}
+    checkpoint = [p for p in reads if p.endswith(".ckpt")]
+    assert run(workspace, command, "--set", f"data.out_dir={out}",
+               *(["--checkpoint", *checkpoint] if checkpoint else []), *extra) == cli.EXIT_OK
+    name = f"manifest_{command.replace('-', '_')}.json"
+    written = sorted(os.listdir(out))
+    assert [n for n in written if n.startswith("manifest")] == [name]
+    man = json.loads((out / name).read_text(encoding="utf-8"))
+    assert man["command"] == command
+    assert man["outputs"] == [str(out / n) for n in written if n != name]
+    assert man["input_checksums"] == before
+
+
 def test_diagnose_outputs(workspace):
     out = workspace["out"]
     assert run(workspace, "diagnose") == 0
@@ -392,7 +462,10 @@ def test_feature_file_of_zero_columns_is_data_error(workspace, tmp_path):
     ("pretrained.ckpt", "version 2", "unsupported checkpoint version 2"),
     ("pretrained.ckpt", "rename user_embeds", "malformed block name"),
     ("pretrained.ckpt", "nan proj_t", "non-finite parameter value"),
-    ("pretrained.ckpt", "widen user_embeds", "user embedding width inconsistent")])
+    ("pretrained.ckpt", "widen user_embeds", "user embedding width inconsistent"),
+    ("pretrained.ckpt", "repeat proj_v", "repeated block 'proj_v'"),
+    ("pretrained.ckpt", "append junk", "unexpected block 'junk'"),
+    ("features_v.mmfe", "trailing", "trailing bytes after the feature matrix")])
 def test_damaged_feature_or_checkpoint_file_is_data_error(workspace, tmp_path, capsys,
                                                           name, edit, message):
     for f in ("interactions.tsv", "features_v.mmfe", "features_t.mmfe", "pretrained.ckpt"):

@@ -387,6 +387,14 @@ def test_feature_file_with_an_empty_shape_is_data_error(tmp_path, rows, cols):
         data.load_features(path, "v")
 
 
+def test_feature_file_with_trailing_bytes_is_data_error(tmp_path):
+    path = tmp_path / "f.mmfe"
+    data.write_features(FeatureMatrix("v", np.ones((4, 3))), path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(DataError, match="f.mmfe: trailing bytes"):
+        data.load_features(path, "v")
+
+
 def test_feature_header_shape(tmp_path):
     f = FeatureMatrix("t", np.arange(6, dtype=float).reshape(3, 2))
     path = tmp_path / "f.mmfe"

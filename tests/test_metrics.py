@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmadvrec import data, metrics, models
+from mmadvrec import data, models
 from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache, gain_hit, hit_at_k, recall_ndcg, select_targets
 from mmadvrec.models import DatasetEncoding

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmadvrec import attacks, autodiff as ad, metrics, mismatch, models
+from mmadvrec import attacks, autodiff as ad, metrics, models
 from mmadvrec.data import DataError
 from mmadvrec.metrics import RankCache
 from mmadvrec.mismatch import (UserContribution, default_k_users, directional_contribution,

@@ -447,7 +447,10 @@ CHECKPOINT_ERRORS = {
     "version 2": "model.ckpt: unsupported checkpoint version 2",
     "rename user_embeds": "model.ckpt: malformed block name",
     "nan prop_v": "non-finite parameter value",
-    "widen user_embeds": "user embedding width inconsistent"}
+    "widen user_embeds": "user embedding width inconsistent",
+    "repeat proj_v": "model.ckpt: repeated block 'proj_v'",
+    "repeat meta": "model.ckpt: repeated block 'meta'",
+    "append junk": "model.ckpt: unexpected block 'junk' in a graph checkpoint"}
 
 
 @pytest.mark.parametrize("edit", list(CHECKPOINT_ERRORS))
@@ -457,6 +460,16 @@ def test_malformed_checkpoint_blocks_are_data_errors(tmp_path, edit):
     models.save_checkpoint(params, path)
     path.write_bytes(damaged_checkpoint(path.read_bytes(), edit))
     with pytest.raises(data.DataError, match=CHECKPOINT_ERRORS[edit]):
+        models.load_checkpoint(path)
+
+
+def test_concat_checkpoint_with_a_graph_block_is_data_error(tmp_path):
+    params = models.init_params(3, 4, 2, 2, kind="concat", id_dim=2, fuse_dim=2, seed=5)
+    path = tmp_path / "model.ckpt"
+    models.save_checkpoint(params, path)
+    path.write_bytes(damaged_checkpoint(path.read_bytes(), "append prop_v"))
+    with pytest.raises(data.DataError,
+                       match="model.ckpt: unexpected block 'prop_v' in a concat checkpoint"):
         models.load_checkpoint(path)
 
 

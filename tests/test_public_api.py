@@ -4,7 +4,8 @@ every public method or property of a public class, every optional
 parameter of a public function or method, every plain-default field of a
 public dataclass and every config key, so no API or option stays alive only
 for its own tests. The references the tests and the benchmark check against
-import nothing from the package."""
+import nothing from the package, and no module of the package or the tests
+imports a name it never uses."""
 
 import ast
 import re
@@ -260,3 +261,23 @@ def test_references_import_nothing_from_the_package():
     the reference it is compared against."""
     for path in (ROOT / "tests" / "reference.py", ROOT / "perfbench" / "oracles.py"):
         assert [m for m in _imported_modules(path) if m.split(".")[0] == "mmadvrec"] == []
+
+
+def _unused_imports(path):
+    """``file:line name`` for each name the module imports and never reads;
+    a ``from __future__`` import binds no name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(bound.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert [unused for path in paths for unused in _unused_imports(path)] == []

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mmadvrec import autodiff as ad, data, metrics, models, training
 from mmadvrec.attacks import ascent_gradients, budget_rows, to_sphere
-from mmadvrec.data import DataError
 from mmadvrec.models import DatasetEncoding
 from mmadvrec.training import (Adam, DefenseConfig, DeltaBatch, SGD, bpr_loss, make_optimizer,
                                max_phase, min_phase, pretrain, uat_mc_train)
